@@ -23,11 +23,12 @@ from .components import (
     StatelessDet,
     Sts,
     as_component,
-    rename_atomic,
+    numbered,
+    rename_slots,
     wf,
 )
 from .compose import atomic
-from .errors import SignatureMismatch, TemporalFragment, WfError
+from .errors import SignatureMismatch, SoundnessError, TemporalFragment, WfError
 from .formulas import (
     And,
     Atom,
@@ -48,8 +49,10 @@ from .formulas import (
     eq,
     exists_many,
     forall_many,
+    free_refs,
     free_vars,
     is_temporal,
+    nodes,
     simplify,
     substitute,
 )
@@ -94,6 +97,8 @@ class Vc:
     goal: Formula
     fragment: str  # "first-order" | "temporal"
     provenance: str
+    # validity proves the query, but invalidity does not refute it
+    sufficient_only: bool = False
 
     def __post_init__(self):
         if self.fragment == "first-order" and is_temporal(self.goal):
@@ -222,7 +227,7 @@ def _smt_term(t: Term) -> str:
         if t.symbol == "neg":
             return f"(- {_smt_term(t.args[0])})"
         if t.symbol == "ite":
-            return f"(ite {_smt_formula_boolterm(t.args[0])} {_smt_term(t.args[1])} {_smt_term(t.args[2])})"
+            return f"(ite {_smt_term(t.args[0])} {_smt_term(t.args[1])} {_smt_term(t.args[2])})"
         if t.symbol == "/":
             op = "div" if all(isinstance(type_of(a), IntType) for a in t.args) else "/"
             return f"({op} {_smt_term(t.args[0])} {_smt_term(t.args[1])})"
@@ -230,10 +235,6 @@ def _smt_term(t: Term) -> str:
     if isinstance(t, NextRef):
         raise TemporalFragment("temporal term in a first-order goal")
     raise TemporalFragment(f"unsupported term {t!r}")
-
-
-def _smt_formula_boolterm(t: Term) -> str:
-    return _smt_term(t)
 
 
 def _smt_formula(f: Formula) -> str:
@@ -271,59 +272,36 @@ def _smt_formula(f: Formula) -> str:
     raise TemporalFragment(f"unsupported formula {f!r}")
 
 
-def _free_with_primed(f: Formula):
-    """Free plain and primed variables of a first-order goal."""
-    from .terms import term_vars
-
-    plain: set[Var] = set()
-    primed: set[Var] = set()
-
-    def walk(g, bound):
-        if isinstance(g, Atom):
-            for t in g.args:
-                p, pr = term_vars(t)
-                plain.update(v for v in p if v not in bound)
-                primed.update(v for v in pr if v not in bound)
-        elif isinstance(g, Not):
-            walk(g.arg, bound)
-        elif isinstance(g, (And, Or, Implies, Iff)):
-            walk(g.left, bound)
-            walk(g.right, bound)
-        elif isinstance(g, (Forall, Exists)):
-            walk(g.body, bound | {g.var})
-
-    walk(f, frozenset())
-    return plain, primed
-
-
 def emit_smtlib(vc: Vc) -> str:
     """Deterministic SMT-LIB 2 script refuting the negation of the goal:
     `unsat` means the verification condition is valid."""
     if vc.fragment != "first-order":
         raise TemporalFragment("only first-order goals can be emitted")
-    plain, primed = _free_with_primed(vc.goal)
+    return _smt_script(vc.goal, f"(not {_smt_formula(vc.goal)})")
+
+
+def emit_smtlib_sat(goal: Formula, provenance: str) -> str:
+    """Script asserting the goal itself: `sat` means satisfiable."""
+    Vc(goal, "first-order", provenance)  # rejects temporal goals
+    return _smt_script(goal, _smt_formula(goal))
+
+
+def _smt_script(goal: Formula, assertion: str) -> str:
+    """Declarations of the goal's enum sorts and free variables, then
+    `(assert <assertion>)` and `(check-sat)`."""
+    plain, primed, _ = free_refs(goal)
     lines = ["(set-logic ALL)"]
 
     enums: dict[str, EnumType] = {}
-
-    def note_types(g: Formula):
-        def note(ty: SemType):
-            if isinstance(ty, EnumType):
-                enums[ty.name] = ty
-
-        if isinstance(g, Atom):
-            for t in g.args:
-                _note_term_types(t, note)
-        elif isinstance(g, Not):
-            note_types(g.arg)
-        elif isinstance(g, (And, Or, Implies, Iff)):
-            note_types(g.left)
-            note_types(g.right)
-        elif isinstance(g, (Forall, Exists)):
-            note(g.var.ty)
-            note_types(g.body)
-
-    note_types(vc.goal)
+    for node, _ in nodes(goal):
+        if isinstance(node, (VarRef, PrimedRef, Forall, Exists)):
+            ty = node.var.ty
+        elif isinstance(node, Const):
+            ty = node.ty
+        else:
+            continue
+        if isinstance(ty, EnumType):
+            enums[ty.name] = ty
     for v in plain | primed:
         if isinstance(v.ty, EnumType):
             enums[v.ty.name] = v.ty
@@ -344,30 +322,9 @@ def emit_smtlib(vc: Vc) -> str:
         if guard:
             decls.append(f"(assert {guard})")
     lines.extend(decls)
-    lines.append(f"(assert (not {_smt_formula(vc.goal)}))")
+    lines.append(f"(assert {assertion})")
     lines.append("(check-sat)")
     return "\n".join(lines) + "\n"
-
-
-def emit_smtlib_sat(goal: Formula, provenance: str) -> str:
-    """Script asserting the goal itself: `sat` means satisfiable."""
-    vc = Vc(goal, "first-order", provenance)
-    script = emit_smtlib(vc)
-    target = f"(assert (not {_smt_formula(goal)}))"
-    assert target in script
-    return script.replace(target, f"(assert {_smt_formula(goal)})")
-
-
-def _note_term_types(t: Term, note):
-    if isinstance(t, (VarRef, PrimedRef)):
-        note(t.var.ty)
-    elif isinstance(t, Const):
-        note(t.ty)
-    elif isinstance(t, App):
-        for a in t.args:
-            _note_term_types(a, note)
-    elif isinstance(t, NextRef):
-        _note_term_types(t.arg, note)
 
 
 # --- finite / probe evaluation of first-order goals ---------------------------
@@ -401,33 +358,11 @@ def _probe_values(ty: SemType, constants: set) -> tuple:
 
 
 def _collect_constants(f: Formula) -> set:
-    out = set()
+    return {n.value for n, _ in nodes(f) if isinstance(n, Const)}
 
-    def walk_term(t: Term):
-        if isinstance(t, Const):
-            out.add(t.value)
-        elif isinstance(t, App):
-            for a in t.args:
-                walk_term(a)
-        elif isinstance(t, NextRef):
-            walk_term(t.arg)
 
-    def walk(g: Formula):
-        if isinstance(g, Atom):
-            for t in g.args:
-                walk_term(t)
-        elif isinstance(g, Not):
-            walk(g.arg)
-        elif isinstance(g, (And, Or, Implies, Iff, Until, Leads)):
-            walk(g.left)
-            walk(g.right)
-        elif isinstance(g, (Globally, Finally)):
-            walk(g.arg)
-        elif isinstance(g, (Forall, Exists)):
-            walk(g.body)
-
-    walk(f)
-    return out
+def _quantified_types(f: Formula) -> set:
+    return {n.var.ty for n, _ in nodes(f) if isinstance(n, (Forall, Exists))}
 
 
 def _is_finite_type(ty: SemType) -> bool:
@@ -447,7 +382,7 @@ def check_fo_validity(goal: Formula, dom: FiniteDomain = None) -> FoVerdict:
     a probe search over the free variables that can only refute.  Goals whose
     quantifiers range over types with no finite domain stay undecided: probe
     approximation under a quantifier would not be sound."""
-    plain, primed = _free_with_primed(goal)
+    plain, primed, _ = free_refs(goal)
     quantified = _quantified_types(goal)
     constants = _collect_constants(goal)
 
@@ -491,25 +426,6 @@ def check_fo_validity(goal: Formula, dom: FiniteDomain = None) -> FoVerdict:
     return FoVerdict(True if exact else None, None, exact=exact)
 
 
-def _quantified_types(f: Formula) -> set:
-    out = set()
-
-    def walk(g):
-        if isinstance(g, (Forall, Exists)):
-            out.add(g.var.ty)
-            walk(g.body)
-        elif isinstance(g, Not):
-            walk(g.arg)
-        elif isinstance(g, (And, Or, Implies, Iff, Until, Leads)):
-            walk(g.left)
-            walk(g.right)
-        elif isinstance(g, (Globally, Finally)):
-            walk(g.arg)
-
-    walk(f)
-    return out
-
-
 def discharge_fo(vc: Vc, dom: FiniteDomain = None) -> tuple[CheckResult, str]:
     """Try the solver, then exhaustive/probe evaluation.  Returns the result
     and which route produced it."""
@@ -525,7 +441,9 @@ def discharge_fo(vc: Vc, dom: FiniteDomain = None) -> tuple[CheckResult, str]:
         return Proven(), "finite"
     if fo.valid is False:
         return Refuted(note=_witness_note(fo.witness)), "finite"
-    return Unknown("goal undecided without a solver"), "none"
+    if verdict == "unavailable":
+        return Unknown("goal undecided without a solver"), "none"
+    return Unknown("solver answered unknown and finite evaluation was probe-only"), "none"
 
 
 def _witness_note(witness: Optional[dict]) -> str:
@@ -736,22 +654,12 @@ def is_input_receptive(c, dom: FiniteDomain = None, expand: Expansion = Expansio
 
 def _canonical_pair(a: AtomicComponent, b: AtomicComponent, k: Kind):
     """Lift both components to kind k and rename them onto shared canonical
-    input/output (and state, where applicable) variables."""
+    input/output variables, with states s0.. for a and t0.. for b."""
     a, b = lift_to(a, k), lift_to(b, k)
-
-    def canon(c: AtomicComponent, state_prefix: str):
-        mapping = {}
-        for i, v in enumerate(c.inputs):
-            mapping[v] = Var(f"x{i}", v.ty)
-        if isinstance(c, (Sts, Stateless, Qltl)):
-            for i, v in enumerate(c.outputs):
-                mapping[v] = Var(f"y{i}", v.ty)
-        if isinstance(c, (Sts, Det)):
-            for i, v in enumerate(c.states):
-                mapping[v] = Var(f"{state_prefix}{i}", v.ty)
-        return rename_atomic(c, mapping)
-
-    return canon(a, "s"), canon(b, "t")
+    return (
+        rename_slots(a, numbered("x"), numbered("y"), numbered("s")),
+        rename_slots(b, numbered("x"), numbered("y"), numbered("t")),
+    )
 
 
 def refine_vc(abstract, concrete) -> list[Vc]:
@@ -775,8 +683,7 @@ def refine_vc(abstract, concrete) -> list[Vc]:
         a, b = _canonical_pair(aa, ac, Kind.STS)
         if a.states.types() == b.states.types():
             # align the state spaces onto shared names
-            mapping = {v: Var(f"s{i}", v.ty) for i, v in enumerate(b.states)}
-            b = rename_atomic(b, mapping)
+            b = rename_slots(b, (), (), numbered("s"))
             gen = NameGen(
                 [v.name for v in a.all_vars()] + [v.name for v in b.all_vars()]
             )
@@ -793,7 +700,8 @@ def refine_vc(abstract, concrete) -> list[Vc]:
                     ]
                 )
             )
-            return [make_vc(goal, "transition-system refinement (sufficient only)")]
+            provenance = "transition-system refinement (sufficient only)"
+            return [Vc(goal, _fragment_of(goal), provenance, sufficient_only=True)]
         k = Kind.QLTL
     a, b = _canonical_pair(aa, ac, Kind.QLTL)
     ys = list(a.outputs.vars())
@@ -837,11 +745,11 @@ def check_refines(
             result, route = discharge_fo(vc, dom)
             if isinstance(result, Proven):
                 proven_notes.append(f"{vc.provenance} via {route}")
-                if "sufficient" in vc.provenance:
+                if vc.sufficient_only:
                     sufficient_only = True
                 continue
             if isinstance(result, Refuted):
-                if "sufficient" in vc.provenance:
+                if vc.sufficient_only:
                     # a failed sufficient condition proves nothing by itself
                     unknown_reason = "sufficient transition-system condition failed"
                     continue
@@ -866,9 +774,8 @@ def check_refines(
     if isinstance(oracle_result, Refuted):
         refuted = oracle_result
     if refuted is not None:
-        assert not (unknown_reason is None and len(proven_notes) == len(vcs)), (
-            "a query cannot be both proven and refuted at the same bounds"
-        )
+        if unknown_reason is None and len(proven_notes) == len(vcs):
+            raise SoundnessError("a query cannot be both proven and refuted at the same bounds")
         return refuted
     if unknown_reason is None and len(proven_notes) == len(vcs):
         note = "; ".join(proven_notes)
@@ -889,12 +796,8 @@ def data_refine_vc(c1: Sts, c2: Sts, relation: Formula) -> list[Vc]:
     if overlap:
         raise SignatureMismatch(f"state names must be disjoint, both declare {sorted(overlap)}")
     # align inputs/outputs onto shared names; keep state names as declared
-    map1 = {v: Var(f"x{i}", v.ty) for i, v in enumerate(c1.inputs)}
-    map1.update({v: Var(f"y{i}", v.ty) for i, v in enumerate(c1.outputs)})
-    map2 = {v: Var(f"x{i}", v.ty) for i, v in enumerate(c2.inputs)}
-    map2.update({v: Var(f"y{i}", v.ty) for i, v in enumerate(c2.outputs)})
-    c1 = rename_atomic(c1, map1)
-    c2 = rename_atomic(c2, map2)
+    c1 = rename_slots(c1, numbered("x"), numbered("y"))
+    c2 = rename_slots(c2, numbered("x"), numbered("y"))
     svars = list(c1.states.vars())
     tvars = list(c2.states.vars())
     xvars = list(c1.inputs.vars())

@@ -11,6 +11,7 @@ import argparse
 import json
 import sys
 import time
+from fractions import Fraction
 
 from . import __version__
 from .analysis import (
@@ -46,8 +47,9 @@ from .errors import (
     WfError,
 )
 from .lattice import lift_to
-from .oracle import FiniteDomain, IllegalAt, exec_det, parse_domain_file
+from .oracle import FiniteDomain, IllegalAt, exec_det, parse_domain_file, parse_literal
 from .syntax import formula_text, parse_formula, parse_rcrs, print_component
+from .types import BoolType, EnumType, IntRange, IntType, RealType, UnitType, Var
 from .verdicts import LassoWitness, Proven, Refuted, TraceWitness, Unknown
 
 _USAGE_ERRORS = (
@@ -140,7 +142,9 @@ def _domains(path):
 
 def _parse_traces(specs, sig):
     """Trace inputs `name:v0,v1,...`, one spec per input slot (inline or from
-    a file of such lines)."""
+    a file of such lines); every value must belong to its slot's type."""
+    if len(sig) == 0:
+        raise ComponentSyntaxError("the component has no input slot to drive")
     lines = []
     for spec in specs:
         try:
@@ -149,38 +153,45 @@ def _parse_traces(specs, sig):
             continue
         except OSError:
             lines.append(spec)
-    values = {}
+    pieces = {}
     for line in lines:
         name, _, rest = line.partition(":")
-        name = name.strip()
-        vals = []
-        for piece in rest.split(","):
-            piece = piece.strip()
-            if piece in ("true", "false"):
-                vals.append(piece == "true")
-            else:
-                try:
-                    vals.append(int(piece))
-                except ValueError:
-                    from fractions import Fraction
-
-                    try:
-                        vals.append(Fraction(piece))
-                    except ValueError:
-                        vals.append(piece)
-        values[name] = vals
+        pieces[name.strip()] = rest.split(",")
     names = sig.names()
-    missing = [n for n in names if n not in values]
+    missing = [n for n in names if n not in pieces]
     if missing:
-        if len(values) == len(names):
+        if len(pieces) == len(names):
             # positional fallback: slot names of composites are generated
-            values = dict(zip(names, values.values()))
+            pieces = dict(zip(names, pieces.values()))
         else:
             raise ComponentSyntaxError(
                 f"no trace given for input slot(s) {', '.join(missing)}"
             )
+    values = {v.name: [_slot_value(p, v) for p in pieces[v.name]] for v in sig}
     length = min(len(values[n]) for n in names)
     return tuple(tuple(values[n][i] for n in names) for i in range(length))
+
+
+def _slot_value(piece: str, slot: Var):
+    value = parse_literal(piece)
+    ty = slot.ty
+    if isinstance(ty, UnitType) and value == "()":
+        return ()
+    if isinstance(ty, BoolType):
+        ok = isinstance(value, bool)
+    elif isinstance(value, bool):
+        ok = False
+    elif isinstance(ty, IntRange):
+        ok = isinstance(value, int) and ty.lo <= value <= ty.hi
+    elif isinstance(ty, IntType):
+        ok = isinstance(value, int)
+    elif isinstance(ty, RealType):
+        ok = isinstance(value, (int, Fraction))
+    else:
+        ok = isinstance(ty, EnumType) and value in ty.values
+    if not ok:
+        raise TypeMismatch(f"input {slot.name}: {piece.strip()!r} is not a value of {ty.short()}")
+    return value
 
 
 def main(argv=None) -> int:

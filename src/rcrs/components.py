@@ -5,29 +5,12 @@ from __future__ import annotations
 
 import enum
 import itertools
-from dataclasses import dataclass
-from typing import Iterable, Optional
+from dataclasses import dataclass, fields, replace
+from typing import Iterable, Iterator, Optional
 
 from .errors import EmptyFeedbackSignature, PrimedInTemporal, TypeMismatch
-from .formulas import (
-    And,
-    Atom,
-    Exists,
-    Finally,
-    Forall,
-    Formula,
-    Globally,
-    Iff,
-    Implies,
-    Leads,
-    Not,
-    Or,
-    Until,
-    free_vars,
-    substitute,
-    uses_primed,
-)
-from .terms import Const, PrimedRef, Term, VarRef, has_next, subst_term, term_vars, type_of
+from .formulas import Exists, Forall, Formula, free_refs, rewrite, substitute, uses_primed
+from .terms import Const, PrimedRef, Term, VarRef, type_of
 from .types import SemType, UnitType, Var, base_type
 
 
@@ -92,33 +75,13 @@ class AtomicComponent:
 
 
 def _check_free(f: Formula, allowed_plain, allowed_primed, what: str, temporal_ok=False):
-    fv = free_vars(f)
-    if fv.uses_temporal and not temporal_ok:
+    plain_used, primed_used, temporal = free_refs(f)
+    if temporal and not temporal_ok:
         raise TypeMismatch(f"{what} must not contain temporal operators")
     if temporal_ok and uses_primed(f):
         raise PrimedInTemporal(f"{what} must not contain primed references")
     allowed = set(allowed_plain)
     allowed_pr = set(allowed_primed)
-    plain_used: set[Var] = set()
-    primed_used: set[Var] = set()
-
-    def walk(g, bound):
-        if isinstance(g, Atom):
-            for t in g.args:
-                pl, pr = term_vars(t)
-                plain_used.update(v for v in pl if v not in bound)
-                primed_used.update(v for v in pr if v not in bound)
-        elif isinstance(g, Not):
-            walk(g.arg, bound)
-        elif isinstance(g, (And, Or, Implies, Iff, Until, Leads)):
-            walk(g.left, bound)
-            walk(g.right, bound)
-        elif isinstance(g, (Globally, Finally)):
-            walk(g.arg, bound)
-        elif isinstance(g, (Forall, Exists)):
-            walk(g.body, bound | {g.var})
-
-    walk(f, frozenset())
     for v in primed_used:
         if v not in allowed_pr:
             raise TypeMismatch(f"{what}: primed reference to non-state variable {v.name}")
@@ -265,9 +228,9 @@ def _check_names_disjoint(*sigs: Signature):
 
 
 def _check_term_scope(t: Term, scope: set[Var]):
-    if has_next(t):
+    plain, primed, temporal = free_refs(t)
+    if temporal:
         raise PrimedInTemporal("next operators are not allowed in deterministic payload terms")
-    plain, primed = term_vars(t)
     if primed:
         raise TypeMismatch("primed references are not allowed in deterministic payload terms")
     for v in plain:
@@ -457,96 +420,60 @@ class NameGen:
         return Var(f"{prefix}{i}", ty)
 
 
-def rename_formula(f: Formula, mapping: dict[Var, Var]) -> Formula:
-    """Rename free plain and primed occurrences per the variable mapping."""
-    sigma = {v: VarRef(w) for v, w in mapping.items()}
-    primed = {v: PrimedRef(w) for v, w in mapping.items()}
-    return substitute(f, sigma, primed)
-
-
-def rename_term(t: Term, mapping: dict[Var, Var]) -> Term:
-    sigma = {v: VarRef(w) for v, w in mapping.items()}
-    primed = {v: PrimedRef(w) for v, w in mapping.items()}
-    return subst_term(t, sigma, primed)
-
-
 def rename_atomic(c: AtomicComponent, mapping: dict[Var, Var]) -> AtomicComponent:
-    def rsig(s: Signature) -> Signature:
-        return Signature(tuple(mapping.get(v, v) for v in s))
+    """Rename slots and free plain and primed occurrences per the variable
+    mapping."""
+    sigma = {v: VarRef(w) for v, w in mapping.items()}
+    primed = {v: PrimedRef(w) for v, w in mapping.items()}
 
-    if isinstance(c, Sts):
-        return Sts(
-            rsig(c.inputs),
-            rsig(c.outputs),
-            rsig(c.states),
-            rename_formula(c.init, mapping),
-            rename_formula(c.trs, mapping),
-        )
-    if isinstance(c, Stateless):
-        return Stateless(rsig(c.inputs), rsig(c.outputs), rename_formula(c.io, mapping))
-    if isinstance(c, Det):
-        return Det(
-            rsig(c.inputs),
-            rsig(c.states),
-            c.init_vals,
-            rename_formula(c.inpt, mapping),
-            tuple(rename_term(t, mapping) for t in c.next),
-            tuple(rename_term(t, mapping) for t in c.out),
-        )
-    if isinstance(c, StatelessDet):
-        return StatelessDet(
-            rsig(c.inputs),
-            rename_formula(c.inpt, mapping),
-            tuple(rename_term(t, mapping) for t in c.out),
-        )
-    if isinstance(c, Qltl):
-        return Qltl(rsig(c.inputs), rsig(c.outputs), rename_formula(c.phi, mapping))
-    raise TypeError(f"not an atomic component: {c!r}")
+    def rename(value):
+        if isinstance(value, Signature):
+            return Signature(tuple(mapping.get(v, v) for v in value))
+        if isinstance(value, tuple):  # payload terms, initial values
+            return tuple(substitute(t, sigma, primed) for t in value)
+        return substitute(value, sigma, primed)
+
+    return type(c)(*(rename(getattr(c, f.name)) for f in fields(c)))
+
+
+def numbered(prefix: str, start: int = 0) -> Iterator[str]:
+    """The generated slot names prefix<start>, prefix<start + 1>, ..."""
+    return (f"{prefix}{i}" for i in itertools.count(start))
+
+
+def rename_slots(
+    c: AtomicComponent,
+    inputs: Iterable[str],
+    outputs: Iterable[str] = (),
+    states: Iterable[str] = (),
+) -> AtomicComponent:
+    """Rename the input, output and state slots of c, in order, to the given
+    names; slots beyond the end of a name sequence keep their names, and so
+    do the derived outputs of the deterministic kinds."""
+    mapping = {v: Var(n, v.ty) for v, n in zip(c.inputs, inputs)}
+    if isinstance(c, (Sts, Stateless, Qltl)):
+        mapping.update((v, Var(n, v.ty)) for v, n in zip(c.outputs, outputs))
+    if isinstance(c, (Sts, Det)):
+        mapping.update((v, Var(n, v.ty)) for v, n in zip(c.states, states))
+    return rename_atomic(c, mapping)
 
 
 def canonical_atomic(c: AtomicComponent) -> AtomicComponent:
     """Rename local variables to the canonical x0.., y0.., s0.. scheme and
-    canonicalize quantifier-bound names."""
-    mapping: dict[Var, Var] = {}
-    for i, v in enumerate(c.inputs):
-        mapping[v] = Var(f"x{i}", v.ty)
-    if isinstance(c, (Sts, Stateless, Qltl)):
-        for i, v in enumerate(c.outputs):
-            mapping[v] = Var(f"y{i}", v.ty)
-    if isinstance(c, (Sts, Det)):
-        for i, v in enumerate(c.states):
-            mapping[v] = Var(f"s{i}", v.ty)
-    renamed = rename_atomic(c, mapping)
-    return _canonical_bound(renamed)
-
-
-def _canonical_bound(c: AtomicComponent) -> AtomicComponent:
+    quantifier-bound names to b0.., numbered in pre-order."""
+    c = rename_slots(c, numbered("x"), numbered("y"), numbered("s"))
     counter = itertools.count()
 
-    def canon(f: Formula) -> Formula:
-        if isinstance(f, (Forall, Exists)):
-            nv = Var(f"b{next(counter)}", f.var.ty)
-            body = substitute(f.body, {f.var: VarRef(nv)})
-            return type(f)(nv, canon(body))
-        if isinstance(f, Not):
-            return Not(canon(f.arg))
-        if isinstance(f, (And, Or, Implies, Iff, Until, Leads)):
-            return type(f)(canon(f.left), canon(f.right))
-        if isinstance(f, (Globally, Finally)):
-            return type(f)(canon(f.arg))
-        return f
+    def bound_names(g, bound):
+        if isinstance(g, (Forall, Exists)):
+            nv = Var(f"b{next(counter)}", g.var.ty)
+            return type(g)(nv, rewrite(substitute(g.body, {g.var: VarRef(nv)}), bound_names))
+        return None
 
-    if isinstance(c, Sts):
-        return Sts(c.inputs, c.outputs, c.states, canon(c.init), canon(c.trs))
-    if isinstance(c, Stateless):
-        return Stateless(c.inputs, c.outputs, canon(c.io))
-    if isinstance(c, Det):
-        return Det(c.inputs, c.states, c.init_vals, canon(c.inpt), c.next, c.out)
-    if isinstance(c, StatelessDet):
-        return StatelessDet(c.inputs, canon(c.inpt), c.out)
-    if isinstance(c, Qltl):
-        return Qltl(c.inputs, c.outputs, canon(c.phi))
-    raise TypeError
+    values = {f.name: getattr(c, f.name) for f in fields(c)}
+    return replace(
+        c, **{k: rewrite(v, bound_names) for k, v in values.items() if isinstance(v, Formula)}
+    )
 
 
 def alpha_normalize(c) -> Component:

@@ -20,7 +20,8 @@ from .components import (
     StatelessDet,
     Sts,
     as_component,
-    rename_atomic,
+    numbered,
+    rename_slots,
     sigma_in,
     sigma_out,
     wf,
@@ -39,45 +40,20 @@ from .formulas import (
     substitute,
     exists_many,
     forall_many,
+    free_refs,
 )
 from .lattice import join_kind, lift_to, quantify_primed
-from .terms import subst_term, term_vars
-from .types import Var
 
 
 def _names_of(c: AtomicComponent) -> set[str]:
     return {v.name for v in c.all_vars()}
 
 
-def _rename_classes(c: AtomicComponent, in_names, out_names=None, state_names=None):
-    mapping = {}
-    for v, n in zip(c.inputs.vars(), in_names):
-        mapping[v] = Var(n, v.ty)
-    if out_names is not None and isinstance(c, (Sts, Stateless, Qltl)):
-        for v, n in zip(c.outputs.vars(), out_names):
-            mapping[v] = Var(n, v.ty)
-    if state_names is not None and isinstance(c, (Sts, Det)):
-        for v, n in zip(c.states.vars(), state_names):
-            mapping[v] = Var(n, v.ty)
-    return rename_atomic(c, mapping)
-
-
 def _prepare_serial(l: AtomicComponent, r: AtomicComponent):
     """Rename the two operands apart, unifying l's outputs with r's inputs
     under shared mid names."""
-    n_mid = len(r.inputs)
-    l2 = _rename_classes(
-        l,
-        [f"x{i}" for i in range(len(l.inputs))],
-        [f"m{i}" for i in range(n_mid)],
-        [f"u{i}" for i in range(len(l.states))] if isinstance(l, (Sts, Det)) else None,
-    )
-    r2 = _rename_classes(
-        r,
-        [f"m{i}" for i in range(n_mid)],
-        [f"z{i}" for i in range(len(r.outputs))],
-        [f"v{i}" for i in range(len(r.states))] if isinstance(r, (Sts, Det)) else None,
-    )
+    l2 = rename_slots(l, numbered("x"), numbered("m"), numbered("u"))
+    r2 = rename_slots(r, numbered("m"), numbered("z"), numbered("v"))
     mids = r2.inputs.vars()
     return l2, r2, mids
 
@@ -140,8 +116,8 @@ def _out_subst(mids, out_terms) -> dict:
 def _serial_det(l: Det, r: Det, mids) -> Det:
     sub = _out_subst(mids, l.out)
     inpt = simplify(And(l.inpt, substitute(r.inpt, sub)))
-    nxt = l.next + tuple(subst_term(t, sub) for t in r.next)
-    out = tuple(subst_term(t, sub) for t in r.out)
+    nxt = l.next + tuple(substitute(t, sub) for t in r.next)
+    out = tuple(substitute(t, sub) for t in r.out)
     states = Signature(l.states.vars() + r.states.vars())
     return Det(l.inputs, states, l.init_vals + r.init_vals, inpt, nxt, out)
 
@@ -149,25 +125,15 @@ def _serial_det(l: Det, r: Det, mids) -> Det:
 def _serial_stateless_det(l: StatelessDet, r: StatelessDet, mids) -> StatelessDet:
     sub = _out_subst(mids, l.out)
     inpt = simplify(And(l.inpt, substitute(r.inpt, sub)))
-    out = tuple(subst_term(t, sub) for t in r.out)
+    out = tuple(substitute(t, sub) for t in r.out)
     return StatelessDet(l.inputs, inpt, out)
 
 
 def _prepare_parallel(l: AtomicComponent, r: AtomicComponent):
     ni, mi = len(l.inputs), len(l.outputs)
     si = len(l.states) if isinstance(l, (Sts, Det)) else 0
-    l2 = _rename_classes(
-        l,
-        [f"x{i}" for i in range(ni)],
-        [f"y{i}" for i in range(mi)],
-        [f"s{i}" for i in range(si)] if isinstance(l, (Sts, Det)) else None,
-    )
-    r2 = _rename_classes(
-        r,
-        [f"x{ni + i}" for i in range(len(r.inputs))],
-        [f"y{mi + i}" for i in range(len(r.outputs))],
-        [f"s{si + i}" for i in range(len(r.states))] if isinstance(r, (Sts, Det)) else None,
-    )
+    l2 = rename_slots(l, numbered("x"), numbered("y"), numbered("s"))
+    r2 = rename_slots(r, numbered("x", ni), numbered("y", mi), numbered("s", si))
     return l2, r2
 
 
@@ -210,9 +176,8 @@ def decomposable(c: AtomicComponent) -> bool:
         raise KindError("decomposability is defined for deterministic components only")
     if len(c.inputs) == 0 or len(c.out) == 0:
         return False
-    x1 = c.inputs.vars()[0]
-    plain, _ = term_vars(c.out[0])
-    return x1 not in plain
+    plain, _, _ = free_refs(c.out[0])
+    return c.inputs.vars()[0] not in plain
 
 
 def feedback(c: AtomicComponent) -> AtomicComponent:
@@ -227,9 +192,9 @@ def feedback(c: AtomicComponent) -> AtomicComponent:
     sub = {x1: e1}
     ins = Signature(c.inputs.vars()[1:])
     inpt = simplify(substitute(c.inpt, sub))
-    out = tuple(subst_term(t, sub) for t in c.out[1:])
+    out = tuple(substitute(t, sub) for t in c.out[1:])
     if isinstance(c, Det):
-        nxt = tuple(subst_term(t, sub) for t in c.next)
+        nxt = tuple(substitute(t, sub) for t in c.next)
         return Det(ins, c.states, c.init_vals, inpt, nxt, out)
     return StatelessDet(ins, inpt, out)
 
@@ -263,7 +228,7 @@ def _oi(c: Component) -> frozenset:
         xs = a.inputs.vars()
         pairs = set()
         for i, e in enumerate(a.out, start=1):
-            plain, _ = term_vars(e)
+            plain, _, _ = free_refs(e)
             for j, x in enumerate(xs, start=1):
                 if x in plain:
                     pairs.add((i, j))

@@ -84,6 +84,11 @@ class ExplosionGuard(RcrsError):
     pass
 
 
+class SoundnessError(RcrsError):
+    """Two routes disagree on a verdict: a defect in the toolkit, not in the
+    input."""
+
+
 class UnknownBlock(RcrsError):
     pass
 

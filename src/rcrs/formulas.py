@@ -1,25 +1,39 @@
 """First-order formulas with primed variables and linear-temporal operators,
 plus the symbolic manipulations everything else is built from: free-variable
 analysis, capture-avoiding substitution, next-shifting, and a terminating
-rewrite-based simplifier."""
+rewrite-based simplifier.
+
+Terms and formulas share one traversal.  `children(node)` lists the fields of
+a node that hold subterms or subformulas, in declaration order, with a tuple
+field (the arguments of `App` and `Atom`) contributing its elements in order;
+variables, constants, symbols and types are not children.  `rebuild(node,
+kids)` is the inverse: the same node with its children replaced, in that
+order.  `nodes(root)` visits every node in pre-order, left to right, together
+with the set of variables bound there; `rewrite(root, fn)` rebuilds a tree
+top-down, with `fn(node, bound)` returning a replacement for a whole subtree
+or None to descend into it.  `Forall` and `Exists` are the only binders: the
+set bound at their body is the set at the binder plus their `var`, and it
+covers both plain and primed references to that variable.  Free variables,
+substitution, next-shifting, renaming and the collection of constants and
+types all go through these functions; the printers, `type_of`, the
+simplifier's rewrite pass and the oracle's evaluators keep their own
+per-node semantics.
+"""
 
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
-from typing import Iterable, Mapping
+from dataclasses import dataclass, fields, replace
+from typing import Callable, Iterable, Mapping, Optional
 
 from .errors import PrimedInTemporal, TypeMismatch
 from .terms import (
-    App,
     Const,
     NextRef,
     PREDICATES,
+    PrimedRef,
     Term,
     VarRef,
-    has_next,
-    subst_term,
-    term_vars,
     type_of,
 )
 from .types import Var, base_type, is_numeric
@@ -169,6 +183,99 @@ def exists_many(vs: Iterable[Var], body: Formula) -> Formula:
     return body
 
 
+# --- traversal ------------------------------------------------------------
+
+_CHILD_TYPES = ("Term", "Formula", "tuple[Term, ...]")
+# node class -> (name, holds a tuple) of each field holding subterms or
+# subformulas, in declaration order
+_CHILD_FIELDS = {
+    cls: tuple(
+        (f.name, f.type.startswith("tuple")) for f in fields(cls) if f.type in _CHILD_TYPES
+    )
+    for cls in (*Term.__subclasses__(), *Formula.__subclasses__())
+}
+
+
+def children(node) -> tuple:
+    """The subterms and subformulas of a node, in field order."""
+    out = ()
+    for name, many in _CHILD_FIELDS[type(node)]:
+        value = getattr(node, name)
+        out += value if many else (value,)
+    return out
+
+
+def rebuild(node, kids):
+    """node with its children replaced by kids, given in children() order."""
+    kids = tuple(kids)
+    changes, i = {}, 0
+    for name, many in _CHILD_FIELDS[type(node)]:
+        if many:
+            n = len(getattr(node, name))
+            changes[name] = kids[i : i + n]
+            i += n
+        else:
+            changes[name] = kids[i]
+            i += 1
+    return replace(node, **changes)
+
+
+def nodes(root):
+    """Every node of a term or formula in pre-order, left to right, each with
+    the variables bound at it."""
+    stack = [(root, frozenset())]
+    while stack:
+        node, bound = stack.pop()
+        yield node, bound
+        kids = children(node)
+        if kids:
+            if isinstance(node, (Forall, Exists)):
+                bound = bound | {node.var}
+            for k in reversed(kids):
+                stack.append((k, bound))
+
+
+def rewrite(root, fn: Callable[..., Optional[object]], bound: frozenset = frozenset()):
+    """Rebuild a term or formula top-down: fn(node, bound) returns the
+    replacement of the whole subtree at node, or None to keep node and
+    rewrite its children.  Unchanged subtrees are returned as they are."""
+    new = fn(root, bound)
+    if new is not None:
+        return new
+    kids = children(root)
+    if not kids:
+        return root
+    if isinstance(root, (Forall, Exists)):
+        bound = bound | {root.var}
+    new_kids, changed = [], False
+    for k in kids:
+        new = rewrite(k, fn, bound)
+        changed = changed or new is not k
+        new_kids.append(new)
+    return rebuild(root, new_kids) if changed else root
+
+
+_TEMPORAL = (NextRef, Until, Leads, Globally, Finally)
+
+
+def free_refs(node) -> tuple[set[Var], set[Var], bool]:
+    """Free plain and free primed variables of a term or formula, and whether
+    a temporal operator or next occurs in it anywhere."""
+    plain: set[Var] = set()
+    primed: set[Var] = set()
+    temporal = False
+    for n, bound in nodes(node):
+        if isinstance(n, VarRef):
+            if n.var not in bound:
+                plain.add(n.var)
+        elif isinstance(n, PrimedRef):
+            if n.var not in bound:
+                primed.add(n.var)
+        elif isinstance(n, _TEMPORAL):
+            temporal = True
+    return plain, primed, temporal
+
+
 @dataclass(frozen=True)
 class FreeVars:
     vars: frozenset[Var]
@@ -179,44 +286,8 @@ class FreeVars:
 def free_vars(f: Formula) -> FreeVars:
     """Free variables of a formula; primed occurrences report the underlying
     variable with the uses_primed flag set."""
-    plain: set[Var] = set()
-    primed: set[Var] = set()
-    temporal = [False]
-
-    def walk(g: Formula, bound: frozenset[Var]):
-        if isinstance(g, (TrueC, FalseC)):
-            return
-        if isinstance(g, Atom):
-            for t in g.args:
-                if has_next(t):
-                    temporal[0] = True
-                p, pr = term_vars(t)
-                plain.update(v for v in p if v not in bound)
-                primed.update(v for v in pr if v not in bound)
-            return
-        if isinstance(g, Not):
-            walk(g.arg, bound)
-            return
-        if isinstance(g, (And, Or, Implies, Iff)):
-            walk(g.left, bound)
-            walk(g.right, bound)
-            return
-        if isinstance(g, (Forall, Exists)):
-            walk(g.body, bound | {g.var})
-            return
-        if isinstance(g, (Until, Leads)):
-            temporal[0] = True
-            walk(g.left, bound)
-            walk(g.right, bound)
-            return
-        if isinstance(g, (Globally, Finally)):
-            temporal[0] = True
-            walk(g.arg, bound)
-            return
-        raise TypeError(f"not a formula: {g!r}")
-
-    walk(f, frozenset())
-    return FreeVars(frozenset(plain | primed), bool(primed), temporal[0])
+    plain, primed, temporal = free_refs(f)
+    return FreeVars(frozenset(plain | primed), bool(primed), temporal)
 
 
 def is_temporal(f: Formula) -> bool:
@@ -225,17 +296,7 @@ def is_temporal(f: Formula) -> bool:
 
 def uses_primed(f: Formula) -> bool:
     """True if any primed reference occurs, bound or not."""
-    if isinstance(f, Atom):
-        return any(term_vars(t)[1] for t in f.args)
-    if isinstance(f, Not):
-        return uses_primed(f.arg)
-    if isinstance(f, (And, Or, Implies, Iff, Until, Leads)):
-        return uses_primed(f.left) or uses_primed(f.right)
-    if isinstance(f, (Globally, Finally)):
-        return uses_primed(f.arg)
-    if isinstance(f, (Forall, Exists)):
-        return uses_primed(f.body)
-    return False
+    return any(isinstance(n, PrimedRef) for n, _ in nodes(f))
 
 
 def fresh_var(base: Var, avoid: set[Var]) -> Var:
@@ -253,49 +314,57 @@ def fresh_var(base: Var, avoid: set[Var]) -> Var:
     raise AssertionError
 
 
-def substitute(
-    f: Formula,
-    sigma: Mapping[Var, Term],
-    primed_sigma: Mapping[Var, Term] = None,
-) -> Formula:
-    """Capture-avoiding simultaneous substitution of free occurrences.
+def substitute(f, sigma: Mapping[Var, Term], primed_sigma: Mapping[Var, Term] = None):
+    """Capture-avoiding simultaneous substitution of free occurrences in a
+    term or formula.
 
     Plain occurrences are replaced per sigma, primed occurrences per
-    primed_sigma.  Bound variables are renamed when a replacement term would
-    otherwise capture them.
+    primed_sigma; each replacement must have the replaced variable's type.
+    Bound variables are renamed when a replacement term would otherwise
+    capture them.
     """
-    sigma = dict(sigma)
-    primed_sigma = dict(primed_sigma or {})
+    return _substitute(f, sigma, primed_sigma or {}, None)
 
-    range_vars: set[Var] = set()
-    for t in list(sigma.values()) + list(primed_sigma.values()):
-        p, pr = term_vars(t)
-        range_vars |= p | pr
 
-    def walk(g: Formula, sig: dict, psig: dict) -> Formula:
-        if isinstance(g, (TrueC, FalseC)):
+def _substitute(f, sigma: Mapping, primed_sigma: Mapping, range_vars: Optional[set]):
+    def step(g, bound):
+        nonlocal range_vars
+        if isinstance(g, VarRef):
+            if g.var in sigma and g.var not in bound:
+                return _checked(sigma[g.var], g.var)
             return g
-        if isinstance(g, Atom):
-            return Atom(g.pred, tuple(subst_term(t, sig, psig) for t in g.args))
-        if isinstance(g, Not):
-            return Not(walk(g.arg, sig, psig))
-        if isinstance(g, (And, Or, Implies, Iff, Until, Leads)):
-            return type(g)(walk(g.left, sig, psig), walk(g.right, sig, psig))
-        if isinstance(g, (Globally, Finally)):
-            return type(g)(walk(g.arg, sig, psig))
+        if isinstance(g, PrimedRef):
+            if g.var in primed_sigma and g.var not in bound:
+                return _checked(primed_sigma[g.var], g.var)
+            return g
         if isinstance(g, (Forall, Exists)):
-            sig2 = {k: v for k, v in sig.items() if k != g.var}
-            psig2 = {k: v for k, v in psig.items() if k != g.var}
-            v, body = g.var, g.body
-            if v in range_vars and (sig2 or psig2):
-                fv = free_vars(body).vars | range_vars
-                v2 = fresh_var(v, fv)
-                body = walk(body, {v: VarRef(v2)}, {})
-                v = v2
-            return type(g)(v, walk(body, sig2, psig2))
-        raise TypeError(f"not a formula: {g!r}")
+            if range_vars is None:  # the variables of the replacements
+                range_vars = set()
+                for t in (*sigma.values(), *primed_sigma.values()):
+                    plain, primed, _ = free_refs(t)
+                    range_vars |= plain | primed
+            if g.var in range_vars:
+                inner = bound | {g.var}
+                live = {v: t for v, t in sigma.items() if v not in inner}
+                live_primed = {v: t for v, t in primed_sigma.items() if v not in inner}
+                if live or live_primed:
+                    v2 = fresh_var(g.var, free_vars(g.body).vars | range_vars)
+                    live[g.var] = VarRef(v2)
+                    body = _substitute(g.body, live, live_primed, range_vars | {v2})
+                    return type(g)(v2, body)
+        return None
 
-    return walk(f, sigma, primed_sigma)
+    return rewrite(f, step)
+
+
+def _checked(replacement: Term, v: Var) -> Term:
+    want = base_type(v.ty)
+    got = type_of(replacement)
+    if got != want:
+        raise TypeMismatch(
+            f"cannot substitute {v.name}:{v.ty.short()} by a term of type {got.short()}"
+        )
+    return replacement
 
 
 def substitute_primed(f: Formula, sigma: Mapping[Var, Term]) -> Formula:
@@ -308,32 +377,9 @@ def apply_next(f: Formula) -> Formula:
     becomes next(x), including under existing next operators."""
     if uses_primed(f):
         raise PrimedInTemporal("cannot next-shift a formula with primed references")
-
-    def shift_term(t: Term, bound: frozenset[Var]) -> Term:
-        if isinstance(t, VarRef):
-            return t if t.var in bound else NextRef(t)
-        if isinstance(t, NextRef):
-            return NextRef(shift_term(t.arg, bound))
-        if isinstance(t, App):
-            return App(t.symbol, tuple(shift_term(a, bound) for a in t.args))
-        return t
-
-    def walk(g: Formula, bound: frozenset[Var]) -> Formula:
-        if isinstance(g, (TrueC, FalseC)):
-            return g
-        if isinstance(g, Atom):
-            return Atom(g.pred, tuple(shift_term(t, bound) for t in g.args))
-        if isinstance(g, Not):
-            return Not(walk(g.arg, bound))
-        if isinstance(g, (And, Or, Implies, Iff, Until, Leads)):
-            return type(g)(walk(g.left, bound), walk(g.right, bound))
-        if isinstance(g, (Globally, Finally)):
-            return type(g)(walk(g.arg, bound))
-        if isinstance(g, (Forall, Exists)):
-            return type(g)(g.var, walk(g.body, bound | {g.var}))
-        raise TypeError(f"not a formula: {g!r}")
-
-    return walk(f, frozenset())
+    return rewrite(
+        f, lambda g, bound: NextRef(g) if isinstance(g, VarRef) and g.var not in bound else None
+    )
 
 
 # --- simplification -------------------------------------------------------
@@ -510,7 +556,7 @@ def _one_point_target(v: Var, cand: Formula):
     lhs, rhs = cand.args
     for a, b in ((lhs, rhs), (rhs, lhs)):
         if isinstance(a, VarRef) and a.var == v:
-            plain, primed = term_vars(b)
+            plain, primed, _ = free_refs(b)
             if v not in plain and v not in primed and base_type(type_of(b)) == base_type(v.ty):
                 return b
     return None

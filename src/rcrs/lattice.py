@@ -33,17 +33,9 @@ from .formulas import (
 from .terms import NextRef, VarRef
 from .types import Var
 
+
 # Covers of the lattice: stateless_det below det and stateless; det and
 # stateless below sts; sts below qltl.
-_ORDER = {
-    Kind.STATELESS_DET: 0,
-    Kind.DET: 1,
-    Kind.STATELESS: 1,
-    Kind.STS: 2,
-    Kind.QLTL: 3,
-}
-
-
 def leq_kind(a: Kind, b: Kind) -> bool:
     if a == b:
         return True
@@ -64,10 +56,6 @@ def join_kind(a: Kind, b: Kind) -> Kind:
         return a
     # the only incomparable pair is det / stateless
     return Kind.STS
-
-
-def kind_of(c: AtomicComponent) -> Kind:
-    return c.kind()
 
 
 def quantify_primed(svars, f: Formula, gen: NameGen, extra=(), exists=True) -> Formula:

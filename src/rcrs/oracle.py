@@ -36,6 +36,7 @@ from .errors import (
     NonTemporalMisuse,
     NotDeterministic,
     NotLoopFree,
+    SoundnessError,
 )
 from .formulas import (
     And,
@@ -143,23 +144,26 @@ def parse_domain_file(text: str) -> FiniteDomain:
         rest = rest.strip()
         if not (rest.startswith("{") and rest.endswith("}")):
             raise DomainNotFinite(f"cannot parse domain values in: {raw!r}")
-        vals = []
-        for piece in rest[1:-1].split(","):
-            piece = piece.strip()
-            if not piece:
-                continue
-            if piece in ("true", "false"):
-                vals.append(piece == "true")
-            else:
-                try:
-                    vals.append(int(piece))
-                except ValueError:
-                    try:
-                        vals.append(Fraction(piece))
-                    except ValueError:
-                        vals.append(piece)
-        overrides[name] = tuple(vals)
+        pieces = [p for p in rest[1:-1].split(",") if p.strip()]
+        overrides[name] = tuple(parse_literal(p) for p in pieces)
     return FiniteDomain(overrides)
+
+
+def parse_literal(text: str):
+    """A value written in a domain file or a trace: a boolean (`true`, or
+    `True` as reports print it), an integer, a rational such as `1.5` or
+    `3/2`, or else the stripped text itself (an enum value)."""
+    text = text.strip()
+    if text in ("true", "false", "True", "False"):
+        return text in ("true", "True")
+    try:
+        return int(text)
+    except ValueError:
+        pass
+    try:
+        return Fraction(text)
+    except ValueError:
+        return text
 
 
 # --- step-level evaluation --------------------------------------------------
@@ -646,11 +650,13 @@ class _FdbkEval:
         if commit:
             # an unresolved outer loop may legitimately leave poison here
             # during a probe pass, but never on the committing pass
-            assert first is not POISON, "feedback loop produced a value-dependent first output"
+            if first is POISON:
+                raise SoundnessError("feedback loop produced a value-dependent first output")
         self.child.set_state(snapshot)
         outs = self.child.step((first,) + tuple(inputs), commit=commit)
         if commit:
-            assert outs[0] == first, "feedback passes disagree on the first output"
+            if outs[0] != first:
+                raise SoundnessError("feedback passes disagree on the first output")
         return outs[1:]
 
 

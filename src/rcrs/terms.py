@@ -5,7 +5,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Mapping, Union
+from typing import Union
 
 from .errors import TypeMismatch
 from .types import BOOL, INT, REAL, EnumType, SemType, Var, base_type, is_numeric
@@ -149,58 +149,3 @@ def _join_numeric(a: SemType, b: SemType, context: str) -> SemType:
     if {a, b} == {INT, REAL}:
         return REAL
     raise TypeMismatch(f"{context}: incompatible argument types {a.short()} / {b.short()}")
-
-
-def term_vars(t: Term, out=None, primed=None):
-    """Collect plain and primed variable occurrences of a term."""
-    if out is None:
-        out, primed = set(), set()
-    if isinstance(t, VarRef):
-        out.add(t.var)
-    elif isinstance(t, PrimedRef):
-        primed.add(t.var)
-    elif isinstance(t, NextRef):
-        term_vars(t.arg, out, primed)
-    elif isinstance(t, App):
-        for a in t.args:
-            term_vars(a, out, primed)
-    return out, primed
-
-
-def has_next(t: Term) -> bool:
-    if isinstance(t, NextRef):
-        return True
-    if isinstance(t, App):
-        return any(has_next(a) for a in t.args)
-    return False
-
-
-def subst_term(t: Term, sigma: Mapping[Var, Term], primed_sigma: Mapping[Var, Term] = None) -> Term:
-    """Simultaneous substitution on a term.
-
-    `sigma` replaces plain occurrences, `primed_sigma` primed ones; both are
-    checked for type agreement against the replaced variable.
-    """
-    if isinstance(t, VarRef):
-        if t.var in sigma:
-            return _checked(sigma[t.var], t.var)
-        return t
-    if isinstance(t, PrimedRef):
-        if primed_sigma and t.var in primed_sigma:
-            return _checked(primed_sigma[t.var], t.var)
-        return t
-    if isinstance(t, NextRef):
-        return NextRef(subst_term(t.arg, sigma, primed_sigma))
-    if isinstance(t, App):
-        return App(t.symbol, tuple(subst_term(a, sigma, primed_sigma) for a in t.args))
-    return t
-
-
-def _checked(replacement: Term, v: Var) -> Term:
-    want = base_type(v.ty)
-    got = type_of(replacement)
-    if got != want:
-        raise TypeMismatch(
-            f"cannot substitute {v.name}:{v.ty.short()} by a term of type {got.short()}"
-        )
-    return replacement

@@ -215,6 +215,12 @@ class TestRefineVc:
         assert all("sufficient" in vc.provenance for vc in vcs) or vcs[0].goal == TRUEC
 
 
+    def test_sufficient_only_field(self, unit_delay, add_block):
+        (sts_vc,) = refine_vc(Atomic(unit_delay), Atomic(unit_delay))
+        assert sts_vc.sufficient_only
+        assert not any(vc.sufficient_only for vc in refine_vc(Atomic(add_block), Atomic(add_block)))
+
+
 class TestCheckRefines:
     def test_worked_example_proven(self, with_solver):
         a = parse_component("stateless((x:int), (y:int), x >= 0 && y >= x)")
@@ -439,6 +445,17 @@ class TestEmitSmtlib:
         with pytest.raises(TemporalFragment):
             emit_smtlib(vc)
 
+    def test_sat_script_differs_only_in_last_assert(self):
+        from rcrs.analysis import emit_smtlib_sat
+
+        ty = IntRange(0, 3)
+        g = And(atom("<=", var("y", ty), var("x", ty)), eq(PrimedRef(Var("s", ty)), var("x", ty)))
+        sat = emit_smtlib_sat(g, "p").splitlines()
+        valid = emit_smtlib(make_vc(g, "p")).splitlines()
+        differ = [i for i, (a, b) in enumerate(zip(sat, valid)) if a != b]
+        assert len(sat) == len(valid) and differ == [len(sat) - 2]
+        assert valid[-2] == f"(assert (not {sat[-2][len('(assert '):-1]}))"
+
     def test_range_types_guarded(self):
         ty = IntRange(0, 3)
         a = Stateless(sig(("x", ty)), sig(("y", ty)), atom("<=", var("y", ty), var("x", ty)))
@@ -446,3 +463,26 @@ class TestEmitSmtlib:
         if vc[0].goal != TRUEC:
             script = emit_smtlib(vc[0])
             assert "(<= 0 x0)" in script
+
+
+class TestUnknownReasons:
+    # valid, but over unbounded ints, so finite evaluation only probes it
+    GOAL = Implies(
+        atom(">=", var("x", INT), intc(0)), atom(">", add(var("x", INT), intc(1)), intc(0))
+    )
+
+    def test_no_solver(self, no_solver):
+        result, route = discharge_fo(make_vc(self.GOAL, "probe-only goal"))
+        assert isinstance(result, Unknown) and route == "none"
+        assert result.reason == "goal undecided without a solver"
+
+    def test_solver_answers_unknown(self, tmp_path, monkeypatch):
+        import sys
+
+        stub = tmp_path / "unknown_solver.py"
+        stub.write_text("import sys\nsys.stdin.read()\nprint('unknown')\n")
+        monkeypatch.setenv("RCRS_SMT_SOLVER", f"{sys.executable} {stub}")
+        result, route = discharge_fo(make_vc(self.GOAL, "probe-only goal"))
+        assert isinstance(result, Unknown) and route == "none"
+        assert result.reason == "solver answered unknown and finite evaluation was probe-only"
+

@@ -117,6 +117,25 @@ class TestSimulate:
         rep = report_dict(out)
         assert rep["illegal_at"] == "1"
 
+    def test_component_without_inputs_exit_3(self, capsys, tmp_path):
+        p = tmp_path / "z.rcrs"
+        p.write_text("component Z = stateless_det((), true, (1))\n")
+        code, _, err = run_cli(capsys, "simulate", str(p), "--input", "a:1,2")
+        assert code == 3
+        assert err.count("\n") == 1 and err.startswith("error: ")
+
+    def test_empty_trace_value_exit_3(self, capsys, sum_file):
+        code, _, err = run_cli(capsys, "simulate", sum_file, "--input", "x:1,,2")
+        assert code == 3
+        assert err.count("\n") == 1 and err.startswith("error: ")
+
+    def test_value_outside_slot_type_exit_3(self, capsys, sum_file):
+        code, _, err = run_cli(
+            capsys, "simulate", sum_file, "--target", "UnitDelay", "--input", "x:1,true"
+        )
+        assert code == 3
+        assert "not a value of int" in err
+
 
 class TestChecks:
     def test_compat_refuted_exit_1(self, capsys, div_file, int_domain_file, no_solver):

@@ -13,7 +13,9 @@ from rcrs.formulas import (
     FalseC,
     Finally,
     Forall,
+    Formula,
     Globally,
+    Iff,
     Implies,
     Leads,
     Not,
@@ -24,11 +26,14 @@ from rcrs.formulas import (
     Until,
     apply_next,
     atom,
+    children,
     conj,
     eq,
     free_vars,
+    rebuild,
     simplify,
     substitute,
+    uses_primed,
 )
 from rcrs.oracle import (
     Expansion,
@@ -44,6 +49,7 @@ from rcrs.terms import (
     NextRef,
     PrimedRef,
     TRUE,
+    Term,
     VarRef,
     add,
     intc,
@@ -53,6 +59,67 @@ from rcrs.types import BOOL, INT, IntRange, Var
 
 x, y, s, z = (Var(n, INT) for n in "xysz")
 xb, yb = Var("x", BOOL), Var("y", BOOL)
+
+
+class TestTraversal:
+    def test_rebuild_inverts_children_for_every_node_class(self):
+        a = atom("<", VarRef(x), add(VarRef(y), intc(1)))
+        b = eq(PrimedRef(s), NextRef(VarRef(x)))
+        samples = [
+            VarRef(x), PrimedRef(s), NextRef(VarRef(x)), intc(3),
+            App("ite", (TRUE, VarRef(x), intc(0))),
+            TRUEC, FALSEC, a, Not(a), And(a, b), Or(a, b), Implies(a, b), Iff(a, b),
+            Forall(y, a), Exists(y, a), Until(a, b), Leads(a, b), Globally(a), Finally(a),
+        ]
+        classes = {*Term.__subclasses__(), *Formula.__subclasses__()}
+        assert {type(n) for n in samples} == classes
+        for n in samples:
+            assert rebuild(n, children(n)) == n
+        assert children(a) == a.args
+        assert children(Forall(y, a)) == (a,)
+        assert rebuild(And(a, b), (b, a)) == And(b, a)
+
+    def test_primed_reference_under_binder(self):
+        f = Exists(s, eq(PrimedRef(s), VarRef(x)))
+        assert uses_primed(f)
+        fv = free_vars(f)
+        assert fv.vars == {x}
+        assert not fv.uses_primed
+
+    def test_substitute_under_forall_renames_apart_from_inner_binders(self):
+        # x := y under "forall y" renames y; the fresh name y0 is also bound
+        # further in, and that binder must move aside rather than capture it
+        y0 = Var("y0", INT)
+        f = Forall(y, Forall(y0, atom("<", VarRef(x), add(VarRef(y), VarRef(y0)))))
+        g = substitute(f, {x: VarRef(y)})
+        outer, inner = g.var, g.body.var
+        assert len({y, outer, inner}) == 3
+        assert g.body.body == atom("<", VarRef(y), add(VarRef(outer), VarRef(inner)))
+
+    def test_substitute_leaves_renamed_binder_alone(self):
+        # the binder x is renamed to x0, which sigma also maps: occurrences
+        # of the binder must not be replaced as if they were free x0
+        x0 = Var("x0", INT)
+        f = Exists(x, atom("<", VarRef(x), VarRef(y)))
+        g = substitute(f, {y: VarRef(x), x0: intc(5)})
+        assert g == Exists(g.var, atom("<", VarRef(g.var), VarRef(x)))
+        assert g.var != x
+
+    def test_apply_next_leaves_bound_variables_unshifted(self):
+        f = Forall(
+            y,
+            And(
+                eq(NextRef(VarRef(y)), VarRef(x)),
+                Exists(x, eq(VarRef(x), VarRef(y))),
+            ),
+        )
+        assert apply_next(f) == Forall(
+            y,
+            And(
+                eq(NextRef(VarRef(y)), NextRef(VarRef(x))),
+                Exists(x, eq(VarRef(x), VarRef(y))),
+            ),
+        )
 
 
 class TestFreeVars:

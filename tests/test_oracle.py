@@ -286,3 +286,29 @@ def test_trace_assignment_accessors():
     assert t.horizon == 2
     assert t.slot("x") == (1, 3)
     assert t.slot("y") == (2, 4)
+
+
+class TestFeedbackSoundnessChecks:
+    class _Child:
+        """Stand-in evaluator returning a scripted first output per pass."""
+
+        def __init__(self, firsts):
+            self.firsts = list(firsts)
+
+        def get_state(self):
+            return None
+
+        def set_state(self, s):
+            pass
+
+        def step(self, inputs, commit):
+            return [self.firsts.pop(0), 0]
+
+    @pytest.mark.parametrize("firsts", [("poison", 1), (1, 2)])
+    def test_committing_pass_checks_raise(self, firsts):
+        from rcrs.errors import SoundnessError
+        from rcrs.oracle import POISON, _FdbkEval
+
+        child = self._Child(POISON if f == "poison" else f for f in firsts)
+        with pytest.raises(SoundnessError):
+            _FdbkEval(child).step((), commit=True)
