@@ -5,6 +5,7 @@ SMT-LIB emission to an external solver, and bounded-oracle fallbacks."""
 from __future__ import annotations
 
 import itertools
+import math
 import os
 import shlex
 import subprocess
@@ -28,7 +29,7 @@ from .components import (
     wf,
 )
 from .compose import atomic
-from .errors import SignatureMismatch, SoundnessError, TemporalFragment, WfError
+from .errors import ExplosionGuard, SignatureMismatch, SoundnessError, TemporalFragment, WfError
 from .formulas import (
     And,
     Atom,
@@ -65,6 +66,7 @@ from .oracle import (
     bounded_refute_refinement,
     eval_formula_step,
     eval_qltl,
+    lasso_count,
 )
 from .terms import App, Const, NextRef, PrimedRef, Term, VarRef, type_of
 from .types import (
@@ -459,7 +461,10 @@ def _witness_note(witness: Optional[dict]) -> str:
 def _lasso_search_setup(goal: Formula, dom: Optional[FiniteDomain], expand: Expansion):
     """Value pools for the goal's free variables and an evaluation domain
     covering its quantified types (probe values where nothing finite is
-    declared; quantifier approximation keeps definite verdicts sound)."""
+    declared; quantifier approximation keeps definite verdicts sound).
+    Returns the reason instead when there is nothing to search: a type with
+    no finite pool, or more lasso assignments than `expand.cap`, which is
+    decided before any family is built."""
     fv = sorted(free_vars(goal).vars, key=lambda v: v.name)
     constants = _collect_constants(goal)
 
@@ -478,29 +483,31 @@ def _lasso_search_setup(goal: Formula, dom: Optional[FiniteDomain], expand: Expa
     for v in fv:
         vals = pool_of(v.ty)
         if vals is None:
-            return None
+            return f"no finite value pool for {v.ty.short()}"
         pools.append(vals)
     overrides = {}
     for ty in _quantified_types(goal):
         vals = pool_of(ty)
         if vals is None:
-            return None
+            return f"no finite value pool for {ty.short()}"
         overrides[ty] = vals
+    total = math.prod(lasso_count(len(set(p)), expand.stem, expand.loop) for p in pools)
+    if total > expand.cap:
+        return f"{total} lasso assignments exceed the cap {expand.cap}"
     families = [all_lassos(p, expand.stem, expand.loop) for p in pools]
-    total = 1
-    for fam in families:
-        total *= len(fam)
-        if total > expand.cap:
-            return None
     base = dict(dom.overrides) if dom is not None else {}
     base.update(overrides)
     return fv, families, FiniteDomain(base)
 
 
-def _lasso_search(goal, dom, expand, want: bool) -> Optional[LassoWitness]:
+def _lasso_search(
+    goal, dom, expand, want: bool
+) -> tuple[Optional[LassoWitness], Optional[str]]:
+    """A lasso assignment on which the goal is definitely `want`, and why the
+    search did not run in full (None when it did)."""
     setup = _lasso_search_setup(goal, dom, expand)
-    if setup is None:
-        return None
+    if isinstance(setup, str):
+        return None, f"not searched: {setup}"
     fv, families, eval_dom = setup
     note = "lasso model of the goal" if want else "lasso assignment falsifying the goal"
     for combo in itertools.product(*families):
@@ -523,13 +530,13 @@ def _lasso_search(goal, dom, expand, want: bool) -> Optional[LassoWitness]:
                     verdict = False
                 else:
                     verdict = eval_qltl(specialized, {}, expand, eval_dom).definite
-        except Exception:
-            return None
+        except ExplosionGuard as e:
+            return None, f"search stopped: {e}"
         if verdict is want:
             return LassoWitness(
                 tuple((v.name, w.stem, w.loop) for v, w in words.items()), note=note
-            )
-    return None
+            ), None
+    return None, None
 
 
 def refute_temporal(
@@ -539,7 +546,7 @@ def refute_temporal(
 ) -> Optional[LassoWitness]:
     """Search lasso assignments of the goal's free variables for a definite
     falsification; None when the bounded search finds nothing."""
-    return _lasso_search(goal, dom, expand, want=False)
+    return _lasso_search(goal, dom, expand, want=False)[0]
 
 
 def witness_temporal_truth(
@@ -547,7 +554,7 @@ def witness_temporal_truth(
 ) -> Optional[LassoWitness]:
     """Search for a lasso assignment making the goal definitely true (a model
     of the formula): sound evidence of satisfiability."""
-    return _lasso_search(goal, dom, expand, want=True)
+    return _lasso_search(goal, dom, expand, want=True)[0]
 
 
 # --- validity / compatibility -------------------------------------------------
@@ -643,9 +650,11 @@ def is_input_receptive(c, dom: FiniteDomain = None, expand: Expansion = Expansio
         if isinstance(result, Proven):
             return Proven(note=f"legal-input formula valid ({route})")
         return result
-    witness = refute_temporal(legal, dom, expand)
+    witness, cut = _lasso_search(legal, dom, expand, want=False)
     if witness is not None:
         return Refuted(witness, note="input lasso with no legal continuation")
+    if cut is not None:
+        return Unknown(f"temporal receptiveness {cut}")
     return Unknown("temporal receptiveness not refuted at the bounds")
 
 
@@ -735,7 +744,7 @@ def check_refines(
     vcs = refine_vc(abstract, concrete)
     proven_notes = []
     refuted: Optional[Refuted] = None
-    unknown_reason = None
+    unknown_reasons: list[str] = []
     sufficient_only = False
     for vc in vcs:
         if vc.goal == TrueC():
@@ -751,19 +760,19 @@ def check_refines(
             if isinstance(result, Refuted):
                 if vc.sufficient_only:
                     # a failed sufficient condition proves nothing by itself
-                    unknown_reason = "sufficient transition-system condition failed"
+                    unknown_reasons.append("sufficient transition-system condition failed")
                     continue
                 refuted = Refuted(result.witness, note=f"{vc.provenance}: {result.note}")
                 continue
-            unknown_reason = unknown_reason or result.reason
+            unknown_reasons.append(result.reason)
         else:
-            witness = refute_temporal(vc.goal, dom, expand)
+            witness, cut = _lasso_search(vc.goal, dom, expand, want=False)
             if witness is not None:
                 refuted = Refuted(witness, note=f"{vc.provenance}: falsified on a lasso")
+            elif cut is not None:
+                unknown_reasons.append(f"temporal goal {cut}")
             else:
-                unknown_reason = unknown_reason or (
-                    "temporal goal not refuted at the bounds (no temporal prover)"
-                )
+                unknown_reasons.append("temporal goal not refuted at the bounds (no temporal prover)")
     oracle_result = None
     try:
         oracle_result = bounded_refute_refinement(
@@ -774,15 +783,17 @@ def check_refines(
     if isinstance(oracle_result, Refuted):
         refuted = oracle_result
     if refuted is not None:
-        if unknown_reason is None and len(proven_notes) == len(vcs):
+        if not unknown_reasons and len(proven_notes) == len(vcs):
             raise SoundnessError("a query cannot be both proven and refuted at the same bounds")
         return refuted
-    if unknown_reason is None and len(proven_notes) == len(vcs):
+    if not unknown_reasons and len(proven_notes) == len(vcs):
         note = "; ".join(proven_notes)
         if sufficient_only:
             note += " (sufficient condition only)"
         return Proven(note=note)
-    return Unknown(unknown_reason or "verification conditions undecided")
+    # every undecided condition names its own cause, each cause once
+    reason = "; ".join(dict.fromkeys(unknown_reasons))
+    return Unknown(reason or "verification conditions undecided")
 
 
 def data_refine_vc(c1: Sts, c2: Sts, relation: Formula) -> list[Vc]:

@@ -42,6 +42,7 @@ from .errors import (
     PortMismatch,
     RcrsError,
     SignatureMismatch,
+    TemporalFragment,
     TypeMismatch,
     UnknownBlock,
     WfError,
@@ -60,6 +61,7 @@ _USAGE_ERRORS = (
     BadParams,
     PortMismatch,
     UnknownBlock,
+    TemporalFragment,
 )
 _INTERNAL_ERRORS = (
     FeedbackOnNonDecomposable,
@@ -158,15 +160,15 @@ def _parse_traces(specs, sig):
         name, _, rest = line.partition(":")
         pieces[name.strip()] = rest.split(",")
     names = sig.names()
+    unknown = [n for n in pieces if n not in names]
+    if unknown and len(unknown) == len(pieces) == len(names):
+        # positional fallback: slot names of composites are generated
+        pieces = dict(zip(names, pieces.values()))
+    elif unknown:
+        raise ComponentSyntaxError(f"no input slot named {', '.join(unknown)}")
     missing = [n for n in names if n not in pieces]
     if missing:
-        if len(pieces) == len(names):
-            # positional fallback: slot names of composites are generated
-            pieces = dict(zip(names, pieces.values()))
-        else:
-            raise ComponentSyntaxError(
-                f"no trace given for input slot(s) {', '.join(missing)}"
-            )
+        raise ComponentSyntaxError(f"no trace given for input slot(s) {', '.join(missing)}")
     values = {v.name: [_slot_value(p, v) for p in pieces[v.name]] for v in sig}
     length = min(len(values[n]) for n in names)
     return tuple(tuple(values[n][i] for n in names) for i in range(length))

@@ -831,32 +831,48 @@ def _lcm(a: int, b: int) -> int:
     return a * b // math.gcd(a, b)
 
 
-def normalize_lasso(stem: tuple, loop: tuple) -> tuple[tuple, tuple]:
-    """Canonical form of stem . loop^omega: primitive period, minimal stem."""
-    for d in range(1, len(loop)):
-        if len(loop) % d == 0 and loop == loop[:d] * (len(loop) // d):
-            loop = loop[:d]
-            break
-    stem, loop = list(stem), list(loop)
-    while stem and stem[-1] == loop[-1]:
-        stem.pop()
-        loop = [loop[-1]] + loop[:-1]
-    return tuple(stem), tuple(loop)
+def _primitive(loop: tuple) -> bool:
+    n = len(loop)
+    return all(n % d or loop != loop[:d] * (n // d) for d in range(1, n))
 
 
 def all_lassos(values: tuple, max_stem: int, max_loop: int) -> list[LassoWord]:
-    """All distinct ultimately periodic words within the bounds."""
-    seen = set()
+    """All distinct ultimately periodic words within the bounds, each once, in
+    its normal form: a primitive loop and a minimal stem, which holds exactly
+    when the loop is no power of a shorter word and the stem is empty or ends
+    in a letter other than the loop's last.
+
+    The words come in the order stem length, loop length, stem, loop.  In that
+    order a word's normal form is its first representation: any other one has
+    a longer stem (the normal stem is the shortest), or the same stem and a
+    loop that repeats the primitive one, hence a longer loop.  So keeping the
+    normal forms keeps the first representation of every word.  Equal pool
+    entries are merged first, keeping the first occurrence."""
+    values = tuple(dict.fromkeys(values))
+    primitive = [
+        [l for l in itertools.product(values, repeat=ll) if _primitive(l)]
+        for ll in range(1, max_loop + 1)
+    ]
     out = []
     for ls in range(0, max_stem + 1):
-        for ll in range(1, max_loop + 1):
+        for loops in primitive:
             for stem in itertools.product(values, repeat=ls):
-                for loop in itertools.product(values, repeat=ll):
-                    key = normalize_lasso(stem, loop)
-                    if key not in seen:
-                        seen.add(key)
-                        out.append(LassoWord(stem, loop))
+                out.extend(
+                    LassoWord(stem, loop) for loop in loops if not stem or stem[-1] != loop[-1]
+                )
     return out
+
+
+def lasso_count(n: int, max_stem: int, max_loop: int) -> int:
+    """len(all_lassos(values, max_stem, max_loop)) for n distinct values,
+    without building the words.  Each primitive loop goes with n**max_stem
+    stems: the empty one, and n**(k-1) * (n-1) of each length k that end in
+    another letter than the loop.  The primitive loops of length d number
+    P(d) = n**d minus P(k) over the proper divisors k of d."""
+    prim: dict[int, int] = {}
+    for d in range(1, max_loop + 1):
+        prim[d] = n**d - sum(prim[k] for k in range(1, d) if d % k == 0)
+    return n**max_stem * sum(prim.values())
 
 
 def _and3(a, b):
@@ -919,7 +935,9 @@ def eval_qltl(
                 for l in range(1, expand.loop + 1)
             )
             if size > expand.cap:
-                raise ExplosionGuard("quantifier lasso family exceeds the cap")
+                raise ExplosionGuard(
+                    f"quantifier lasso family of up to {size} words exceeds the cap {expand.cap}"
+                )
             family_cache[values] = all_lassos(values, expand.stem, expand.loop)
         return family_cache[values]
 

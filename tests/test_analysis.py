@@ -172,6 +172,14 @@ class TestReceptiveness:
         assert res.witness.slot("y") == (0,)
         assert res.witness.step == 0
 
+    def test_search_over_the_cap_names_its_size(self):
+        c = parse_component("qltl((x:bool), (), G F x)")
+        res = is_input_receptive(c, expand=Expansion(cap=3))
+        assert isinstance(res, Unknown)
+        assert res.reason == (
+            "temporal receptiveness not searched: 16 lasso assignments exceed the cap 3"
+        )
+
     def test_gfx_lasso_witness(self):
         c = parse_component("qltl((x:bool), (), G F x)")
         res = is_input_receptive(c)
@@ -354,6 +362,31 @@ class TestOvenExample:
         bindings, _ = parse_rcrs(self.OVEN_TEXT)
         res = check_refines(bindings["Oven"], bindings["Thermostat"])
         assert isinstance(res, Unknown)
+
+    def test_cap_decided_before_building(self, monkeypatch):
+        import rcrs.analysis as analysis
+
+        bindings, _ = parse_rcrs(self.OVEN_TEXT)
+        (vc,) = [
+            vc
+            for vc in refine_vc(bindings["Oven"], bindings["Thermostat"])
+            if vc.provenance.endswith("output containment")
+        ]
+
+        def build(*args):
+            raise AssertionError("lasso family built")
+
+        monkeypatch.setattr(analysis, "all_lassos", build)
+        setup = analysis._lasso_search_setup(vc.goal, None, Expansion())
+        assert setup == "707281 lasso assignments exceed the cap 100000"
+
+    def test_reason_names_family_size_and_cap(self):
+        bindings, _ = parse_rcrs(self.OVEN_TEXT)
+        res = check_refines(bindings["Oven"], bindings["Thermostat"])
+        assert isinstance(res, Unknown)
+        assert "temporal goal not searched: 707281 lasso assignments exceed the cap 100000" in (
+            res.reason
+        )
 
 
 class TestDataRefinement:

@@ -137,6 +137,15 @@ class TestSimulate:
         assert "not a value of int" in err
 
 
+    def test_unknown_slot_exit_3(self, capsys, sum_file):
+        code, _, err = run_cli(
+            capsys, "simulate", sum_file, "--target", "UnitDelay",
+            "--input", "x:1,2", "--input", "zz:5,6",
+        )
+        assert code == 3
+        assert err.count("\n") == 1 and err.startswith("error: ") and "zz" in err
+
+
 class TestChecks:
     def test_compat_refuted_exit_1(self, capsys, div_file, int_domain_file, no_solver):
         code, out, _ = run_cli(
@@ -218,6 +227,13 @@ class TestLegalAndSmt:
         code, out, _ = run_cli(capsys, "smt", div_file, "--query", "valid", "--target", "Div")
         assert code == 0
         assert "(check-sat)" in out
+
+    def test_smt_temporal_contract_exit_3(self, capsys, tmp_path):
+        p = tmp_path / "gf.rcrs"
+        p.write_text("component GF = qltl((x:bool), (), G F x)\n")
+        code, _, err = run_cli(capsys, "smt", str(p), "--query", "valid")
+        assert code == 3
+        assert err.count("\n") == 1 and err.startswith("error: ")
 
 
 class TestTranslateCommand:

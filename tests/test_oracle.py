@@ -1,6 +1,9 @@
 """The bounded finite-domain oracle: relations, execution, equivalence,
 refinement refutation, temporal evaluation on lassos and prefixes."""
 
+import itertools
+from fractions import Fraction
+
 import pytest
 
 from rcrs.components import Atomic, Det, Fdbk, Parallel, Serial, Signature, Stateless, Sts, sig
@@ -31,6 +34,7 @@ from rcrs.oracle import (
     eval_prefix3,
     eval_qltl,
     exec_det,
+    lasso_count,
     parse_domain_file,
 )
 from rcrs.terms import NextRef, PrimedRef, TRUE, VarRef, add, intc, var
@@ -234,6 +238,64 @@ class TestEvalQltl:
         f = Forall(yb, Globally(Finally(atom("=", var("y", BOOL), TRUE))))
         with pytest.raises(ExplosionGuard):
             eval_qltl(f, {xb: LassoWord((), (True,))}, Expansion(3, 3, cap=5))
+
+
+def _reference_lassos(values, max_stem, max_loop):
+    """The earlier all_lassos: every (stem, loop) pair, normalized (primitive
+    period, minimal stem) and kept when its normal form is new."""
+
+    def normalize(stem, loop):
+        for d in range(1, len(loop)):
+            if len(loop) % d == 0 and loop == loop[:d] * (len(loop) // d):
+                loop = loop[:d]
+                break
+        stem, loop = list(stem), list(loop)
+        while stem and stem[-1] == loop[-1]:
+            stem.pop()
+            loop = [loop[-1]] + loop[:-1]
+        return tuple(stem), tuple(loop)
+
+    seen, out = set(), []
+    for ls in range(max_stem + 1):
+        for ll in range(1, max_loop + 1):
+            for stem in itertools.product(values, repeat=ls):
+                for loop in itertools.product(values, repeat=ll):
+                    key = normalize(stem, loop)
+                    if key not in seen:
+                        seen.add(key)
+                        out.append(LassoWord(stem, loop))
+    return out
+
+
+LASSO_POOLS = [
+    (False, True),
+    (0, 1, 2),
+    ("idle", "heat", "hold", "cool"),
+    (Fraction(-1), Fraction(0), Fraction(1, 2), Fraction(1)),
+    (1, 2, 1, Fraction(2), 3),
+    (7,),
+]
+LASSO_GRID = [
+    (pool, s, l) for pool in LASSO_POOLS for s in range(4) for l in range(1, 5)
+]
+
+
+class TestAllLassos:
+    @pytest.mark.parametrize("pool,max_stem,max_loop", LASSO_GRID)
+    def test_same_list_as_reference(self, pool, max_stem, max_loop):
+        got = all_lassos(pool, max_stem, max_loop)
+        want = _reference_lassos(pool, max_stem, max_loop)
+        assert got == want
+        # equal pool entries of different types: the first occurrence is kept
+        assert [[type(x) for x in w.stem + w.loop] for w in got] == [
+            [type(x) for x in w.stem + w.loop] for w in want
+        ]
+
+    @pytest.mark.parametrize("pool,max_stem,max_loop", LASSO_GRID)
+    def test_count_in_closed_form(self, pool, max_stem, max_loop):
+        assert lasso_count(len(set(pool)), max_stem, max_loop) == len(
+            all_lassos(pool, max_stem, max_loop)
+        )
 
 
 class TestEvalPrefix:
