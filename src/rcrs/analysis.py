@@ -29,7 +29,17 @@ from .components import (
     wf,
 )
 from .compose import atomic
-from .errors import ExplosionGuard, SignatureMismatch, SoundnessError, TemporalFragment, WfError
+from .errors import (
+    DomainNotFinite,
+    ExplosionGuard,
+    KindError,
+    NotDeterministic,
+    NotLoopFree,
+    SignatureMismatch,
+    SoundnessError,
+    TemporalFragment,
+    WfError,
+)
 from .formulas import (
     And,
     Atom,
@@ -392,7 +402,7 @@ def check_fo_validity(goal: Formula, dom: FiniteDomain = None) -> FoVerdict:
         if dom is not None:
             try:
                 return dom.values(ty)
-            except Exception:
+            except DomainNotFinite:
                 return None
         return None
 
@@ -472,7 +482,7 @@ def _lasso_search_setup(goal: Formula, dom: Optional[FiniteDomain], expand: Expa
         if dom is not None:
             try:
                 return dom.values(ty)
-            except Exception:
+            except DomainNotFinite:
                 pass
         if _is_finite_type(ty):
             return FiniteDomain().values(ty)
@@ -608,7 +618,7 @@ def _sts_validity(a: Sts, dom: FiniteDomain, horizon: int = 4) -> CheckResult:
                 if beh.outputs(trace):
                     legal_found = True
                     break
-    except Exception as e:
+    except (DomainNotFinite, ExplosionGuard) as e:
         return Unknown(f"bounded behavior unavailable: {e}")
     if legal_found:
         return Proven(note=f"legal bounded behavior found at horizon {horizon}")
@@ -778,7 +788,7 @@ def check_refines(
         oracle_result = bounded_refute_refinement(
             as_component(abstract), as_component(concrete), dom or FiniteDomain(), horizon
         )
-    except Exception:
+    except (DomainNotFinite, ExplosionGuard, KindError, NotDeterministic, NotLoopFree):
         oracle_result = None
     if isinstance(oracle_result, Refuted):
         refuted = oracle_result

@@ -29,6 +29,7 @@ from .components import (
     sigma_in,
     sigma_out,
 )
+from .compose import determ, loop_free
 from .errors import (
     DomainNotFinite,
     ExplosionGuard,
@@ -52,8 +53,10 @@ from .formulas import (
     Leads,
     Not,
     Or,
+    TRUEC,
     TrueC,
     Until,
+    free_vars,
 )
 from .terms import App, Const, NextRef, PrimedRef, Term, VarRef
 from .types import (
@@ -214,21 +217,6 @@ def _apply_fn(symbol: str, args: list):
     raise KindError(f"unknown function symbol {symbol}")
 
 
-def eval_term_step(t: Term, plain: dict, primed: dict = None):
-    if isinstance(t, VarRef):
-        return plain[t.var]
-    if isinstance(t, PrimedRef):
-        return (primed or {})[t.var]
-    if isinstance(t, Const):
-        v = t.value
-        return Fraction(v) if isinstance(t.ty, RealType) and not isinstance(v, Fraction) else v
-    if isinstance(t, App):
-        return _apply_fn(t.symbol, [eval_term_step(a, plain, primed) for a in t.args])
-    if isinstance(t, NextRef):
-        raise NonTemporalMisuse("next operator outside temporal evaluation")
-    raise KindError(f"not a term: {t!r}")
-
-
 def _apply_pred(pred: str, a, b) -> bool:
     if a is POISON or b is POISON:
         return POISON
@@ -247,46 +235,180 @@ def _apply_pred(pred: str, a, b) -> bool:
     raise KindError(f"unknown predicate {pred}")
 
 
+def _eval_term(t: Term, env: dict, i: Optional[int] = None, primed: dict = None):
+    """Value of a term.  At one step (`i` is None) a variable reads its value
+    in `env` and a primed one its value in `primed`.  At position `i` of a
+    temporal evaluation `env` maps each variable to a lasso word or to a
+    finite prefix, and a position past the prefix reads POISON."""
+    if isinstance(t, VarRef):
+        if i is None:
+            return env[t.var]
+        w = env[t.var]
+        if isinstance(w, LassoWord):
+            return w.at(i)
+        return w[i] if i < len(w) else POISON
+    if isinstance(t, Const):
+        v = t.value
+        return Fraction(v) if isinstance(t.ty, RealType) and not isinstance(v, Fraction) else v
+    if isinstance(t, App):
+        return _apply_fn(t.symbol, [_eval_term(a, env, i, primed) for a in t.args])
+    if isinstance(t, NextRef):
+        if i is None:
+            raise NonTemporalMisuse("next operator outside temporal evaluation")
+        return _eval_term(t.arg, env, i + 1, primed)
+    if isinstance(t, PrimedRef):
+        if i is None:
+            return (primed or {})[t.var]
+        if all(isinstance(w, LassoWord) for w in env.values()):
+            raise NonTemporalMisuse("primed reference in temporal evaluation")
+        raise NonTemporalMisuse("prefix evaluation does not handle primed terms")
+    raise KindError(f"not a term: {t!r}")
+
+
+def _evaluate(f: Formula, env: dict, i: Optional[int], sem):
+    """Truth of a formula at step or position `i` under the semantics `sem`
+    (`_Step`, `_Prefix` or `_Lasso`).  `sem` gives the truth values `true`
+    and `false`, the connectives on the values between them, the mapping of
+    an atom's value, the positions an `until` scans (see `_until`), the
+    `candidates` a quantified variable ranges over and the value of a
+    quantifier no instance settles; `visit`, when set, is called on every
+    node.  A left operand equal to `true` or `false` decides And, Or and
+    Implies, and the right one is then not evaluated."""
+    if sem.visit:
+        sem.visit()
+    if isinstance(f, Atom):
+        a, b = f.args
+        return sem.atom(
+            _apply_pred(f.pred, _eval_term(a, env, i, sem.primed), _eval_term(b, env, i, sem.primed))
+        )
+    if isinstance(f, (And, Or, Implies)):
+        # true is the unit of And and false absorbs it; Or is the dual, and
+        # a -> b is (not a) or b
+        conj = isinstance(f, And)
+        a = _evaluate(f.left, env, i, sem)
+        if isinstance(f, Implies):
+            a = sem.not_(a)
+        if a == (sem.false if conj else sem.true):
+            return a
+        b = _evaluate(f.right, env, i, sem)
+        if a == (sem.true if conj else sem.false):
+            return b
+        return sem.and_(a, b) if conj else sem.or_(a, b)
+    if isinstance(f, Not):
+        return sem.not_(_evaluate(f.arg, env, i, sem))
+    if isinstance(f, TrueC):
+        return sem.true
+    if isinstance(f, FalseC):
+        return sem.false
+    if isinstance(f, Iff):
+        return sem.iff(_evaluate(f.left, env, i, sem), _evaluate(f.right, env, i, sem))
+    # F a = true U a;  G a = not (true U not a);  a W b = not (a U not b)
+    if isinstance(f, Until):
+        return _until(f.left, f.right, env, i, sem)
+    if isinstance(f, Finally):
+        return _until(TRUEC, f.arg, env, i, sem)
+    if isinstance(f, Globally):
+        return sem.not_(_until(TRUEC, Not(f.arg), env, i, sem))
+    if isinstance(f, Leads):
+        return sem.not_(_until(f.left, Not(f.right), env, i, sem))
+    if isinstance(f, (Forall, Exists)):
+        # an instance that is definitely false (Forall) or true (Exists)
+        # settles the quantifier; the semantics combines the other ones
+        universal = isinstance(f, Forall)
+        decisive = sem.false if universal else sem.true
+        results = []
+        for v in sem.candidates(f.var.ty):
+            r = _evaluate(f.body, {**env, f.var: v}, i, sem)
+            if r == decisive:
+                return r
+            results.append(r)
+        return sem.unsettled(universal, results)
+    raise KindError(f"not a formula: {f!r}")
+
+
+def _until(left, right, env, i: int, sem):
+    """left U right at position i, scanned over the positions of
+    `sem.window(env, i)`.  A scan that ends with left holding all along and
+    right never is open on a finite prefix (`sem.open_ended`), and definite
+    past a lasso window."""
+    acc, pref = sem.false, sem.true
+    for k in sem.window(env, i):
+        acc = sem.or_(acc, sem.and_(pref, _evaluate(right, env, k, sem)))
+        if acc == sem.true:
+            return acc
+        pref = sem.and_(pref, _evaluate(left, env, k, sem))
+        if pref == sem.false:
+            # no candidate position can lie beyond a broken chain
+            return acc
+    return None if sem.open_ended else acc
+
+
+def _and3(a, b):
+    if a is False or b is False:
+        return False
+    if a is True and b is True:
+        return True
+    return None
+
+
+def _or3(a, b):
+    if a is True or b is True:
+        return True
+    if a is False and b is False:
+        return False
+    return None
+
+
+def _not3(a):
+    return None if a is None else (not a)
+
+
+def _iff3(a, b):
+    return None if (a is None or b is None) else (a == b)
+
+
+def _pairwise(op):
+    return staticmethod(lambda *values: tuple(map(op, *values)))
+
+
+class _Step:
+    """Truth at one step.  Its connectives are Kleene's, which _Prefix
+    shares; at one step no value is unknown, so they act as two-valued ones.
+    Quantifiers range over the finite domain of the bound variable's type;
+    temporal operators are refused."""
+
+    true, false = True, False
+    visit = None
+    not_ = staticmethod(_not3)
+    and_ = staticmethod(_and3)
+    or_ = staticmethod(_or3)
+    iff = staticmethod(_iff3)
+
+    def __init__(self, dom: FiniteDomain = None, primed: dict = None):
+        self.dom = dom
+        self.primed = primed
+
+    @staticmethod
+    def atom(v):
+        return None if v is POISON else v
+
+    def window(self, env, i):
+        raise NonTemporalMisuse("temporal operator in step evaluation")
+
+    def candidates(self, ty):
+        if self.dom is None:
+            raise DomainNotFinite("quantifier evaluation needs a finite domain")
+        return self.dom.values(ty)
+
+    @staticmethod
+    def unsettled(universal: bool, results: list):
+        return None if None in results else universal
+
+
 def eval_formula_step(f: Formula, plain: dict, primed: dict = None, dom: FiniteDomain = None) -> bool:
     """Evaluate a non-temporal formula at one step; quantifiers range over the
     finite domain of the bound variable's type."""
-    if isinstance(f, TrueC):
-        return True
-    if isinstance(f, FalseC):
-        return False
-    if isinstance(f, Atom):
-        a = eval_term_step(f.args[0], plain, primed)
-        b = eval_term_step(f.args[1], plain, primed)
-        return _apply_pred(f.pred, a, b)
-    if isinstance(f, Not):
-        return not eval_formula_step(f.arg, plain, primed, dom)
-    if isinstance(f, And):
-        return eval_formula_step(f.left, plain, primed, dom) and eval_formula_step(
-            f.right, plain, primed, dom
-        )
-    if isinstance(f, Or):
-        return eval_formula_step(f.left, plain, primed, dom) or eval_formula_step(
-            f.right, plain, primed, dom
-        )
-    if isinstance(f, Implies):
-        return (not eval_formula_step(f.left, plain, primed, dom)) or eval_formula_step(
-            f.right, plain, primed, dom
-        )
-    if isinstance(f, Iff):
-        return eval_formula_step(f.left, plain, primed, dom) == eval_formula_step(
-            f.right, plain, primed, dom
-        )
-    if isinstance(f, (Forall, Exists)):
-        if dom is None:
-            raise DomainNotFinite("quantifier evaluation needs a finite domain")
-        vals = dom.values(f.var.ty)
-        results = (
-            eval_formula_step(f.body, {**plain, f.var: v}, primed, dom) for v in vals
-        )
-        return all(results) if isinstance(f, Forall) else any(results)
-    if isinstance(f, (Until, Leads, Globally, Finally)):
-        raise NonTemporalMisuse("temporal operator in step evaluation")
-    raise KindError(f"not a formula: {f!r}")
+    return _evaluate(f, plain, None, _Step(dom, primed))
 
 
 # --- behaviors of atomic components ----------------------------------------
@@ -366,48 +488,11 @@ def _sts_behavior(c: Sts, dom: FiniteDomain, horizon: int) -> Behavior:
             if died:
                 dead.add(px2)
             pouts[px2] = frozenset(py for (_, py) in nxt)
-            if len(px2) < horizon and nxt:
+            if len(px2) < horizon:
                 walk(px2, nxt)
-            elif len(px2) < horizon:
-                _mark_empty(px2, inputs, horizon, pouts)
 
     start = {(s, ()) for s in init_states}
     walk((), start)
-    return Behavior(horizon, c.inputs, c.outputs, pouts, dead)
-
-
-def _mark_empty(px: Trace, inputs, horizon: int, pouts: dict):
-    for x in inputs:
-        px2 = px + (x,)
-        pouts[px2] = frozenset()
-        if len(px2) < horizon:
-            _mark_empty(px2, inputs, horizon, pouts)
-
-
-def _det_behavior(c: AtomicComponent, dom: FiniteDomain, horizon: int) -> Behavior:
-    """Deterministic atoms run a single configuration per prefix."""
-    ev = _AtomEval(c, dom)
-    inputs = dom.tuples(c.inputs)
-    pouts: dict = {}
-    dead: set = set()
-
-    def walk(px: Trace, state, py: Trace):
-        for x in inputs:
-            px2 = px + (x,)
-            ev.set_state(state)
-            if not ev.check(x):
-                dead.add(px2)
-                pouts[px2] = frozenset()
-                if len(px2) < horizon:
-                    _mark_empty(px2, inputs, horizon, pouts)
-                continue
-            y = tuple(ev.step(x, commit=True))
-            py2 = py + (y,)
-            pouts[px2] = frozenset({py2})
-            if len(px2) < horizon:
-                walk(px2, ev.get_state(), py2)
-
-    walk((), ev.get_state(), ())
     return Behavior(horizon, c.inputs, c.outputs, pouts, dead)
 
 
@@ -419,10 +504,9 @@ def behavior(c, dom: FiniteDomain, horizon: int) -> Behavior:
     if isinstance(c, Atomic):
         a = c.atom
         if isinstance(a, (Det, StatelessDet)):
-            return _det_behavior(a, dom, horizon)
+            return _exec_behavior(c, dom, horizon)
         if isinstance(a, Stateless):
             a = Sts(a.inputs, a.outputs, Signature(()), TrueC(), a.io)
-            return _sts_behavior(a, dom, horizon)
         if isinstance(a, Sts):
             return _sts_behavior(a, dom, horizon)
         raise KindError("temporal components have no stepwise bounded behavior")
@@ -440,8 +524,6 @@ def behavior(c, dom: FiniteDomain, horizon: int) -> Behavior:
             horizon,
         )
     if isinstance(c, Fdbk):
-        from .compose import determ, loop_free
-
         if not determ(c):
             raise NotDeterministic("feedback behavior needs a deterministic subtree")
         if not loop_free(c):
@@ -500,39 +582,30 @@ def _parallel_behavior(a: Behavior, b: Behavior, in_sig, out_sig, dom, horizon: 
 
 
 def _exec_behavior(c: Component, dom, horizon: int) -> Behavior:
-    ev = _make_evaluator(c)
+    """Behavior of a deterministic loop-free tree: one run per input prefix."""
+    ev = _make_evaluator(c, dom)
     in_sig = sigma_in(c)
     out_sig = sigma_out(c)
     inputs = dom.tuples(in_sig)
     pouts: dict = {}
     dead: set = set()
 
-    def walk(px: Trace, state, alive: bool):
+    def walk(px: Trace, state, py):
+        # py: the output prefix of the one run on px, None once it has died
         for x in inputs:
             px2 = px + (x,)
-            if not alive:
-                pouts[px2] = frozenset()
-                if len(px2) < horizon:
-                    walk(px2, state, False)
-                continue
-            ev.set_state(state)
-            try:
-                y = ev.step(x, commit=True)
-                ok = True
-            except _StepIllegal:
-                ok = False
-            if not ok:
-                dead.add(px2)
-                pouts[px2] = frozenset()
-                if len(px2) < horizon:
-                    walk(px2, state, False)
-            else:
-                base = pouts.get(px, frozenset({()})) or frozenset({()})
-                pouts[px2] = frozenset(py + (tuple(y),) for py in base)
-                if len(px2) < horizon:
-                    walk(px2, ev.get_state(), True)
+            py2 = None
+            if py is not None:
+                ev.set_state(state)
+                try:
+                    py2 = py + (tuple(ev.step(x, commit=True)),)
+                except _StepIllegal:
+                    dead.add(px2)
+            pouts[px2] = frozenset() if py2 is None else frozenset({py2})
+            if len(px2) < horizon:
+                walk(px2, ev.get_state(), py2)
 
-    walk((), ev.get_state(), True)
+    walk((), ev.get_state(), ())
     return Behavior(horizon, in_sig, out_sig, pouts, dead)
 
 
@@ -564,10 +637,10 @@ class _StepIllegal(Exception):
 class _AtomEval:
     def __init__(self, a: AtomicComponent, dom: FiniteDomain = None):
         self.atom = a
-        self.dom = dom
+        self.sem = _Step(dom)
         self.xvars = a.inputs.vars()
         if isinstance(a, Det):
-            self.state = tuple(eval_term_step(cst, {}) for cst in a.init_vals)
+            self.state = tuple(_eval_term(cst, {}) for cst in a.init_vals)
             self.svars = a.states.vars()
         else:
             self.state = ()
@@ -579,49 +652,38 @@ class _AtomEval:
     def set_state(self, s):
         self.state = s
 
-    def check(self, inputs) -> bool:
-        env = dict(zip(self.svars, self.state))
-        env.update(zip(self.xvars, inputs))
-        return eval_formula_step(self.atom.inpt, env, None, self.dom)
-
     def step(self, inputs, commit: bool):
         env = dict(zip(self.svars, self.state))
         env.update(zip(self.xvars, inputs))
-        if commit:
-            if not eval_formula_step(self.atom.inpt, env, None, self.dom):
-                raise _StepIllegal()
-        outs = [eval_term_step(t, env) for t in self.atom.out]
+        if commit and not _evaluate(self.atom.inpt, env, None, self.sem):
+            raise _StepIllegal()
+        outs = [_eval_term(t, env) for t in self.atom.out]
         if commit and isinstance(self.atom, Det):
-            self.state = tuple(eval_term_step(t, env) for t in self.atom.next)
+            self.state = tuple(_eval_term(t, env) for t in self.atom.next)
         return outs
 
 
-class _SerialEval:
-    def __init__(self, left, right):
-        self.left, self.right = left, right
-
+class _PairEval:
     def get_state(self):
         return (self.left.get_state(), self.right.get_state())
 
     def set_state(self, s):
         self.left.set_state(s[0])
         self.right.set_state(s[1])
+
+
+class _SerialEval(_PairEval):
+    def __init__(self, left, right):
+        self.left, self.right = left, right
 
     def step(self, inputs, commit: bool):
         mid = self.left.step(inputs, commit)
         return self.right.step(tuple(mid), commit)
 
 
-class _ParallelEval:
+class _ParallelEval(_PairEval):
     def __init__(self, left, right, n_left: int):
         self.left, self.right, self.n = left, right, n_left
-
-    def get_state(self):
-        return (self.left.get_state(), self.right.get_state())
-
-    def set_state(self, s):
-        self.left.set_state(s[0])
-        self.right.set_state(s[1])
 
     def step(self, inputs, commit: bool):
         a = self.left.step(tuple(inputs[: self.n]), commit)
@@ -689,14 +751,18 @@ def exec_det(c, input_trace: Trace, dom: FiniteDomain = None):
 
     Returns the output trace (steps x slots) or IllegalAt(step).
     """
-    from .compose import determ, loop_free
-
     c = as_component(c)
     if not determ(c):
         raise NotDeterministic("execution needs deterministic atoms")
     if not loop_free(c):
         raise NotLoopFree("execution needs a loop-free component")
     ev = _make_evaluator(c, dom)
+    return _run_det(ev, ev.get_state(), input_trace)
+
+
+def _run_det(ev, init, input_trace: Trace):
+    """exec_det on a built evaluator, started from its initial state `init`."""
+    ev.set_state(init)
     outs = []
     for i, step_inputs in enumerate(input_trace):
         try:
@@ -726,12 +792,12 @@ def bounded_equiv(c1, c2, dom: FiniteDomain, horizon: int) -> EquivResult:
     in1, in2 = sigma_in(c1), sigma_in(c2)
     if in1.types() != in2.types() or sigma_out(c1).types() != sigma_out(c2).types():
         return EquivResult(False, None, "signature mismatch")
-    from .compose import determ, loop_free
-
     if determ(c1) and determ(c2) and loop_free(c1) and loop_free(c2):
+        ev1, ev2 = _make_evaluator(c1, dom), _make_evaluator(c2, dom)
+        init1, init2 = ev1.get_state(), ev2.get_state()
         for trace in dom.traces(in1, horizon):
-            r1 = exec_det(c1, trace, dom)
-            r2 = exec_det(c2, trace, dom)
+            r1 = _run_det(ev1, init1, trace)
+            r2 = _run_det(ev2, init2, trace)
             if r1 != r2:
                 return EquivResult(False, trace, f"{r1!r} vs {r2!r}")
         return EquivResult(True)
@@ -827,10 +893,6 @@ class Expansion:
     cap: int = 100000
 
 
-def _lcm(a: int, b: int) -> int:
-    return a * b // math.gcd(a, b)
-
-
 def _primitive(loop: tuple) -> bool:
     n = len(loop)
     return all(n % d or loop != loop[:d] * (n // d) for d in range(1, n))
@@ -875,26 +937,6 @@ def lasso_count(n: int, max_stem: int, max_loop: int) -> int:
     return n**max_stem * sum(prim.values())
 
 
-def _and3(a, b):
-    if a is False or b is False:
-        return False
-    if a is True and b is True:
-        return True
-    return None
-
-
-def _or3(a, b):
-    if a is True or b is True:
-        return True
-    if a is False and b is False:
-        return False
-    return None
-
-
-def _not3(a):
-    return None if a is None else (not a)
-
-
 @dataclass(frozen=True)
 class QltlVerdict:
     """family: plain evaluation with quantifiers ranging over the finite
@@ -903,6 +945,61 @@ class QltlVerdict:
 
     family: bool
     definite: Optional[bool]
+
+
+class _Lasso:
+    """(family, definite) pairs on lasso words, as in QltlVerdict.  The cap
+    of `expand` bounds each quantifier's lasso family (distinct words) and
+    the number of formula nodes one evaluation visits."""
+
+    true, false = (True, True), (False, False)
+    primed = None
+    open_ended = False
+    # the family value is two-valued, the definite one Kleene: the Kleene
+    # connectives serve both
+    not_ = _pairwise(_not3)
+    and_ = _pairwise(_and3)
+    or_ = _pairwise(_or3)
+    iff = _pairwise(_iff3)
+
+    def __init__(self, expand: Expansion, dom: FiniteDomain):
+        self.expand = expand
+        self.dom = dom
+        self.ops = 0
+        self.families: dict = {}
+
+    def visit(self):
+        self.ops += 1
+        if self.ops > self.expand.cap:
+            raise ExplosionGuard("temporal evaluation exceeds the work budget")
+
+    @staticmethod
+    def atom(v):
+        return v, v
+
+    def window(self, env, i: int):
+        # past the longest stem plus two common periods every position
+        # repeats one already scanned, so the scan's value is definite
+        s = max([len(w.stem) for w in env.values()] or [0])
+        p = math.lcm(*(len(w.loop) for w in env.values()))
+        return range(i, i + s + 2 * p + 3)
+
+    def candidates(self, ty):
+        values = self.dom.values(ty)
+        if values not in self.families:
+            size = lasso_count(len(dict.fromkeys(values)), self.expand.stem, self.expand.loop)
+            if size > self.expand.cap:
+                raise ExplosionGuard(
+                    f"quantifier lasso family of {size} words exceeds the cap {self.expand.cap}"
+                )
+            self.families[values] = all_lassos(values, self.expand.stem, self.expand.loop)
+        return self.families[values]
+
+    @staticmethod
+    def unsettled(universal: bool, results: list):
+        # the family is a finite sample of the words: only its own verdict
+        families = [fam for fam, _ in results]
+        return (all(families) if universal else any(families)), None
 
 
 def eval_qltl(
@@ -917,228 +1014,50 @@ def eval_qltl(
     expansion bounds: existential hits and universal misses are definite;
     the rest is reported as an approximation (family verdict).
     """
-    from .formulas import free_vars as fv
-
-    info = fv(phi)
-    for v in info.vars:
+    for v in free_vars(phi).vars:
         if v not in words:
             raise NonTemporalMisuse(f"free variable {v.name} has no lasso word")
-    dom = dom or FiniteDomain()
-    ops = [0]
-    family_cache: dict = {}
-
-    def family_for(values):
-        if values not in family_cache:
-            size = sum(
-                len(values) ** (s + l)
-                for s in range(expand.stem + 1)
-                for l in range(1, expand.loop + 1)
-            )
-            if size > expand.cap:
-                raise ExplosionGuard(
-                    f"quantifier lasso family of up to {size} words exceeds the cap {expand.cap}"
-                )
-            family_cache[values] = all_lassos(values, expand.stem, expand.loop)
-        return family_cache[values]
-
-    def span(env):
-        s = max([len(w.stem) for w in env.values()] or [0])
-        p = 1
-        for w in env.values():
-            p = _lcm(p, len(w.loop))
-        return s, p
-
-    def term_at(t: Term, env, i: int):
-        if isinstance(t, VarRef):
-            return env[t.var].at(i)
-        if isinstance(t, NextRef):
-            return term_at(t.arg, env, i + 1)
-        if isinstance(t, Const):
-            v = t.value
-            return Fraction(v) if isinstance(t.ty, RealType) and not isinstance(v, Fraction) else v
-        if isinstance(t, App):
-            return _apply_fn(t.symbol, [term_at(a, env, i) for a in t.args])
-        if isinstance(t, PrimedRef):
-            raise NonTemporalMisuse("primed reference in temporal evaluation")
-        raise KindError(f"not a term: {t!r}")
-
-    def until3(left, right, env, i: int):
-        s, p = span(env)
-        n = s + 2 * p + 2
-        fam, snd = False, False
-        pref_fam, pref_snd = True, True
-        for k in range(i, i + n + 1):
-            rf, rs = ev(right, env, k)
-            fam = fam or (pref_fam and rf)
-            snd = _or3(snd, _and3(pref_snd, rs))
-            lf, ls = ev(left, env, k)
-            pref_fam = pref_fam and lf
-            pref_snd = _and3(pref_snd, ls)
-            if pref_snd is False and pref_fam is False and (snd is not None):
-                break
-        if snd is None or snd is True:
-            return fam, snd
-        # completed the closure window: a False scan is definite
-        return fam, snd
-
-    def ev(f: Formula, env, i: int):
-        ops[0] += 1
-        if ops[0] > expand.cap:
-            raise ExplosionGuard("temporal evaluation exceeds the work budget")
-        if isinstance(f, TrueC):
-            return True, True
-        if isinstance(f, FalseC):
-            return False, True
-        if isinstance(f, Atom):
-            a = term_at(f.args[0], env, i)
-            b = term_at(f.args[1], env, i)
-            v = _apply_pred(f.pred, a, b)
-            return v, v
-        if isinstance(f, Not):
-            fam, snd = ev(f.arg, env, i)
-            return (not fam), _not3(snd)
-        if isinstance(f, And):
-            f1, s1 = ev(f.left, env, i)
-            f2, s2 = ev(f.right, env, i)
-            return (f1 and f2), _and3(s1, s2)
-        if isinstance(f, Or):
-            f1, s1 = ev(f.left, env, i)
-            f2, s2 = ev(f.right, env, i)
-            return (f1 or f2), _or3(s1, s2)
-        if isinstance(f, Implies):
-            f1, s1 = ev(f.left, env, i)
-            f2, s2 = ev(f.right, env, i)
-            return ((not f1) or f2), _or3(_not3(s1), s2)
-        if isinstance(f, Iff):
-            f1, s1 = ev(f.left, env, i)
-            f2, s2 = ev(f.right, env, i)
-            snd = None if (s1 is None or s2 is None) else (s1 == s2)
-            return (f1 == f2), snd
-        if isinstance(f, Until):
-            return until3(f.left, f.right, env, i)
-        if isinstance(f, Finally):
-            return until3(TrueC(), f.arg, env, i)
-        if isinstance(f, Globally):
-            fam, snd = until3(TrueC(), Not(f.arg), env, i)
-            return (not fam), _not3(snd)
-        if isinstance(f, Leads):
-            fam, snd = until3(f.left, Not(f.right), env, i)
-            return (not fam), _not3(snd)
-        if isinstance(f, (Forall, Exists)):
-            values = dom.values(f.var.ty)
-            family = family_for(values)
-            # a definite hit (existential) or miss (universal) settles both
-            # verdicts at once: definite implies the family value agrees
-            fams = []
-            for w in family:
-                fa, sn = ev(f.body, {**env, f.var: w}, i)
-                if isinstance(f, Forall) and sn is False:
-                    return False, False
-                if isinstance(f, Exists) and sn is True:
-                    return True, True
-                fams.append(fa)
-            if isinstance(f, Forall):
-                return all(fams), None
-            return any(fams), None
-        raise KindError(f"not a formula: {f!r}")
-
-    fam, snd = ev(phi, dict(words), 0)
+    fam, snd = _evaluate(phi, dict(words), 0, _Lasso(expand, dom or FiniteDomain()))
     return QltlVerdict(bool(fam), snd)
 
 
 # --- bounded prefix (three-valued) evaluation --------------------------------
 
 
+class _Prefix(_Step):
+    """Kleene logic on finite prefixes: None where the infinite extensions
+    disagree."""
+
+    open_ended = True
+
+    def __init__(self, dom: FiniteDomain, length: int):
+        super().__init__(dom)
+        self.length = length
+
+    def window(self, env, i: int):
+        return range(i, self.length)
+
+    def candidates(self, ty):
+        values = self.dom.values(ty)
+        if len(values) ** self.length > self.dom.cap:
+            raise ExplosionGuard("prefix quantifier expansion exceeds the cap")
+        return itertools.product(values, repeat=self.length)
+
+
 def eval_prefix3(phi: Formula, words: dict[Var, tuple], dom: FiniteDomain) -> Optional[bool]:
     """Three-valued truth of a temporal formula on finite trace prefixes:
     True / False only when every infinite extension agrees; None otherwise.
     Quantified sequence variables range over value tuples of the prefix
-    length."""
+    length, the shortest word's.
+
+    A term that reads a position past its word's prefix is unknown, and so
+    is an atom over it.  An unknown value decides nothing, with one
+    exception: an `ite` whose condition is known takes its branch, whatever
+    the other branch reads.  A left operand that decides And, Or or Implies
+    decides it whatever the right operand is, even one that would raise."""
     if not words:
         raise NonTemporalMisuse("prefix evaluation needs at least one bound variable")
     length = min(len(w) for w in words.values())
-
-    def term_at(t: Term, env, i: int):
-        if isinstance(t, VarRef):
-            if i >= len(env[t.var]):
-                return None
-            return env[t.var][i]
-        if isinstance(t, NextRef):
-            return term_at(t.arg, env, i + 1)
-        if isinstance(t, Const):
-            v = t.value
-            return Fraction(v) if isinstance(t.ty, RealType) and not isinstance(v, Fraction) else v
-        if isinstance(t, App):
-            args = [term_at(a, env, i) for a in t.args]
-            if any(a is None for a in args):
-                return None
-            return _apply_fn(t.symbol, args)
-        raise NonTemporalMisuse("prefix evaluation does not handle primed terms")
-
-    def until3(left, right, env, i: int):
-        acc = False
-        pref = True
-        for k in range(i, length):
-            r = ev(right, env, k)
-            acc = _or3(acc, _and3(pref, r))
-            if acc is True:
-                return True
-            pref = _and3(pref, ev(left, env, k))
-            if pref is False:
-                # no candidate position can lie beyond a broken chain
-                return acc
-        # the prefix ran out with the chain still alive: open continuation
-        return True if acc is True else None
-
-    def ev(f: Formula, env, i: int):
-        if i >= length:
-            return None
-        if isinstance(f, TrueC):
-            return True
-        if isinstance(f, FalseC):
-            return False
-        if isinstance(f, Atom):
-            a = term_at(f.args[0], env, i)
-            b = term_at(f.args[1], env, i)
-            if a is None or b is None:
-                return None
-            return _apply_pred(f.pred, a, b)
-        if isinstance(f, Not):
-            return _not3(ev(f.arg, env, i))
-        if isinstance(f, And):
-            return _and3(ev(f.left, env, i), ev(f.right, env, i))
-        if isinstance(f, Or):
-            return _or3(ev(f.left, env, i), ev(f.right, env, i))
-        if isinstance(f, Implies):
-            return _or3(_not3(ev(f.left, env, i)), ev(f.right, env, i))
-        if isinstance(f, Iff):
-            a, b = ev(f.left, env, i), ev(f.right, env, i)
-            return None if (a is None or b is None) else (a == b)
-        if isinstance(f, Until):
-            return until3(f.left, f.right, env, i)
-        if isinstance(f, Finally):
-            return until3(TrueC(), f.arg, env, i)
-        if isinstance(f, Globally):
-            return _not3(until3(TrueC(), Not(f.arg), env, i))
-        if isinstance(f, Leads):
-            return _not3(until3(f.left, Not(f.right), env, i))
-        if isinstance(f, (Forall, Exists)):
-            values = dom.values(f.var.ty)
-            if len(values) ** length > dom.cap:
-                raise ExplosionGuard("prefix quantifier expansion exceeds the cap")
-            universal = isinstance(f, Forall)
-            undecided = False
-            for seq in itertools.product(values, repeat=length):
-                r = ev(f.body, {**env, f.var: seq}, i)
-                if universal and r is False:
-                    return False
-                if not universal and r is True:
-                    return True
-                if r is None:
-                    undecided = True
-            if undecided:
-                return None
-            return universal
-        raise KindError(f"not a formula: {f!r}")
-
-    return ev(phi, dict(words), 0)
+    if length == 0:
+        return None
+    return _evaluate(phi, dict(words), 0, _Prefix(dom, length))

@@ -160,6 +160,10 @@ class TestValidity:
         )
         assert isinstance(is_valid(Atomic(c), FiniteDomain()), Proven)
 
+    def test_unsatisfiable_temporal_contract_not_proven(self):
+        c = parse_component("qltl((x:int[0..1]), (y:int[0..1]), G (y = 0 && false))")
+        assert not isinstance(is_valid(c), Proven)
+
 
 class TestReceptiveness:
     def test_add_receptive(self, add_block):
@@ -244,6 +248,17 @@ class TestCheckRefines:
         res = check_refines(a, b, dom, horizon=1)
         assert isinstance(res, Refuted)
         assert res.witness.steps[0][0] < 0
+
+    def test_oracle_defect_is_not_unknown(self, no_solver, monkeypatch):
+        import rcrs.analysis as analysis
+
+        def defect(*args):
+            raise ZeroDivisionError("defect in the oracle")
+
+        monkeypatch.setattr(analysis, "bounded_refute_refinement", defect)
+        a = parse_component("stateless((x:int), (y:int), y = x)")
+        with pytest.raises(ZeroDivisionError):
+            check_refines(a, a)
 
     def test_footnote_pair(self, with_solver):
         a = parse_component("stateless((x:int), (y:int), true)")
@@ -387,6 +402,11 @@ class TestOvenExample:
         assert "temporal goal not searched: 707281 lasso assignments exceed the cap 100000" in (
             res.reason
         )
+
+    def test_legality_family_counts_distinct_words(self):
+        bindings, _ = parse_rcrs(self.OVEN_TEXT)
+        res = check_refines(bindings["Oven"], bindings["Thermostat"])
+        assert "quantifier lasso family of 194481 words exceeds the cap 100000" in res.reason
 
 
 class TestDataRefinement:

@@ -16,6 +16,7 @@ from rcrs.formulas import (
     Forall,
     Globally,
     Implies,
+    Or,
     TRUEC,
     atom,
     eq,
@@ -25,8 +26,10 @@ from rcrs.oracle import (
     FiniteDomain,
     IllegalAt,
     LassoWord,
+    QltlVerdict,
     TraceAssignment,
     all_lassos,
+    behavior,
     bounded_hoare,
     bounded_refute_refinement,
     bounded_rel,
@@ -37,7 +40,7 @@ from rcrs.oracle import (
     lasso_count,
     parse_domain_file,
 )
-from rcrs.terms import NextRef, PrimedRef, TRUE, VarRef, add, intc, var
+from rcrs.terms import NextRef, PrimedRef, TRUE, VarRef, add, intc, ite, var
 from rcrs.types import BOOL, INT, IntRange, Var
 from rcrs.verdicts import Refuted, Unknown
 
@@ -126,6 +129,20 @@ class TestExecDet:
         with pytest.raises(NotLoopFree):
             exec_det(Fdbk(Atomic(passthrough)), ((0,),))
 
+    def test_feedback_behavior_quantifies_over_the_domain(self):
+        # the legality predicate of the atom under feedback has a quantifier
+        from rcrs.components import StatelessDet
+
+        z = Var("z", INT)
+        child = StatelessDet(
+            sig(("u", INT), ("x", INT)),
+            Exists(z, eq(VarRef(z), var("x", INT))),
+            (var("x", INT), var("x", INT)),
+        )
+        beh = behavior(Fdbk(Atomic(child)), FiniteDomain({"int": (0, 1)}), 1)
+        assert beh.pouts == {((0,),): {((0,),)}, ((1,),): {((1,),)}}
+        assert not beh.dead
+
     def test_nested_feedback(self):
         """Feedback inside feedback: the outer loop value flows through the
         inner probe pass without being consumed."""
@@ -171,6 +188,17 @@ class TestBoundedEquiv:
         r = bounded_equiv(Atomic(ident), Atomic(differ), FiniteDomain({"int": (0, 1, 2)}), 1)
         assert not r
         assert r.counterexample == ((1,),)
+
+    def test_each_trace_starts_from_the_initial_state(self, unit_delay):
+        # both output 0 on every one-step trace; carried over from the trace
+        # (1,), the delay's state would output 1 on the next one
+        zero = Det(
+            sig(("x", INT)), sig(("s", INT)), (intc(0),), TRUEC, (var("x", INT),), (intc(0),)
+        )
+        dom = FiniteDomain({"int": (1, 0)})
+        assert bounded_equiv(Atomic(unit_delay), Atomic(zero), dom, 1)
+        r = bounded_equiv(Atomic(unit_delay), Atomic(zero), dom, 2)
+        assert not r and r.counterexample == ((1,), (1,))
 
 
 class TestRefuteRefinement:
@@ -238,6 +266,26 @@ class TestEvalQltl:
         f = Forall(yb, Globally(Finally(atom("=", var("y", BOOL), TRUE))))
         with pytest.raises(ExplosionGuard):
             eval_qltl(f, {xb: LassoWord((), (True,))}, Expansion(3, 3, cap=5))
+
+    def test_work_budget(self):
+        xb = Var("x", BOOL)
+        gfx = Globally(Finally(atom("=", var("x", BOOL), TRUE)))
+        word = {xb: LassoWord((True, False), (False, True))}
+        assert eval_qltl(gfx, word, Expansion(cap=1000)).definite is True
+        with pytest.raises(ExplosionGuard, match="work budget"):
+            eval_qltl(gfx, word, Expansion(cap=20))
+
+    def test_family_guard_counts_distinct_words(self):
+        # 16 distinct bool words up to stem 2 and loop 2, from 42 pairs
+        xb, yb = Var("x", BOOL), Var("y", BOOL)
+        f = Exists(yb, atom("=", var("y", BOOL), var("x", BOOL)))
+        res = eval_qltl(f, {xb: LassoWord((), (True,))}, Expansion(2, 2, cap=20))
+        assert res == QltlVerdict(True, True)
+
+    def test_false_is_definitely_false(self):
+        assert eval_qltl(FALSEC, {}) == QltlVerdict(False, False)
+        assert eval_qltl(Globally(FALSEC), {}) == QltlVerdict(False, False)
+        assert eval_qltl(Finally(TRUEC), {}) == QltlVerdict(True, True)
 
 
 def _reference_lassos(values, max_stem, max_loop):
@@ -315,6 +363,26 @@ class TestEvalPrefix:
         x, y = Var("x", BOOL), Var("y", BOOL)
         f = Forall(y, Globally(atom("=", var("y", BOOL), var("x", BOOL))))
         assert eval_prefix3(f, {x: (True, True)}, FiniteDomain()) is False
+
+    def test_decided_left_operand_skips_the_right(self):
+        # the quantifier would expand 2**2 sequences, over the cap of 3
+        x, y = Var("x", BOOL), Var("y", BOOL)
+        dom = FiniteDomain(cap=3)
+        over = Forall(y, atom("=", var("y", BOOL), var("x", BOOL)))
+        x_true = atom("=", var("x", BOOL), TRUE)
+        words = {x: (False, True)}
+        with pytest.raises(ExplosionGuard):
+            eval_prefix3(over, words, dom)
+        assert eval_prefix3(And(x_true, over), words, dom) is False
+        assert eval_prefix3(Or(Finally(x_true), over), words, dom) is True
+        assert eval_prefix3(Implies(x_true, over), words, dom) is True
+
+    def test_ite_with_known_condition(self):
+        # the untaken branch reads past the prefix
+        x, c = Var("x", INT), Var("c", BOOL)
+        f = eq(ite(var("c", BOOL), var("x", INT), NextRef(var("x", INT))), intc(1))
+        assert eval_prefix3(f, {x: (1,), c: (True,)}, FiniteDomain()) is True
+        assert eval_prefix3(f, {x: (1,), c: (False,)}, FiniteDomain()) is None
 
 
 class TestBoundedHoare:
