@@ -241,8 +241,13 @@ def _smt_term(t: Term) -> str:
         if t.symbol == "ite":
             return f"(ite {_smt_term(t.args[0])} {_smt_term(t.args[1])} {_smt_term(t.args[2])})"
         if t.symbol == "/":
-            op = "div" if all(isinstance(type_of(a), IntType) for a in t.args) else "/"
-            return f"({op} {_smt_term(t.args[0])} {_smt_term(t.args[1])})"
+            # x / 0 = 0, as the oracle and the finite route have it; SMT-LIB
+            # leaves division by zero unspecified
+            n, d = (_smt_term(a) for a in t.args)
+            if all(isinstance(type_of(a), IntType) for a in t.args):
+                return f"(ite (= {d} 0) 0 (div {n} {d}))"
+            zero = "0" if isinstance(type_of(t.args[1]), IntType) else "0.0"
+            return f"(ite (= {d} {zero}) 0.0 (/ {n} {d}))"
         return f"({t.symbol} {_smt_term(t.args[0])} {_smt_term(t.args[1])})"
     if isinstance(t, NextRef):
         raise TemporalFragment("temporal term in a first-order goal")

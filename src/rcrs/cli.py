@@ -11,7 +11,6 @@ import argparse
 import json
 import sys
 import time
-from fractions import Fraction
 
 from . import __version__
 from .analysis import (
@@ -50,7 +49,7 @@ from .errors import (
 from .lattice import lift_to
 from .oracle import FiniteDomain, IllegalAt, exec_det, parse_domain_file, parse_literal
 from .syntax import formula_text, parse_formula, parse_rcrs, print_component
-from .types import BoolType, EnumType, IntRange, IntType, RealType, UnitType, Var
+from .types import UnitType, Var, is_value
 from .verdicts import LassoWitness, Proven, Refuted, TraceWitness, Unknown
 
 _USAGE_ERRORS = (
@@ -139,7 +138,21 @@ def _domains(path):
     if path is None:
         return None
     with open(path, "r", encoding="utf-8") as f:
-        return parse_domain_file(f.read())
+        text = f.read()
+    try:
+        return parse_domain_file(text)
+    except DomainNotFinite as e:
+        raise ComponentSyntaxError(f"{path}: {e}") from e
+
+
+def _natural(text: str) -> int:
+    try:
+        n = int(text)
+        if n >= 0:
+            return n
+    except ValueError:
+        pass
+    raise argparse.ArgumentTypeError(f"expected a natural number, got {text!r}")
 
 
 def _parse_traces(specs, sig):
@@ -179,19 +192,7 @@ def _slot_value(piece: str, slot: Var):
     ty = slot.ty
     if isinstance(ty, UnitType) and value == "()":
         return ()
-    if isinstance(ty, BoolType):
-        ok = isinstance(value, bool)
-    elif isinstance(value, bool):
-        ok = False
-    elif isinstance(ty, IntRange):
-        ok = isinstance(value, int) and ty.lo <= value <= ty.hi
-    elif isinstance(ty, IntType):
-        ok = isinstance(value, int)
-    elif isinstance(ty, RealType):
-        ok = isinstance(value, (int, Fraction))
-    else:
-        ok = isinstance(ty, EnumType) and value in ty.values
-    if not ok:
+    if not is_value(value, ty):
         raise TypeMismatch(f"input {slot.name}: {piece.strip()!r} is not a value of {ty.short()}")
     return value
 
@@ -225,7 +226,7 @@ def main(argv=None) -> int:
     cp.add_argument("--concrete", required=True)
     cp.add_argument("--data-refine", dest="data_refine")
     cp.add_argument("--domains")
-    cp.add_argument("--horizon", type=int, default=4)
+    cp.add_argument("--horizon", type=_natural, default=4)
 
     p = sub.add_parser("legal", help="print the legal-input formula")
     p.add_argument("file")
@@ -241,7 +242,7 @@ def main(argv=None) -> int:
     p = sub.add_parser("simulate", help="run a deterministic component on a trace")
     p.add_argument("file")
     p.add_argument("--input", action="append", required=True)
-    p.add_argument("--horizon", type=int)
+    p.add_argument("--horizon", type=_natural)
     p.add_argument("--domains")
     p.add_argument("--target")
 
@@ -251,7 +252,7 @@ def main(argv=None) -> int:
 
     p = sub.add_parser("selftest", help="run the randomized property corpora")
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--count", type=int, default=25)
+    p.add_argument("--count", type=_natural, default=25)
 
     try:
         args = parser.parse_args(argv)
@@ -277,6 +278,10 @@ def main(argv=None) -> int:
     except json.JSONDecodeError as e:
         print(f"error: {e}", file=sys.stderr)
         return 3
+    except Exception as e:
+        # exit 1 reads as Refuted: a crash must not pass for a verdict
+        print(f"error: internal failure: {type(e).__name__}: {e}", file=sys.stderr)
+        return 4
     report.emit("time_ms", int((time.monotonic() - started) * 1000))
     return code
 

@@ -22,6 +22,7 @@ from .components import (
     sig,
 )
 from .compose import determ, loop_free, wf
+from .errors import NotDeterministic
 from .formulas import And, FALSEC, Formula, Not, Or, TRUEC, atom, conj, disj, eq
 from .terms import App, Const, Term, VarRef, intc
 from .types import BOOL, INT, IntRange, Var
@@ -110,7 +111,7 @@ def _grow(rng: random.Random, budget: int) -> Component | None:
     try:
         if not loop_free(looped):
             return None
-    except Exception:
+    except NotDeterministic:
         return None
     return looped
 

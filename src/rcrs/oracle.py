@@ -60,6 +60,8 @@ from .formulas import (
 )
 from .terms import App, Const, NextRef, PrimedRef, Term, VarRef
 from .types import (
+    INT,
+    REAL,
     BoolType,
     EnumType,
     IntRange,
@@ -68,6 +70,7 @@ from .types import (
     SemType,
     UnitType,
     Var,
+    is_value,
 )
 from .verdicts import CheckResult, Refuted, TraceWitness, Unknown
 
@@ -133,8 +136,12 @@ class FiniteDomain:
         return itertools.product(steps, repeat=horizon)
 
 
+_DOMAIN_TYPES = {"int": INT, "real": REAL}
+
+
 def parse_domain_file(text: str) -> FiniteDomain:
-    """Override file: lines of the form `domain <typename> = {v1, v2, ...}`."""
+    """Override file: lines of the form `domain <typename> = {v1, v2, ...}`,
+    where the type is `int` or `real` and every value is one of it."""
     overrides = {}
     for raw in text.splitlines():
         line = raw.split("#", 1)[0].strip()
@@ -145,10 +152,16 @@ def parse_domain_file(text: str) -> FiniteDomain:
         name, _, rest = line[len("domain ") :].partition("=")
         name = name.strip()
         rest = rest.strip()
+        if name not in _DOMAIN_TYPES:
+            raise DomainNotFinite(f"no domain override for type {name!r}: use int or real")
         if not (rest.startswith("{") and rest.endswith("}")):
             raise DomainNotFinite(f"cannot parse domain values in: {raw!r}")
         pieces = [p for p in rest[1:-1].split(",") if p.strip()]
-        overrides[name] = tuple(parse_literal(p) for p in pieces)
+        values = tuple(parse_literal(p) for p in pieces)
+        for p, v in zip(pieces, values):
+            if not is_value(v, _DOMAIN_TYPES[name]):
+                raise DomainNotFinite(f"domain {name}: {p.strip()!r} is not a value of {name}")
+        overrides[name] = values
     return FiniteDomain(overrides)
 
 
@@ -411,7 +424,188 @@ def eval_formula_step(f: Formula, plain: dict, primed: dict = None, dom: FiniteD
     return _evaluate(f, plain, None, _Step(dom, primed))
 
 
-# --- behaviors of atomic components ----------------------------------------
+# --- one stepper per component ------------------------------------------------
+
+
+class _StepIllegal(Exception):
+    pass
+
+
+class _Stepper:
+    """One step of a component: `init` lists its initial configurations and
+    `successors(config, x)` the pairs (config', y) that one step on input x
+    reaches from config.  An empty list means some run from config has no
+    continuation on x: x is illegal there.  A probe step (`commit` false)
+    checks no legality and keeps the state; only the deterministic steppers
+    under a feedback take one.
+
+    `step` is the stateful view of a deterministic stepper that a feedback's
+    two passes use: one step from `state`, which a committing step advances;
+    an illegal input raises _StepIllegal."""
+
+    state = None
+
+    def get_state(self):
+        return self.state
+
+    def set_state(self, s):
+        self.state = s
+
+    def step(self, inputs, commit: bool):
+        succ = self.successors(self.state, tuple(inputs), commit)
+        if not succ:
+            raise _StepIllegal()
+        ((state, y),) = succ
+        if commit:
+            self.state = state
+        return y
+
+
+class _DetAtom(_Stepper):
+    """A deterministic atom: one successor, none on an illegal input."""
+
+    def __init__(self, a: AtomicComponent, dom: FiniteDomain = None):
+        self.atom = a
+        self.sem = _Step(dom)
+        self.xvars = a.inputs.vars()
+        if isinstance(a, Det):
+            self.init = [tuple(_eval_term(cst, {}) for cst in a.init_vals)]
+            self.svars = a.states.vars()
+        else:
+            self.init = [()]
+            self.svars = ()
+
+    def successors(self, s, x, commit: bool = True):
+        env = dict(zip(self.svars, s))
+        env.update(zip(self.xvars, x))
+        if commit and not _evaluate(self.atom.inpt, env, None, self.sem):
+            return []
+        y = tuple(_eval_term(t, env) for t in self.atom.out)
+        if commit and isinstance(self.atom, Det):
+            s = tuple(_eval_term(t, env) for t in self.atom.next)
+        return [(s, y)]
+
+
+class _StsAtom(_Stepper):
+    """A transition system: the successors of a (state, input) pair range
+    over the domain's states and outputs, and are computed once."""
+
+    def __init__(self, c: Sts, dom: FiniteDomain):
+        self.c, self.dom = c, dom
+        self.svars, self.xvars, self.yvars = c.states.vars(), c.inputs.vars(), c.outputs.vars()
+        self.states = dom.tuples(c.states)
+        inputs = dom.tuples(c.inputs)
+        self.outputs = dom.tuples(c.outputs)
+        if len(self.states) * max(len(inputs), 1) * max(len(self.outputs), 1) > dom.cap:
+            raise ExplosionGuard("state/input/output product exceeds the cap")
+        self.init = [
+            s for s in self.states if eval_formula_step(c.init, dict(zip(self.svars, s)), None, dom)
+        ]
+        self.memo: dict = {}
+
+    def successors(self, s, x, commit: bool = True):
+        key = (s, x)
+        if key not in self.memo:
+            env = dict(zip(self.svars, s))
+            env.update(zip(self.xvars, x))
+            succ = []
+            for s2 in self.states:
+                primed = dict(zip(self.svars, s2))
+                for y in self.outputs:
+                    env2 = dict(env)
+                    env2.update(zip(self.yvars, y))
+                    if eval_formula_step(self.c.trs, env2, primed, self.dom):
+                        succ.append((s2, y))
+            self.memo[key] = succ
+        return self.memo[key]
+
+
+class _Serial(_Stepper):
+    """Each output the left side produces is the right side's input; a
+    configuration pairs the two sides' configurations."""
+
+    def __init__(self, left: _Stepper, right: _Stepper):
+        self.left, self.right = left, right
+        self.init = [(a, b) for a in left.init for b in right.init]
+
+    def successors(self, config, x, commit: bool = True):
+        a, b = config
+        succ = []
+        for a2, mid in self.left.successors(a, x, commit):
+            right = self.right.successors(b, mid, commit)
+            if not right:
+                return []
+            succ.extend(((a2, b2), y) for b2, y in right)
+        return succ
+
+
+class _Parallel(_Stepper):
+    def __init__(self, left: _Stepper, right: _Stepper, n_left: int):
+        self.left, self.right, self.n = left, right, n_left
+        self.init = [(a, b) for a in left.init for b in right.init]
+
+    def successors(self, config, x, commit: bool = True):
+        a, b = config
+        left = self.left.successors(a, x[: self.n], commit)
+        right = self.right.successors(b, x[self.n :], commit) if left else []
+        return [((a2, b2), ya + yb) for a2, ya in left for b2, yb in right]
+
+
+class _FdbkEval(_Stepper):
+    """Two-pass evaluation: pass 1 computes the looped-back first output with
+    a poison placeholder on the first input (sound because the loop is
+    dependency-free), pass 2 re-evaluates with the actual value and is the
+    only pass that checks legality and advances state."""
+
+    def __init__(self, child):
+        self.child = child
+
+    @property
+    def init(self):
+        return self.child.init
+
+    def successors(self, config, x, commit: bool = True):
+        self.child.set_state(config)
+        first = self.child.step((POISON,) + x, commit=False)[0]
+        if commit:
+            # an unresolved outer loop may legitimately leave poison here
+            # during a probe pass, but never on the committing pass
+            if first is POISON:
+                raise SoundnessError("feedback loop produced a value-dependent first output")
+        try:
+            outs = self.child.step((first,) + x, commit=commit)
+        except _StepIllegal:
+            return []
+        if commit:
+            if outs[0] != first:
+                raise SoundnessError("feedback passes disagree on the first output")
+        return [(self.child.get_state(), tuple(outs[1:]))]
+
+
+def _stepper(c: Component, dom: FiniteDomain) -> _Stepper:
+    if isinstance(c, Atomic):
+        a = c.atom
+        if isinstance(a, (Det, StatelessDet)):
+            return _DetAtom(a, dom)
+        if isinstance(a, Stateless):
+            a = Sts(a.inputs, a.outputs, Signature(()), TrueC(), a.io)
+        if isinstance(a, Sts):
+            return _StsAtom(a, dom)
+        raise KindError("temporal components have no stepwise bounded behavior")
+    if isinstance(c, Serial):
+        return _Serial(_stepper(c.left, dom), _stepper(c.right, dom))
+    if isinstance(c, Parallel):
+        return _Parallel(_stepper(c.left, dom), _stepper(c.right, dom), len(sigma_in(c.left)))
+    if isinstance(c, Fdbk):
+        if not determ(c):
+            raise NotDeterministic("feedback behavior needs a deterministic subtree")
+        if not loop_free(c):
+            raise NotLoopFree("feedback behavior needs a loop-free subtree")
+        return _FdbkEval(_stepper(c.child, dom))
+    raise KindError(f"not a component: {c!r}")
+
+
+# --- bounded behaviors and runs -----------------------------------------------
 
 
 @dataclass
@@ -436,177 +630,39 @@ class Behavior:
         return self.pouts.get(trace, frozenset())
 
 
-def _sts_behavior(c: Sts, dom: FiniteDomain, horizon: int) -> Behavior:
-    svars = c.states.vars()
-    xvars = c.inputs.vars()
-    yvars = c.outputs.vars()
-    states = dom.tuples(c.states)
-    inputs = dom.tuples(c.inputs)
-    outputs = dom.tuples(c.outputs)
-    if len(states) * max(len(inputs), 1) * max(len(outputs), 1) > dom.cap:
-        raise ExplosionGuard("state/input/output product exceeds the cap")
-
-    init_states = [
-        s for s in states if eval_formula_step(c.init, dict(zip(svars, s)), None, dom)
-    ]
-
-    succ_cache: dict = {}
-
-    def successors(s, x):
-        key = (s, x)
-        if key in succ_cache:
-            return succ_cache[key]
-        env = dict(zip(svars, s))
-        env.update(zip(xvars, x))
-        succ = []
-        for s2 in states:
-            primed = dict(zip(svars, s2))
-            for y in outputs:
-                env2 = dict(env)
-                env2.update(zip(yvars, y))
-                if eval_formula_step(c.trs, env2, primed, dom):
-                    succ.append((s2, y))
-        succ_cache[key] = succ
-        return succ
-
-    pouts: dict = {}
-    dead: set = set()
-
-    def walk(px: Trace, configs):
-        # configs: set of (state, output prefix) pairs reachable on px
-        for x in inputs:
-            nxt = set()
-            died = False
-            for (s, py) in configs:
-                succ = successors(s, x)
-                if not succ:
-                    died = True
-                else:
-                    for (s2, y) in succ:
-                        nxt.add((s2, py + (y,)))
-            px2 = px + (x,)
-            if died:
-                dead.add(px2)
-            pouts[px2] = frozenset(py for (_, py) in nxt)
-            if len(px2) < horizon:
-                walk(px2, nxt)
-
-    start = {(s, ()) for s in init_states}
-    walk((), start)
-    return Behavior(horizon, c.inputs, c.outputs, pouts, dead)
-
-
 def behavior(c, dom: FiniteDomain, horizon: int) -> Behavior:
     """Bounded behavior of a component tree, computed without symbolic
-    composition: serial/parallel behaviors compose the children's behaviors,
-    feedback runs the two-pass executor over a deterministic subtree."""
+    composition: one walk over the input prefixes of the domain steps the
+    component's configurations (see _Stepper), so a shared prefix runs once.
+    A serial stage sees the values the stage before it computed, inside the
+    domain or not."""
     c = as_component(c)
-    if isinstance(c, Atomic):
-        a = c.atom
-        if isinstance(a, (Det, StatelessDet)):
-            return _exec_behavior(c, dom, horizon)
-        if isinstance(a, Stateless):
-            a = Sts(a.inputs, a.outputs, Signature(()), TrueC(), a.io)
-        if isinstance(a, Sts):
-            return _sts_behavior(a, dom, horizon)
-        raise KindError("temporal components have no stepwise bounded behavior")
-    if isinstance(c, Serial):
-        return _serial_behavior(
-            behavior(c.left, dom, horizon), behavior(c.right, dom, horizon), dom, horizon
-        )
-    if isinstance(c, Parallel):
-        return _parallel_behavior(
-            behavior(c.left, dom, horizon),
-            behavior(c.right, dom, horizon),
-            sigma_in(c),
-            sigma_out(c),
-            dom,
-            horizon,
-        )
-    if isinstance(c, Fdbk):
-        if not determ(c):
-            raise NotDeterministic("feedback behavior needs a deterministic subtree")
-        if not loop_free(c):
-            raise NotLoopFree("feedback behavior needs a loop-free subtree")
-        return _exec_behavior(c, dom, horizon)
-    raise KindError(f"not a component: {c!r}")
-
-
-def _serial_behavior(a: Behavior, b: Behavior, dom, horizon: int) -> Behavior:
-    pouts: dict = {}
-    dead: set = set()
-
-    def walk(px: Trace):
-        for x in dom.tuples(a.in_sig):
-            px2 = px + (x,)
-            mids = a.pouts.get(px2, frozenset())
-            if px2 in a.dead:
-                dead.add(px2)
-            if any(py in b.dead for py in mids):
-                dead.add(px2)
-            outs = set()
-            for py in mids:
-                outs |= b.pouts.get(py, frozenset())
-            pouts[px2] = frozenset(outs)
-            if len(px2) < horizon:
-                walk(px2)
-
-    walk(())
-    return Behavior(horizon, a.in_sig, b.out_sig, pouts, dead)
-
-
-def _parallel_behavior(a: Behavior, b: Behavior, in_sig, out_sig, dom, horizon: int) -> Behavior:
-    na = len(a.in_sig)
-    pouts: dict = {}
-    dead: set = set()
-
-    def split(px: Trace):
-        return tuple(s[:na] for s in px), tuple(s[na:] for s in px)
-
-    def walk(px: Trace):
-        for x in dom.tuples(in_sig):
-            px2 = px + (x,)
-            pa, pb = split(px2)
-            if pa in a.dead or pb in b.dead:
-                dead.add(px2)
-            outs = set()
-            for ya in a.pouts.get(pa, frozenset()):
-                for yb in b.pouts.get(pb, frozenset()):
-                    outs.add(tuple(sa + sb for sa, sb in zip(ya, yb)))
-            pouts[px2] = frozenset(outs)
-            if len(px2) < horizon:
-                walk(px2)
-
-    walk(())
-    return Behavior(horizon, in_sig, out_sig, pouts, dead)
-
-
-def _exec_behavior(c: Component, dom, horizon: int) -> Behavior:
-    """Behavior of a deterministic loop-free tree: one run per input prefix."""
-    ev = _make_evaluator(c, dom)
+    node = _stepper(c, dom)
     in_sig = sigma_in(c)
-    out_sig = sigma_out(c)
     inputs = dom.tuples(in_sig)
+    dom.traces(in_sig, horizon)  # the walk visits every trace: the same cap holds
     pouts: dict = {}
     dead: set = set()
-
-    def walk(px: Trace, state, py):
-        # py: the output prefix of the one run on px, None once it has died
+    # (prefix, configs): each configuration reachable on the prefix -> the
+    # output prefixes of the runs that reach it; a configuration steps once
+    # for them all.  An explicit stack, not a recursive closure: that would
+    # be a reference cycle keeping pouts alive until the next full collection.
+    stack = [((), {s: {()} for s in node.init})]
+    while stack:
+        px, configs = stack.pop()
         for x in inputs:
             px2 = px + (x,)
-            py2 = None
-            if py is not None:
-                ev.set_state(state)
-                try:
-                    py2 = py + (tuple(ev.step(x, commit=True)),)
-                except _StepIllegal:
+            nxt: dict = {}
+            for config, pys in configs.items():
+                succ = node.successors(config, x)
+                if not succ:
                     dead.add(px2)
-            pouts[px2] = frozenset() if py2 is None else frozenset({py2})
+                for c2, y in succ:
+                    nxt.setdefault(c2, set()).update(py + (y,) for py in pys)
+            pouts[px2] = frozenset().union(*nxt.values())
             if len(px2) < horizon:
-                walk(px2, ev.get_state(), py2)
-
-    walk((), ev.get_state(), ())
-    return Behavior(horizon, in_sig, out_sig, pouts, dead)
+                stack.append((px2, nxt))
+    return Behavior(horizon, in_sig, sigma_out(c), pouts, dead)
 
 
 def bounded_rel(c, dom: FiniteDomain, horizon: int):
@@ -627,120 +683,6 @@ def bounded_rel(c, dom: FiniteDomain, horizon: int):
     return pairs, set(beh.dead)
 
 
-# --- stepwise execution of deterministic composites -------------------------
-
-
-class _StepIllegal(Exception):
-    pass
-
-
-class _AtomEval:
-    def __init__(self, a: AtomicComponent, dom: FiniteDomain = None):
-        self.atom = a
-        self.sem = _Step(dom)
-        self.xvars = a.inputs.vars()
-        if isinstance(a, Det):
-            self.state = tuple(_eval_term(cst, {}) for cst in a.init_vals)
-            self.svars = a.states.vars()
-        else:
-            self.state = ()
-            self.svars = ()
-
-    def get_state(self):
-        return self.state
-
-    def set_state(self, s):
-        self.state = s
-
-    def step(self, inputs, commit: bool):
-        env = dict(zip(self.svars, self.state))
-        env.update(zip(self.xvars, inputs))
-        if commit and not _evaluate(self.atom.inpt, env, None, self.sem):
-            raise _StepIllegal()
-        outs = [_eval_term(t, env) for t in self.atom.out]
-        if commit and isinstance(self.atom, Det):
-            self.state = tuple(_eval_term(t, env) for t in self.atom.next)
-        return outs
-
-
-class _PairEval:
-    def get_state(self):
-        return (self.left.get_state(), self.right.get_state())
-
-    def set_state(self, s):
-        self.left.set_state(s[0])
-        self.right.set_state(s[1])
-
-
-class _SerialEval(_PairEval):
-    def __init__(self, left, right):
-        self.left, self.right = left, right
-
-    def step(self, inputs, commit: bool):
-        mid = self.left.step(inputs, commit)
-        return self.right.step(tuple(mid), commit)
-
-
-class _ParallelEval(_PairEval):
-    def __init__(self, left, right, n_left: int):
-        self.left, self.right, self.n = left, right, n_left
-
-    def step(self, inputs, commit: bool):
-        a = self.left.step(tuple(inputs[: self.n]), commit)
-        b = self.right.step(tuple(inputs[self.n :]), commit)
-        return list(a) + list(b)
-
-
-class _FdbkEval:
-    """Two-pass evaluation: pass 1 computes the looped-back first output with
-    a poison placeholder on the first input (sound because the loop is
-    dependency-free), pass 2 re-evaluates with the actual value and is the
-    only pass that checks legality and advances state."""
-
-    def __init__(self, child):
-        self.child = child
-
-    def get_state(self):
-        return self.child.get_state()
-
-    def set_state(self, s):
-        self.child.set_state(s)
-
-    def step(self, inputs, commit: bool):
-        snapshot = self.child.get_state()
-        first = self.child.step((POISON,) + tuple(inputs), commit=False)[0]
-        if commit:
-            # an unresolved outer loop may legitimately leave poison here
-            # during a probe pass, but never on the committing pass
-            if first is POISON:
-                raise SoundnessError("feedback loop produced a value-dependent first output")
-        self.child.set_state(snapshot)
-        outs = self.child.step((first,) + tuple(inputs), commit=commit)
-        if commit:
-            if outs[0] != first:
-                raise SoundnessError("feedback passes disagree on the first output")
-        return outs[1:]
-
-
-def _make_evaluator(c: Component, dom: FiniteDomain = None):
-    c = as_component(c)
-    if isinstance(c, Atomic):
-        if not isinstance(c.atom, (Det, StatelessDet)):
-            raise NotDeterministic("stepwise execution needs deterministic atoms")
-        return _AtomEval(c.atom, dom)
-    if isinstance(c, Serial):
-        return _SerialEval(_make_evaluator(c.left, dom), _make_evaluator(c.right, dom))
-    if isinstance(c, Parallel):
-        return _ParallelEval(
-            _make_evaluator(c.left, dom),
-            _make_evaluator(c.right, dom),
-            len(sigma_in(c.left)),
-        )
-    if isinstance(c, Fdbk):
-        return _FdbkEval(_make_evaluator(c.child, dom))
-    raise KindError(f"not a component: {c!r}")
-
-
 @dataclass(frozen=True)
 class IllegalAt:
     step: int
@@ -756,19 +698,15 @@ def exec_det(c, input_trace: Trace, dom: FiniteDomain = None):
         raise NotDeterministic("execution needs deterministic atoms")
     if not loop_free(c):
         raise NotLoopFree("execution needs a loop-free component")
-    ev = _make_evaluator(c, dom)
-    return _run_det(ev, ev.get_state(), input_trace)
-
-
-def _run_det(ev, init, input_trace: Trace):
-    """exec_det on a built evaluator, started from its initial state `init`."""
-    ev.set_state(init)
+    node = _stepper(c, dom)
+    (config,) = node.init
     outs = []
-    for i, step_inputs in enumerate(input_trace):
-        try:
-            outs.append(tuple(ev.step(tuple(step_inputs), commit=True)))
-        except _StepIllegal:
+    for i, x in enumerate(input_trace):
+        succ = node.successors(config, tuple(x))
+        if not succ:
             return IllegalAt(i)
+        ((config, y),) = succ
+        outs.append(y)
     return tuple(outs)
 
 
@@ -792,15 +730,6 @@ def bounded_equiv(c1, c2, dom: FiniteDomain, horizon: int) -> EquivResult:
     in1, in2 = sigma_in(c1), sigma_in(c2)
     if in1.types() != in2.types() or sigma_out(c1).types() != sigma_out(c2).types():
         return EquivResult(False, None, "signature mismatch")
-    if determ(c1) and determ(c2) and loop_free(c1) and loop_free(c2):
-        ev1, ev2 = _make_evaluator(c1, dom), _make_evaluator(c2, dom)
-        init1, init2 = ev1.get_state(), ev2.get_state()
-        for trace in dom.traces(in1, horizon):
-            r1 = _run_det(ev1, init1, trace)
-            r2 = _run_det(ev2, init2, trace)
-            if r1 != r2:
-                return EquivResult(False, trace, f"{r1!r} vs {r2!r}")
-        return EquivResult(True)
     b1 = behavior(c1, dom, horizon)
     b2 = behavior(c2, dom, horizon)
     for trace in dom.traces(in1, horizon):

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 from dataclasses import dataclass
+from fractions import Fraction
 
 
 class SemType:
@@ -87,6 +88,22 @@ def base_type(ty: SemType) -> SemType:
     if isinstance(ty, IntRange):
         return INT
     return ty
+
+
+def is_value(value, ty: SemType) -> bool:
+    """Whether a value (bool, int, Fraction or enum value name) belongs to
+    the type."""
+    if isinstance(ty, BoolType):
+        return isinstance(value, bool)
+    if isinstance(value, bool):
+        return False
+    if isinstance(ty, IntRange):
+        return isinstance(value, int) and ty.lo <= value <= ty.hi
+    if isinstance(ty, IntType):
+        return isinstance(value, int)
+    if isinstance(ty, RealType):
+        return isinstance(value, (int, Fraction))
+    return isinstance(ty, EnumType) and value in ty.values
 
 
 @dataclass(frozen=True)

@@ -249,6 +249,20 @@ class TestCheckRefines:
         assert isinstance(res, Refuted)
         assert res.witness.steps[0][0] < 0
 
+    def test_serial_stages_see_computed_values(self, no_solver):
+        bindings, _ = parse_rcrs(
+            "component Inc = stateless_det((x:int), true, (x + 1))\n"
+            "component Id = stateless_det((x:int), true, (x))\n"
+            "component Delay = det((x:int), (s:int), (0), true, (x), (s))\n"
+            "component Spec = Inc ; Delay\n"
+            "component Impl = det((x:int), (s:int, t:int), (0, 0), true, (x + 1, t), (s))\n"
+            "component IncId = Inc ; Id\n"
+        )
+        dom = FiniteDomain({"int": (0, 1)})
+        # the domain bounds the inputs, not the value 2 that Inc computes
+        assert not isinstance(check_refines(bindings["Spec"], bindings["Impl"], dom), Refuted)
+        assert isinstance(check_refines(bindings["IncId"], bindings["Inc"], dom), Proven)
+
     def test_oracle_defect_is_not_unknown(self, no_solver, monkeypatch):
         import rcrs.analysis as analysis
 
@@ -508,6 +522,21 @@ class TestEmitSmtlib:
         differ = [i for i, (a, b) in enumerate(zip(sat, valid)) if a != b]
         assert len(sat) == len(valid) and differ == [len(sat) - 2]
         assert valid[-2] == f"(assert (not {sat[-2][len('(assert '):-1]}))"
+
+    def test_division_guarded_against_zero(self):
+        # x / 0 = 0 on every route
+        for ty, zero in (("int", "0"), ("real", "0.0")):
+            a = parse_component(f"stateless_det((x:{ty}), true, ({zero}))")
+            b = parse_component(f"stateless_det((x:{ty}), true, (x / {zero}))")
+            script = emit_smtlib(refine_vc(a, b)[0])
+            op = "div" if ty == "int" else "/"
+            assert f"(ite (= {zero} {zero}) {zero} ({op} x0 {zero}))" in script
+
+    def test_division_by_zero_proven_by_solver(self, with_solver):
+        a = parse_component("stateless_det((x:int), true, (0))")
+        b = parse_component("stateless_det((x:int), true, (x / 0))")
+        res = check_refines(a, b)
+        assert isinstance(res, Proven) and "solver" in res.note
 
     def test_range_types_guarded(self):
         ty = IntRange(0, 3)

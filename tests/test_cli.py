@@ -145,6 +145,13 @@ class TestSimulate:
         assert code == 3
         assert err.count("\n") == 1 and err.startswith("error: ") and "zz" in err
 
+    def test_negative_horizon_exit_3(self, capsys, sum_file):
+        code, _, _ = run_cli(
+            capsys, "simulate", sum_file, "--target", "UnitDelay", "--input", "x:1,2",
+            "--horizon", "-1",
+        )
+        assert code == 3
+
 
 class TestChecks:
     def test_compat_refuted_exit_1(self, capsys, div_file, int_domain_file, no_solver):
@@ -176,6 +183,30 @@ class TestChecks:
         rep = report_dict(out)
         assert rep["witness.y"] == "0"
         assert rep["witness.step"] == "0"
+
+    def test_negative_horizon_exit_3(self, capsys, refine_file, int_domain_file):
+        code, _, err = run_cli(
+            capsys, "check", "refine", refine_file, "--abstract", "Spec", "--concrete", "Impl",
+            "--domains", int_domain_file, "--horizon", "-1",
+        )
+        assert code == 3
+        assert "Traceback" not in err
+
+    def test_serial_stage_sees_computed_values(self, capsys, tmp_path, no_solver):
+        p = tmp_path / "staged.rcrs"
+        p.write_text(
+            "component Inc = stateless_det((x:int), true, (x + 1))\n"
+            "component Delay = det((x:int), (s:int), (0), true, (x), (s))\n"
+            "component Spec = Inc ; Delay\n"
+            "component Impl = det((x:int), (s:int, t:int), (0, 0), true, (x + 1, t), (s))\n"
+        )
+        dom = tmp_path / "01.dom"
+        dom.write_text("domain int = {0, 1}\n")
+        code, out, _ = run_cli(
+            capsys, "check", "refine", str(p), "--abstract", "Spec", "--concrete", "Impl",
+            "--domains", str(dom),
+        )
+        assert code == 2 and report_dict(out)["verdict"] == "Unknown"
 
     def test_valid_proven(self, capsys, sum_file):
         code, out, _ = run_cli(capsys, "check", "valid", sum_file, "--target", "Add")
@@ -283,6 +314,11 @@ class TestSelftest:
         assert code == 0
         assert report_dict(out)["failures"] == "0"
 
+    def test_negative_count_exit_3(self, capsys):
+        code, out, _ = run_cli(capsys, "selftest", "--count", "-3")
+        assert code == 3
+        assert "atomic_equiv" not in out
+
 
 class TestDataRefine:
     COUNTER_RCRS = """
@@ -327,3 +363,27 @@ class TestFileErrors:
         p.write_text('{"blocks": [')
         code, _, err = run_cli(capsys, "translate", str(p))
         assert code == 3
+
+    @pytest.mark.parametrize("text", ["domain int = {a, b}\n", "domain int = {1, 2\n"])
+    def test_bad_domain_file_exit_3(self, capsys, refine_file, tmp_path, text):
+        dom = tmp_path / "bad.dom"
+        dom.write_text(text)
+        code, _, err = run_cli(
+            capsys, "check", "refine", refine_file, "--abstract", "Spec", "--concrete", "Impl",
+            "--domains", str(dom),
+        )
+        assert code == 3
+        assert err.count("\n") == 1 and err.startswith("error: ")
+
+
+class TestUncaughtErrors:
+    def test_defect_exits_4_with_one_line(self, capsys, monkeypatch, sum_file):
+        import rcrs.cli as cli
+
+        def defect(*args):
+            raise ZeroDivisionError("defect in simplify")
+
+        monkeypatch.setattr(cli, "atomic", defect)
+        code, _, err = run_cli(capsys, "simplify", sum_file)
+        assert code == 4
+        assert err == "error: internal failure: ZeroDivisionError: defect in simplify\n"

@@ -375,3 +375,17 @@ class TestOracleAgreement:
             right = atomic(Serial(Atomic(a), Serial(Atomic(b), Atomic(c))))
             r = bounded_equiv(Atomic(left), Atomic(right), dom, 3)
             assert r, (r.counterexample, r.detail)
+
+
+def test_corpus_growth_lets_defects_through(monkeypatch):
+    import random
+
+    from rcrs import corpus
+
+    def defect(c):
+        raise ZeroDivisionError("defect in loop_free")
+
+    monkeypatch.setattr(corpus, "loop_free", defect)
+    with pytest.raises(ZeroDivisionError):
+        for seed in range(50):
+            corpus._grow(random.Random(seed), 3)

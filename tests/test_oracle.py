@@ -57,6 +57,15 @@ class TestFiniteDomain:
         d = parse_domain_file("# comment\ndomain int = {-2, -1, 0, 1, 2}\ndomain real = {0.5, 1}\n")
         assert d.values(INT) == (-2, -1, 0, 1, 2)
 
+    @pytest.mark.parametrize(
+        "text",
+        ["domain int = {a, b}", "domain int = {0, true}", "domain int = {1.5}", "domain real = {x}",
+         "domain bool = {0, 1}"],
+    )
+    def test_override_file_rejects_values_of_another_type(self, text):
+        with pytest.raises(DomainNotFinite):
+            parse_domain_file(text)
+
     def test_explosion_guard(self):
         d = FiniteDomain({"int": tuple(range(100))}, cap=1000)
         with pytest.raises(ExplosionGuard):
@@ -442,3 +451,41 @@ class TestFeedbackSoundnessChecks:
         child = self._Child(POISON if f == "poison" else f for f in firsts)
         with pytest.raises(SoundnessError):
             _FdbkEval(child).step((), commit=True)
+
+
+STAGED_RCRS = """
+component Inc = stateless_det((x:int), true, (x + 1))
+component Id = stateless_det((x:int), true, (x))
+component Dec = stateless((x:int), (y:int), y + 1 = x)
+component Delay = det((x:int), (s:int), (0), true, (x), (s))
+component Spec = Inc ; Delay
+component Impl = det((x:int), (s:int, t:int), (0, 0), true, (x + 1, t), (s))
+"""
+
+
+class TestComputedIntermediates:
+    """A serial stage sees the values the stage before it computed, those
+    outside the domain too: the domain bounds inputs and choices only."""
+
+    @pytest.fixture
+    def staged(self):
+        from rcrs.syntax import parse_rcrs
+
+        return parse_rcrs(STAGED_RCRS)[0], parse_domain_file("domain int = {0, 1}")
+
+    def test_every_trace_keeps_its_run(self, staged):
+        b, dom = staged
+        beh = behavior(b["Spec"], dom, 4)
+        for trace in dom.traces(beh.in_sig, 4):
+            assert beh.first_illegal(trace) is None
+            assert beh.outputs(trace) == {exec_det(b["Spec"], trace)}
+
+    def test_equal_runs_are_not_refuted(self, staged):
+        b, dom = staged
+        assert isinstance(bounded_refute_refinement(b["Spec"], b["Impl"], dom, 4), Unknown)
+        assert isinstance(bounded_refute_refinement(b["Impl"], b["Spec"], dom, 4), Unknown)
+
+    def test_nondeterministic_stage_takes_a_computed_input(self, staged):
+        # Inc computes 2 on the input 1; Dec maps it back into the domain
+        b, dom = staged
+        assert bounded_equiv(Serial(b["Inc"], b["Dec"]), b["Id"], dom, 3)
