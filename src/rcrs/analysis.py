@@ -10,6 +10,7 @@ import os
 import shlex
 import subprocess
 from dataclasses import dataclass
+from fractions import Fraction
 from typing import Optional
 
 from .components import (
@@ -227,8 +228,6 @@ def _smt_term(t: Term) -> str:
         if isinstance(v, str):
             return v
         if isinstance(t.ty, RealType):
-            from fractions import Fraction
-
             fr = Fraction(v)
             if fr.denominator == 1:
                 return f"{fr.numerator}.0" if fr >= 0 else f"(- {-fr.numerator}.0)"
@@ -347,43 +346,44 @@ def _smt_script(goal: Formula, assertion: str) -> str:
 # --- finite / probe evaluation of first-order goals ---------------------------
 
 
+def _pool(ty: SemType, dom: Optional[FiniteDomain], constants: set) -> tuple[tuple, bool]:
+    """The values a variable of type `ty` ranges over, and whether they are
+    all of its values: the domain's finite values for the type (the type's
+    own when the domain has none), else probe values around the goal's
+    constants, which can refute a goal but never prove one."""
+    try:
+        return (dom or FiniteDomain()).values(ty), True
+    except DomainNotFinite:
+        return _probe_values(ty, constants), False
+
+
 def _probe_values(ty: SemType, constants: set) -> tuple:
-    if isinstance(ty, BoolType):
-        return (False, True)
-    if isinstance(ty, IntRange):
-        return tuple(range(ty.lo, ty.hi + 1))
-    if isinstance(ty, EnumType):
-        return ty.values
-    if isinstance(ty, UnitType):
-        return ((),)
+    """Probe values of an unbounded int or real."""
     if isinstance(ty, IntType):
         vals = {-2, -1, 0, 1, 2}
         for c in constants:
             if isinstance(c, int) and not isinstance(c, bool):
                 vals.update({c - 1, c, c + 1})
         return tuple(sorted(vals))
-    if isinstance(ty, RealType):
-        from fractions import Fraction
-
-        vals = {Fraction(-1), Fraction(0), Fraction(1)}
-        for c in constants:
-            if isinstance(c, (int, Fraction)) and not isinstance(c, bool):
-                fc = Fraction(c)
-                vals.update({fc - 1, fc, fc + 1, fc / 2})
-        return tuple(sorted(vals))
-    return ()
+    vals = {Fraction(-1), Fraction(0), Fraction(1)}
+    for c in constants:
+        if isinstance(c, (int, Fraction)) and not isinstance(c, bool):
+            fc = Fraction(c)
+            vals.update({fc - 1, fc, fc + 1, fc / 2})
+    return tuple(sorted(vals))
 
 
-def _collect_constants(f: Formula) -> set:
-    return {n.value for n, _ in nodes(f) if isinstance(n, Const)}
-
-
-def _quantified_types(f: Formula) -> set:
-    return {n.var.ty for n, _ in nodes(f) if isinstance(n, (Forall, Exists))}
-
-
-def _is_finite_type(ty: SemType) -> bool:
-    return isinstance(ty, (BoolType, IntRange, EnumType, UnitType))
+def _pools(goal: Formula, dom: Optional[FiniteDomain], types) -> tuple[dict, FiniteDomain]:
+    """The `_pool` of each of `types` and of each type the goal quantifies
+    over, and the domain its quantifiers range over: those pools."""
+    constants, quantified = set(), set()
+    for n, _ in nodes(goal):
+        if isinstance(n, Const):
+            constants.add(n.value)
+        elif isinstance(n, (Forall, Exists)):
+            quantified.add(n.var.ty)
+    pools = {ty: _pool(ty, dom, constants) for ty in set(types) | quantified}
+    return pools, FiniteDomain({ty: pools[ty][0] for ty in quantified})
 
 
 @dataclass(frozen=True)
@@ -400,39 +400,13 @@ def check_fo_validity(goal: Formula, dom: FiniteDomain = None) -> FoVerdict:
     quantifiers range over types with no finite domain stay undecided: probe
     approximation under a quantifier would not be sound."""
     plain, primed, _ = free_refs(goal)
-    quantified = _quantified_types(goal)
-    constants = _collect_constants(goal)
-
-    def values_for(ty: SemType) -> Optional[tuple]:
-        if dom is not None:
-            try:
-                return dom.values(ty)
-            except DomainNotFinite:
-                return None
-        return None
-
-    for ty in quantified:
-        if values_for(ty) is None and not _is_finite_type(ty):
-            return FoVerdict(None)
-
-    exact = True
-    pools: dict = {}
-    for ty in {v.ty for v in plain | primed} | quantified:
-        vals = values_for(ty)
-        if vals is None:
-            if _is_finite_type(ty):
-                vals = FiniteDomain().values(ty)
-            else:
-                vals = _probe_values(ty, constants)
-                exact = False
-        pools[ty] = vals
-
-    eval_dom = FiniteDomain({ty: vals for ty, vals in pools.items()})
+    pools, eval_dom = _pools(goal, dom, {v.ty for v in plain | primed})
+    if not all(pools[ty][1] for ty in eval_dom.overrides):
+        return FoVerdict(None)
+    exact = all(e for _, e in pools.values())
     plain_vars = sorted(plain, key=lambda v: v.name)
     primed_vars = sorted(primed, key=lambda v: v.name)
-    assignments = itertools.product(
-        *[pools[v.ty] for v in plain_vars], *[pools[v.ty] for v in primed_vars]
-    )
+    assignments = itertools.product(*[pools[v.ty][0] for v in plain_vars + primed_vars])
     for values in assignments:
         env_plain = dict(zip(plain_vars, values[: len(plain_vars)]))
         env_primed = dict(zip(primed_vars, values[len(plain_vars) :]))
@@ -474,45 +448,18 @@ def _witness_note(witness: Optional[dict]) -> str:
 
 
 def _lasso_search_setup(goal: Formula, dom: Optional[FiniteDomain], expand: Expansion):
-    """Value pools for the goal's free variables and an evaluation domain
-    covering its quantified types (probe values where nothing finite is
-    declared; quantifier approximation keeps definite verdicts sound).
-    Returns the reason instead when there is nothing to search: a type with
-    no finite pool, or more lasso assignments than `expand.cap`, which is
-    decided before any family is built."""
+    """Lasso families over the `_pool`s of the goal's free variables, and the
+    domain its quantifiers range over (probe pools too: quantifier
+    approximation keeps definite verdicts sound).  Returns the reason instead
+    when there are more lasso assignments than `expand.cap`, which is decided
+    before any family is built."""
     fv = sorted(free_vars(goal).vars, key=lambda v: v.name)
-    constants = _collect_constants(goal)
-
-    def pool_of(ty: SemType) -> Optional[tuple]:
-        if dom is not None:
-            try:
-                return dom.values(ty)
-            except DomainNotFinite:
-                pass
-        if _is_finite_type(ty):
-            return FiniteDomain().values(ty)
-        vals = _probe_values(ty, constants)
-        return vals or None
-
-    pools = []
-    for v in fv:
-        vals = pool_of(v.ty)
-        if vals is None:
-            return f"no finite value pool for {v.ty.short()}"
-        pools.append(vals)
-    overrides = {}
-    for ty in _quantified_types(goal):
-        vals = pool_of(ty)
-        if vals is None:
-            return f"no finite value pool for {ty.short()}"
-        overrides[ty] = vals
-    total = math.prod(lasso_count(len(set(p)), expand.stem, expand.loop) for p in pools)
+    pools, eval_dom = _pools(goal, dom, {v.ty for v in fv})
+    total = math.prod(lasso_count(len(set(pools[v.ty][0])), expand.stem, expand.loop) for v in fv)
     if total > expand.cap:
         return f"{total} lasso assignments exceed the cap {expand.cap}"
-    families = [all_lassos(p, expand.stem, expand.loop) for p in pools]
-    base = dict(dom.overrides) if dom is not None else {}
-    base.update(overrides)
-    return fv, families, FiniteDomain(base)
+    families = [all_lassos(pools[v.ty][0], expand.stem, expand.loop) for v in fv]
+    return fv, families, eval_dom
 
 
 def _lasso_search(

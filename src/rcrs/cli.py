@@ -8,6 +8,7 @@ Exit codes: 0 proven/success, 1 refuted, 2 unknown, 3 usage or parse error,
 from __future__ import annotations
 
 import argparse
+import itertools
 import json
 import sys
 import time
@@ -47,7 +48,15 @@ from .errors import (
     WfError,
 )
 from .lattice import lift_to
-from .oracle import FiniteDomain, IllegalAt, exec_det, parse_domain_file, parse_literal
+from .oracle import (
+    FiniteDomain,
+    IllegalAt,
+    bounded_rel,
+    eval_prefix3,
+    exec_det,
+    parse_domain_file,
+    parse_literal,
+)
 from .syntax import formula_text, parse_formula, parse_rcrs, print_component
 from .types import UnitType, Var, is_value
 from .verdicts import LassoWitness, Proven, Refuted, TraceWitness, Unknown
@@ -444,27 +453,16 @@ def _selftest(args, report: Report) -> int:
 
 
 def _legality_coherent(s, horizon: int) -> bool:
-    from .oracle import FiniteDomain, bounded_rel, eval_prefix3
-
     dom = FiniteDomain()
     legal = legal_formula(s)
     _, illegal = bounded_rel(Atomic(s), dom, horizon)
     xvar = s.inputs.vars()[0]
-    import itertools
-
     vals = dom.values(xvar.ty)
     for k in range(1, horizon + 1):
         for prefix in itertools.product(vals, repeat=k):
             px = tuple((v,) for v in prefix)
-            expected = px in illegal or any(px[: j + 1] in illegal for j in range(k))
-            from .formulas import TrueC, FalseC
-
-            if isinstance(legal, TrueC):
-                got_illegal = False
-            elif isinstance(legal, FalseC):
-                got_illegal = True
-            else:
-                got_illegal = eval_prefix3(legal, {xvar: prefix}, dom) is False
+            expected = any(px[: j + 1] in illegal for j in range(k))
+            got_illegal = eval_prefix3(legal, {xvar: prefix}, dom) is False
             if expected != got_illegal:
                 return False
     return True

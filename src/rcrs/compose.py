@@ -65,18 +65,7 @@ def serial(l: AtomicComponent, r: AtomicComponent) -> AtomicComponent:
     if not res:
         raise WfError(res.reason)
     k = join_kind(l.kind(), r.kind())
-    l, r = lift_to(l, k), lift_to(r, k)
-    if k == Kind.QLTL:
-        return _serial_qltl(*_prepare_serial(l, r)[:3])
-    if k == Kind.STS:
-        return _serial_sts(*_prepare_serial(l, r)[:3])
-    if k == Kind.STATELESS:
-        return _serial_stateless(*_prepare_serial(l, r)[:3])
-    if k == Kind.DET:
-        return _serial_det(*_prepare_serial(l, r)[:3])
-    if k == Kind.STATELESS_DET:
-        return _serial_stateless_det(*_prepare_serial(l, r)[:3])
-    raise KindError(f"unhandled kind {k}")
+    return _SERIAL[k](*_prepare_serial(lift_to(l, k), lift_to(r, k)))
 
 
 def _serial_qltl(l: Qltl, r: Qltl, mids) -> Qltl:
@@ -109,12 +98,8 @@ def _serial_stateless(l: Stateless, r: Stateless, mids) -> Stateless:
     return Stateless(l.inputs, r.outputs, simplify(And(receptive, chained)))
 
 
-def _out_subst(mids, out_terms) -> dict:
-    return {v: t for v, t in zip(mids, out_terms)}
-
-
 def _serial_det(l: Det, r: Det, mids) -> Det:
-    sub = _out_subst(mids, l.out)
+    sub = dict(zip(mids, l.out))
     inpt = simplify(And(l.inpt, substitute(r.inpt, sub)))
     nxt = l.next + tuple(substitute(t, sub) for t in r.next)
     out = tuple(substitute(t, sub) for t in r.out)
@@ -123,10 +108,19 @@ def _serial_det(l: Det, r: Det, mids) -> Det:
 
 
 def _serial_stateless_det(l: StatelessDet, r: StatelessDet, mids) -> StatelessDet:
-    sub = _out_subst(mids, l.out)
+    sub = dict(zip(mids, l.out))
     inpt = simplify(And(l.inpt, substitute(r.inpt, sub)))
     out = tuple(substitute(t, sub) for t in r.out)
     return StatelessDet(l.inputs, inpt, out)
+
+
+_SERIAL = {
+    Kind.QLTL: _serial_qltl,
+    Kind.STS: _serial_sts,
+    Kind.STATELESS: _serial_stateless,
+    Kind.DET: _serial_det,
+    Kind.STATELESS_DET: _serial_stateless_det,
+}
 
 
 def _prepare_parallel(l: AtomicComponent, r: AtomicComponent):

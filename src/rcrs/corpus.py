@@ -4,6 +4,7 @@ transition-system atoms at desk scale."""
 
 from __future__ import annotations
 
+import itertools
 import random
 
 from .components import (
@@ -24,8 +25,9 @@ from .components import (
 from .compose import determ, loop_free, wf
 from .errors import NotDeterministic
 from .formulas import And, FALSEC, Formula, Not, Or, TRUEC, atom, conj, disj, eq
+from .oracle import FiniteDomain
 from .terms import App, Const, Term, VarRef, intc
-from .types import BOOL, INT, IntRange, Var
+from .types import INT, IntRange, Var
 
 
 def _int_term(rng: random.Random, vars_: list[Var], depth: int) -> Term:
@@ -159,19 +161,9 @@ def table_stateless(in_vars, out_vars, table: dict) -> Stateless:
     return Stateless(Signature(tuple(in_vars)), Signature(tuple(out_vars)), io)
 
 
-def _domain_values(ty) -> tuple:
-    if ty == BOOL:
-        return (False, True)
-    if isinstance(ty, IntRange):
-        return tuple(range(ty.lo, ty.hi + 1))
-    raise ValueError(f"not a finite corpus type: {ty}")
-
-
 def random_stateless_table(rng: random.Random, in_vars, out_vars, legal_bias=0.8) -> Stateless:
-    import itertools
-
-    in_tuples = list(itertools.product(*[_domain_values(v.ty) for v in in_vars]))
-    out_tuples = list(itertools.product(*[_domain_values(v.ty) for v in out_vars]))
+    in_tuples = list(itertools.product(*[FiniteDomain().values(v.ty) for v in in_vars]))
+    out_tuples = list(itertools.product(*[FiniteDomain().values(v.ty) for v in out_vars]))
     table = {}
     for inp in in_tuples:
         if rng.random() < legal_bias:
@@ -186,10 +178,8 @@ def refinement_table_pair(rng: random.Random, in_vars, out_vars):
     """(abstract, concrete) stateless pair where refinement holds by
     construction: the concrete accepts at least the abstract's legal inputs
     and produces a subset of its outputs on them."""
-    import itertools
-
-    in_tuples = list(itertools.product(*[_domain_values(v.ty) for v in in_vars]))
-    out_tuples = list(itertools.product(*[_domain_values(v.ty) for v in out_vars]))
+    in_tuples = list(itertools.product(*[FiniteDomain().values(v.ty) for v in in_vars]))
+    out_tuples = list(itertools.product(*[FiniteDomain().values(v.ty) for v in out_vars]))
     abs_table, conc_table = {}, {}
     for inp in in_tuples:
         if rng.random() < 0.75:

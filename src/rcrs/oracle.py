@@ -427,38 +427,13 @@ def eval_formula_step(f: Formula, plain: dict, primed: dict = None, dom: FiniteD
 # --- one stepper per component ------------------------------------------------
 
 
-class _StepIllegal(Exception):
-    pass
-
-
 class _Stepper:
     """One step of a component: `init` lists its initial configurations and
     `successors(config, x)` the pairs (config', y) that one step on input x
     reaches from config.  An empty list means some run from config has no
     continuation on x: x is illegal there.  A probe step (`commit` false)
     checks no legality and keeps the state; only the deterministic steppers
-    under a feedback take one.
-
-    `step` is the stateful view of a deterministic stepper that a feedback's
-    two passes use: one step from `state`, which a committing step advances;
-    an illegal input raises _StepIllegal."""
-
-    state = None
-
-    def get_state(self):
-        return self.state
-
-    def set_state(self, s):
-        self.state = s
-
-    def step(self, inputs, commit: bool):
-        succ = self.successors(self.state, tuple(inputs), commit)
-        if not succ:
-            raise _StepIllegal()
-        ((state, y),) = succ
-        if commit:
-            self.state = state
-        return y
+    under a feedback take one."""
 
 
 class _DetAtom(_Stepper):
@@ -565,21 +540,19 @@ class _FdbkEval(_Stepper):
         return self.child.init
 
     def successors(self, config, x, commit: bool = True):
-        self.child.set_state(config)
-        first = self.child.step((POISON,) + x, commit=False)[0]
-        if commit:
-            # an unresolved outer loop may legitimately leave poison here
-            # during a probe pass, but never on the committing pass
-            if first is POISON:
-                raise SoundnessError("feedback loop produced a value-dependent first output")
-        try:
-            outs = self.child.step((first,) + x, commit=commit)
-        except _StepIllegal:
+        ((_, probe),) = self.child.successors(config, (POISON,) + x, False)
+        first = probe[0]
+        # an unresolved outer loop may legitimately leave poison here during
+        # a probe pass, but never on the committing pass
+        if commit and first is POISON:
+            raise SoundnessError("feedback loop produced a value-dependent first output")
+        succ = self.child.successors(config, (first,) + x, commit)
+        if not succ:
             return []
-        if commit:
-            if outs[0] != first:
-                raise SoundnessError("feedback passes disagree on the first output")
-        return [(self.child.get_state(), tuple(outs[1:]))]
+        ((config2, outs),) = succ
+        if commit and outs[0] != first:
+            raise SoundnessError("feedback passes disagree on the first output")
+        return [(config2, outs[1:])]
 
 
 def _stepper(c: Component, dom: FiniteDomain) -> _Stepper:

@@ -44,7 +44,6 @@ from .formulas import (
 from .terms import App, Const, NextRef, PrimedRef, Term, VarRef, type_of
 from .types import (
     BOOL,
-    BoolType,
     EnumType,
     INT,
     IntRange,
@@ -53,7 +52,6 @@ from .types import (
     RealType,
     SemType,
     UNIT,
-    UnitType,
     Var,
 )
 
@@ -635,24 +633,8 @@ def parse_formula(text: str, scope_sigs: list[Signature], temporal=False) -> For
 # --- printing ----------------------------------------------------------------
 
 
-def type_text(ty: SemType) -> str:
-    if isinstance(ty, BoolType):
-        return "bool"
-    if isinstance(ty, IntType):
-        return "int"
-    if isinstance(ty, IntRange):
-        return f"int[{ty.lo}..{ty.hi}]"
-    if isinstance(ty, RealType):
-        return "real"
-    if isinstance(ty, UnitType):
-        return "unit"
-    if isinstance(ty, EnumType):
-        return f"{ty.name}{{{','.join(ty.values)}}}"
-    raise UnknownType(f"unprintable type {ty!r}")
-
-
 def _sig_text(s: Signature) -> str:
-    return "(" + ", ".join(f"{v.name}:{type_text(v.ty)}" for v in s) + ")"
+    return "(" + ", ".join(f"{v.name}:{v.ty.short()}" for v in s) + ")"
 
 
 def _const_text(c: Const) -> str:
@@ -736,7 +718,7 @@ def formula_text(f: Formula, prec: int = 0) -> str:
     if isinstance(f, (Forall, Exists)):
         kw = "forall" if isinstance(f, Forall) else "exists"
         body = formula_text(f.body, _F_QUANT)
-        return wrap(f"{kw} {f.var.name}:{type_text(f.var.ty)} . {body}", _F_QUANT)
+        return wrap(f"{kw} {f.var.name}:{f.var.ty.short()} . {body}", _F_QUANT)
     if isinstance(f, Iff):
         s = f"{formula_text(f.left, _F_IMPLIES)} <-> {formula_text(f.right, _F_IFF)}"
         return wrap(s, _F_IFF)

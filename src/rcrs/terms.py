@@ -8,7 +8,7 @@ from fractions import Fraction
 from typing import Union
 
 from .errors import TypeMismatch
-from .types import BOOL, INT, REAL, EnumType, SemType, Var, base_type, is_numeric
+from .types import BOOL, INT, REAL, SemType, Var, base_type, is_numeric
 
 Value = Union[bool, int, Fraction, float, str, tuple]
 
@@ -70,16 +70,6 @@ def var(name: str, ty: SemType) -> VarRef:
 
 def intc(value: int) -> Const:
     return Const(value, INT)
-
-
-def realc(value) -> Const:
-    return Const(Fraction(value), REAL)
-
-
-def enumc(value: str, ty: EnumType) -> Const:
-    if value not in ty.values:
-        raise TypeMismatch(f"{value} is not a value of {ty.short()}")
-    return Const(value, ty)
 
 
 def app(symbol: str, *args: Term) -> App:

@@ -2,6 +2,7 @@
 receptiveness, refinement conditions, data refinement, and SMT emission."""
 
 import random
+from fractions import Fraction
 
 import pytest
 
@@ -44,9 +45,9 @@ from rcrs.formulas import (
     eq,
 )
 from rcrs.oracle import Expansion, FiniteDomain, behavior, eval_prefix3, exec_det
-from rcrs.syntax import parse_component, parse_rcrs
+from rcrs.syntax import parse_component, parse_formula, parse_rcrs
 from rcrs.terms import App, PrimedRef, TRUE, VarRef, add, intc, mul, var
-from rcrs.types import BOOL, INT, IntRange, Var
+from rcrs.types import BOOL, INT, REAL, IntRange, Var
 from rcrs.verdicts import LassoWitness, Proven, Refuted, TraceWitness, Unknown
 
 
@@ -568,3 +569,39 @@ class TestUnknownReasons:
         assert isinstance(result, Unknown) and route == "none"
         assert result.reason == "solver answered unknown and finite evaluation was probe-only"
 
+
+
+class TestValuePools:
+    """One pool per type for finite evaluation and the lasso search: a
+    finite type's own values or the domain's, else probe values around the
+    goal's constants, which refute but never prove."""
+
+    @staticmethod
+    def _goal(text, *scope):
+        return parse_formula(text, [Signature(scope)], temporal=True)
+
+    def test_unbounded_quantifier_undecided_without_domain(self):
+        goal = self._goal("forall z:int . z * z >= 0")
+        assert check_fo_validity(goal).valid is None
+        verdict = check_fo_validity(goal, FiniteDomain({"int": (-1, 0, 1)}))
+        assert verdict.valid is True and verdict.exact is True
+
+    def test_real_probe_refutes(self):
+        goal = self._goal("x * 2.0 != 1.0", Var("x", REAL))
+        verdict = check_fo_validity(goal)
+        assert verdict.valid is False and verdict.witness == {"x": Fraction(1, 2)}
+
+    def test_range_uses_own_values_or_exact_override(self):
+        goal = self._goal("x != 1", Var("x", IntRange(0, 3)))
+        verdict = check_fo_validity(goal)
+        assert verdict.valid is False and verdict.witness == {"x": 1}
+        verdict = check_fo_validity(goal, FiniteDomain({IntRange(0, 3): (0, 3)}))
+        assert verdict.valid is True and verdict.exact is True
+
+    def test_probe_pool_only_under_temporal_quantifier(self):
+        import rcrs.analysis as analysis
+
+        goal = self._goal("exists r:real . r > x", Var("x", INT))
+        assert check_fo_validity(goal).valid is None
+        _, _, eval_dom = analysis._lasso_search_setup(Globally(goal), None, Expansion())
+        assert eval_dom.values(REAL) == (Fraction(-1), Fraction(0), Fraction(1))

@@ -434,14 +434,8 @@ class TestFeedbackSoundnessChecks:
         def __init__(self, firsts):
             self.firsts = list(firsts)
 
-        def get_state(self):
-            return None
-
-        def set_state(self, s):
-            pass
-
-        def step(self, inputs, commit):
-            return [self.firsts.pop(0), 0]
+        def successors(self, config, x, commit):
+            return [(config, (self.firsts.pop(0), 0))]
 
     @pytest.mark.parametrize("firsts", [("poison", 1), (1, 2)])
     def test_committing_pass_checks_raise(self, firsts):
@@ -450,7 +444,7 @@ class TestFeedbackSoundnessChecks:
 
         child = self._Child(POISON if f == "poison" else f for f in firsts)
         with pytest.raises(SoundnessError):
-            _FdbkEval(child).step((), commit=True)
+            _FdbkEval(child).successors(None, (), commit=True)
 
 
 STAGED_RCRS = """
