@@ -237,20 +237,31 @@ def _smt_term(t: Term) -> str:
     if isinstance(t, App):
         if t.symbol == "neg":
             return f"(- {_smt_term(t.args[0])})"
+        real = isinstance(type_of(t), RealType)
         if t.symbol == "ite":
-            return f"(ite {_smt_term(t.args[0])} {_smt_term(t.args[1])} {_smt_term(t.args[2])})"
+            a, b = (_smt_operand(x, real) for x in t.args[1:])
+            return f"(ite {_smt_term(t.args[0])} {a} {b})"
         if t.symbol == "/":
             # x / 0 = 0, as the oracle and the finite route have it; SMT-LIB
             # leaves division by zero unspecified
-            n, d = (_smt_term(a) for a in t.args)
-            if all(isinstance(type_of(a), IntType) for a in t.args):
-                return f"(ite (= {d} 0) 0 (div {n} {d}))"
+            d = _smt_term(t.args[1])
+            if not real:
+                return f"(ite (= {d} 0) 0 (div {_smt_term(t.args[0])} {d}))"
             zero = "0" if isinstance(type_of(t.args[1]), IntType) else "0.0"
-            return f"(ite (= {d} {zero}) 0.0 (/ {n} {d}))"
-        return f"({t.symbol} {_smt_term(t.args[0])} {_smt_term(t.args[1])})"
+            n, rd = (_smt_operand(x, True) for x in t.args)
+            return f"(ite (= {d} {zero}) 0.0 (/ {n} {rd}))"
+        a, b = (_smt_operand(x, real) for x in t.args)
+        return f"({t.symbol} {a} {b})"
     if isinstance(t, NextRef):
         raise TemporalFragment("temporal term in a first-order goal")
     raise TemporalFragment(f"unsupported term {t!r}")
+
+
+def _smt_operand(t: Term, real: bool) -> str:
+    """The text of t as an operand; in an operation over reals (real) an Int
+    operand is cast with to_real, as SMT-LIB has no implicit coercion."""
+    text = _smt_term(t)
+    return f"(to_real {text})" if real and isinstance(type_of(t), IntType) else text
 
 
 def _smt_formula(f: Formula) -> str:
@@ -259,7 +270,8 @@ def _smt_formula(f: Formula) -> str:
     if isinstance(f, FalseC):
         return "false"
     if isinstance(f, Atom):
-        a, b = (_smt_term(x) for x in f.args)
+        real = any(isinstance(type_of(x), RealType) for x in f.args)
+        a, b = (_smt_operand(x, real) for x in f.args)
         if f.pred == "=":
             return f"(= {a} {b})"
         if f.pred == "!=":

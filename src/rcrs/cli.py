@@ -26,8 +26,8 @@ from .analysis import (
     legal_formula,
     refine_vc,
 )
-from .components import Atomic, Kind, Sts, as_component, sigma_in, sigma_out
-from .compose import atomic
+from .components import Atomic, Kind, Sts, as_component, field_values, sigma_in, sigma_out
+from .compose import atomic, oi
 from .errors import (
     AlgebraicLoop,
     BadParams,
@@ -51,6 +51,7 @@ from .lattice import lift_to
 from .oracle import (
     FiniteDomain,
     IllegalAt,
+    bounded_equiv,
     bounded_rel,
     eval_prefix3,
     exec_det,
@@ -322,7 +323,7 @@ def _dispatch(args, report: Report) -> int:
             k = a.kind()
             if k in (Kind.STATELESS_DET, Kind.DET, Kind.STS):
                 a = lift_to(a, Kind.STS if k in (Kind.DET, Kind.STS) else Kind.STATELESS)
-            contract = a.phi if k == Kind.QLTL else (a.io if hasattr(a, "io") else a.trs)
+            contract = field_values(a, "formula")[-1]  # trs, io or phi
             sys.stdout.write(emit_smtlib_sat(contract, f"validity of {name}"))
             return 0
         if not args.abstract or not args.concrete:
@@ -423,8 +424,6 @@ def _selftest(args, report: Report) -> int:
     import random
 
     from .corpus import random_det_composite, random_sts_atom
-    from .oracle import FiniteDomain, bounded_equiv
-    from .compose import oi as oi_of
 
     root = random.Random(args.seed)
     report.emit("command", f"selftest seed={args.seed} count={args.count}")
@@ -435,7 +434,7 @@ def _selftest(args, report: Report) -> int:
         c = random_det_composite(rng)
         a = atomic(c)
         r = bounded_equiv(Atomic(a), c, dom, 4)
-        if not r or oi_of(Atomic(a)) != oi_of(c):
+        if not r or oi(Atomic(a)) != oi(c):
             failures += 1
             report.emit(f"fail.atomic.{i}", print_component(c))
     report.emit("atomic_equiv", f"{args.count - failures}/{args.count}")

@@ -6,7 +6,7 @@ from __future__ import annotations
 import enum
 import itertools
 from dataclasses import dataclass, fields, replace
-from typing import Iterable, Iterator, Optional
+from typing import ClassVar, Iterable, Iterator, Optional
 
 from .errors import EmptyFeedbackSignature, PrimedInTemporal, TypeMismatch
 from .formulas import Exists, Forall, Formula, free_refs, rewrite, substitute, uses_primed
@@ -63,15 +63,22 @@ class Kind(enum.Enum):
 
 
 class AtomicComponent:
-    """Base class of the five syntactic component kinds."""
+    """Base class of the five syntactic component kinds.
 
+    A kind's dataclass fields, in declaration order, are its layout: the
+    arguments of its concrete syntax, and what renaming, parallel
+    composition and the printer walk (see LAYOUT)."""
+
+    KIND: ClassVar[Kind]
     inputs: Signature
 
     def kind(self) -> Kind:
-        raise NotImplementedError
+        return self.KIND
 
     def all_vars(self) -> set[Var]:
-        raise NotImplementedError
+        """The slots of every signature field; the derived outputs of the
+        deterministic kinds are not among them."""
+        return {v for name in SIGNATURE_FIELDS[type(self)] for v in getattr(self, name).slots}
 
 
 def _check_free(f: Formula, allowed_plain, allowed_primed, what: str, temporal_ok=False):
@@ -95,6 +102,7 @@ class Sts(AtomicComponent):
     """General component: init over states, transition formula over
     states + inputs + primed states + outputs."""
 
+    KIND = Kind.STS
     inputs: Signature
     outputs: Signature
     states: Signature
@@ -104,35 +112,26 @@ class Sts(AtomicComponent):
     def __post_init__(self):
         _check_names_disjoint(self.inputs, self.outputs, self.states)
         _check_free(self.init, self.states.vars(), (), "init")
-        _check_free(
-            self.trs,
-            set(self.states.vars()) | set(self.inputs.vars()) | set(self.outputs.vars()),
-            self.states.vars(),
-            "transition formula",
-        )
-
-    def kind(self) -> Kind:
-        return Kind.STS
-
-    def all_vars(self) -> set[Var]:
-        return set(self.inputs) | set(self.outputs) | set(self.states)
+        _check_free(self.trs, self.all_vars(), self.states.vars(), "transition formula")
 
 
 @dataclass(frozen=True)
 class Stateless(AtomicComponent):
+    KIND = Kind.STATELESS
     inputs: Signature
     outputs: Signature
     io: Formula
 
     def __post_init__(self):
         _check_names_disjoint(self.inputs, self.outputs)
-        _check_free(self.io, set(self.inputs.vars()) | set(self.outputs.vars()), (), "contract")
+        _check_free(self.io, self.all_vars(), (), "contract")
 
-    def kind(self) -> Kind:
-        return Kind.STATELESS
 
-    def all_vars(self) -> set[Var]:
-        return set(self.inputs) | set(self.outputs)
+def _derived_outputs(c: Det | StatelessDet) -> Signature:
+    """The output signature of a deterministic kind: one slot per output
+    term, named y0, y1, ... apart from the component's own slots."""
+    names = _fresh_output_names(len(c.out), c.all_vars())
+    return Signature(tuple(Var(n, type_of(t)) for n, t in zip(names, c.out)))
 
 
 @dataclass(frozen=True)
@@ -140,6 +139,7 @@ class Det(AtomicComponent):
     """Deterministic component: a legal-input predicate, a next-state term
     tuple, and an output term tuple; the output signature is derived."""
 
+    KIND = Kind.DET
     inputs: Signature
     states: Signature
     init_vals: tuple[Const, ...]
@@ -154,68 +154,64 @@ class Det(AtomicComponent):
         for c, v in zip(self.init_vals, self.states.vars()):
             if base_type(c.ty) != base_type(v.ty):
                 raise TypeMismatch(f"initial value for {v.name} has type {c.ty.short()}")
-        scope = set(self.inputs.vars()) | set(self.states.vars())
+        scope = self.all_vars()
         _check_free(self.inpt, scope, (), "legal-input predicate")
         for t in self.next + self.out:
             _check_term_scope(t, scope)
 
-    def kind(self) -> Kind:
-        return Kind.DET
-
-    @property
-    def outputs(self) -> Signature:
-        names = _fresh_output_names(len(self.out), self.all_vars())
-        return Signature(tuple(Var(n, type_of(t)) for n, t in zip(names, self.out)))
-
-    def all_vars(self) -> set[Var]:
-        return set(self.inputs) | set(self.states)
+    outputs = property(_derived_outputs)
 
 
 @dataclass(frozen=True)
 class StatelessDet(AtomicComponent):
+    KIND = Kind.STATELESS_DET
     inputs: Signature
     inpt: Formula
     out: tuple[Term, ...]
 
     def __post_init__(self):
-        scope = set(self.inputs.vars())
+        scope = self.all_vars()
         _check_free(self.inpt, scope, (), "legal-input predicate")
         for t in self.out:
             _check_term_scope(t, scope)
 
-    def kind(self) -> Kind:
-        return Kind.STATELESS_DET
-
-    @property
-    def outputs(self) -> Signature:
-        names = _fresh_output_names(len(self.out), self.all_vars())
-        return Signature(tuple(Var(n, type_of(t)) for n, t in zip(names, self.out)))
-
-    def all_vars(self) -> set[Var]:
-        return set(self.inputs)
+    outputs = property(_derived_outputs)
 
 
 @dataclass(frozen=True)
 class Qltl(AtomicComponent):
+    KIND = Kind.QLTL
     inputs: Signature
     outputs: Signature
     phi: Formula
 
     def __post_init__(self):
         _check_names_disjoint(self.inputs, self.outputs)
-        _check_free(
-            self.phi,
-            set(self.inputs.vars()) | set(self.outputs.vars()),
-            (),
-            "temporal contract",
-            temporal_ok=True,
-        )
+        _check_free(self.phi, self.all_vars(), (), "temporal contract", temporal_ok=True)
 
-    def kind(self) -> Kind:
-        return Kind.QLTL
 
-    def all_vars(self) -> set[Var]:
-        return set(self.inputs) | set(self.outputs)
+_ROLES = {
+    "Signature": "signature",
+    "Formula": "formula",
+    "tuple[Const, ...]": "values",
+    "tuple[Term, ...]": "terms",
+}
+# atomic kind class -> (name, role) of each field, in declaration order; a
+# role is "signature", "formula", "values" (initial values) or "terms"
+LAYOUT = {
+    cls: tuple((f.name, _ROLES[f.type]) for f in fields(cls))
+    for cls in AtomicComponent.__subclasses__()
+}
+KIND_CLASS = {cls.KIND: cls for cls in LAYOUT}
+SIGNATURE_FIELDS = {
+    cls: tuple(name for name, role in layout if role == "signature")
+    for cls, layout in LAYOUT.items()
+}
+
+
+def field_values(c: AtomicComponent, role: str) -> list:
+    """The values of c's fields with the given role, in field order."""
+    return [getattr(c, name) for name, r in LAYOUT[type(c)] if r == role]
 
 
 def _check_names_disjoint(*sigs: Signature):
@@ -301,36 +297,30 @@ def subterms(c: Component, path=()) -> Iterable[tuple[tuple, Component]]:
 def sigma_in(c: Component) -> Signature:
     """Input signature, computed per the structural recursion; composite
     signatures carry generated slot names."""
-    c = as_component(c)
-    if isinstance(c, Atomic):
-        return c.atom.inputs
-    if isinstance(c, Serial):
-        return sigma_in(c.left)
-    if isinstance(c, Parallel):
-        tys = sigma_in(c.left).types() + sigma_in(c.right).types()
-        return _generated("x", tys)
-    if isinstance(c, Fdbk):
-        inner = sigma_in(c.child)
-        if len(inner) == 0:
-            raise EmptyFeedbackSignature("feedback child has no input slot")
-        return _generated("x", inner.types()[1:])
-    raise TypeError(f"not a component: {c!r}")
+    return _sigma(c, "inputs")
 
 
 def sigma_out(c: Component) -> Signature:
+    return _sigma(c, "outputs")
+
+
+def _sigma(c: Component, side: str) -> Signature:
+    """The inputs or outputs signature; the two sides mirror each other, a
+    serial composition taking its inputs from the left and its outputs from
+    the right."""
     c = as_component(c)
     if isinstance(c, Atomic):
-        return c.atom.outputs
+        return getattr(c.atom, side)
     if isinstance(c, Serial):
-        return sigma_out(c.right)
+        return _sigma(c.left if side == "inputs" else c.right, side)
+    prefix = "x" if side == "inputs" else "y"
     if isinstance(c, Parallel):
-        tys = sigma_out(c.left).types() + sigma_out(c.right).types()
-        return _generated("y", tys)
+        return _generated(prefix, _sigma(c.left, side).types() + _sigma(c.right, side).types())
     if isinstance(c, Fdbk):
-        inner = sigma_out(c.child)
+        inner = _sigma(c.child, side)
         if len(inner) == 0:
-            raise EmptyFeedbackSignature("feedback child has no output slot")
-        return _generated("y", inner.types()[1:])
+            raise EmptyFeedbackSignature(f"feedback child has no {side[:-1]} slot")
+        return _generated(prefix, inner.types()[1:])
     raise TypeError(f"not a component: {c!r}")
 
 
@@ -426,14 +416,14 @@ def rename_atomic(c: AtomicComponent, mapping: dict[Var, Var]) -> AtomicComponen
     sigma = {v: VarRef(w) for v, w in mapping.items()}
     primed = {v: PrimedRef(w) for v, w in mapping.items()}
 
-    def rename(value):
-        if isinstance(value, Signature):
+    def rename(value, role):
+        if role == "signature":
             return Signature(tuple(mapping.get(v, v) for v in value))
-        if isinstance(value, tuple):  # payload terms, initial values
-            return tuple(substitute(t, sigma, primed) for t in value)
-        return substitute(value, sigma, primed)
+        if role == "formula":
+            return substitute(value, sigma, primed)
+        return tuple(substitute(t, sigma, primed) for t in value)
 
-    return type(c)(*(rename(getattr(c, f.name)) for f in fields(c)))
+    return type(c)(*(rename(getattr(c, name), role) for name, role in LAYOUT[type(c)]))
 
 
 def numbered(prefix: str, start: int = 0) -> Iterator[str]:
@@ -450,11 +440,12 @@ def rename_slots(
     """Rename the input, output and state slots of c, in order, to the given
     names; slots beyond the end of a name sequence keep their names, and so
     do the derived outputs of the deterministic kinds."""
-    mapping = {v: Var(n, v.ty) for v, n in zip(c.inputs, inputs)}
-    if isinstance(c, (Sts, Stateless, Qltl)):
-        mapping.update((v, Var(n, v.ty)) for v, n in zip(c.outputs, outputs))
-    if isinstance(c, (Sts, Det)):
-        mapping.update((v, Var(n, v.ty)) for v, n in zip(c.states, states))
+    new_names = {"inputs": inputs, "outputs": outputs, "states": states}
+    mapping = {
+        v: Var(n, v.ty)
+        for name in SIGNATURE_FIELDS[type(c)]
+        for v, n in zip(getattr(c, name), new_names[name])
+    }
     return rename_atomic(c, mapping)
 
 
@@ -470,10 +461,8 @@ def canonical_atomic(c: AtomicComponent) -> AtomicComponent:
             return type(g)(nv, rewrite(substitute(g.body, {g.var: VarRef(nv)}), bound_names))
         return None
 
-    values = {f.name: getattr(c, f.name) for f in fields(c)}
-    return replace(
-        c, **{k: rewrite(v, bound_names) for k, v in values.items() if isinstance(v, Formula)}
-    )
+    formulas = {name: getattr(c, name) for name, role in LAYOUT[type(c)] if role == "formula"}
+    return replace(c, **{name: rewrite(f, bound_names) for name, f in formulas.items()})
 
 
 def alpha_normalize(c) -> Component:

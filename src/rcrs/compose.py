@@ -5,6 +5,8 @@ simplification of arbitrary composite terms to a single atomic component."""
 from __future__ import annotations
 
 from .components import (
+    LAYOUT,
+    SIGNATURE_FIELDS,
     Atomic,
     AtomicComponent,
     Component,
@@ -20,10 +22,12 @@ from .components import (
     StatelessDet,
     Sts,
     as_component,
+    field_values,
     numbered,
     rename_slots,
     sigma_in,
     sigma_out,
+    subterms,
     wf,
 )
 from .errors import (
@@ -68,10 +72,13 @@ def serial(l: AtomicComponent, r: AtomicComponent) -> AtomicComponent:
     return _SERIAL[k](*_prepare_serial(lift_to(l, k), lift_to(r, k)))
 
 
-def _serial_qltl(l: Qltl, r: Qltl, mids) -> Qltl:
-    receptive = forall_many(mids, Implies(l.phi, exists_many(r.outputs.vars(), r.phi)))
-    chained = exists_many(mids, And(l.phi, r.phi))
-    return Qltl(l.inputs, r.outputs, simplify(And(receptive, chained)))
+def _serial_contract(l: Stateless | Qltl, r: Stateless | Qltl, mids) -> Stateless | Qltl:
+    """Serial composition of two stateless or two temporal contracts, whose
+    layout is (inputs, outputs, contract)."""
+    (lf,), (rf,) = field_values(l, "formula"), field_values(r, "formula")
+    receptive = forall_many(mids, Implies(lf, exists_many(r.outputs.vars(), rf)))
+    chained = exists_many(mids, And(lf, rf))
+    return type(l)(l.inputs, r.outputs, simplify(And(receptive, chained)))
 
 
 def _serial_sts(l: Sts, r: Sts, mids) -> Sts:
@@ -92,75 +99,56 @@ def _serial_sts(l: Sts, r: Sts, mids) -> Sts:
     return Sts(l.inputs, r.outputs, states, init, trs)
 
 
-def _serial_stateless(l: Stateless, r: Stateless, mids) -> Stateless:
-    receptive = forall_many(mids, Implies(l.io, exists_many(r.outputs.vars(), r.io)))
-    chained = exists_many(mids, And(l.io, r.io))
-    return Stateless(l.inputs, r.outputs, simplify(And(receptive, chained)))
-
-
-def _serial_det(l: Det, r: Det, mids) -> Det:
+def _serial_det(l: Det | StatelessDet, r: Det | StatelessDet, mids) -> Det | StatelessDet:
+    """Serial composition of two deterministic components of one kind: r's
+    inputs are replaced by l's output terms."""
     sub = dict(zip(mids, l.out))
     inpt = simplify(And(l.inpt, substitute(r.inpt, sub)))
-    nxt = l.next + tuple(substitute(t, sub) for t in r.next)
     out = tuple(substitute(t, sub) for t in r.out)
+    if isinstance(l, StatelessDet):
+        return StatelessDet(l.inputs, inpt, out)
+    nxt = l.next + tuple(substitute(t, sub) for t in r.next)
     states = Signature(l.states.vars() + r.states.vars())
     return Det(l.inputs, states, l.init_vals + r.init_vals, inpt, nxt, out)
 
 
-def _serial_stateless_det(l: StatelessDet, r: StatelessDet, mids) -> StatelessDet:
-    sub = dict(zip(mids, l.out))
-    inpt = simplify(And(l.inpt, substitute(r.inpt, sub)))
-    out = tuple(substitute(t, sub) for t in r.out)
-    return StatelessDet(l.inputs, inpt, out)
-
-
 _SERIAL = {
-    Kind.QLTL: _serial_qltl,
+    Kind.QLTL: _serial_contract,
     Kind.STS: _serial_sts,
-    Kind.STATELESS: _serial_stateless,
+    Kind.STATELESS: _serial_contract,
     Kind.DET: _serial_det,
-    Kind.STATELESS_DET: _serial_stateless_det,
+    Kind.STATELESS_DET: _serial_det,
 }
 
 
 def _prepare_parallel(l: AtomicComponent, r: AtomicComponent):
-    ni, mi = len(l.inputs), len(l.outputs)
-    si = len(l.states) if isinstance(l, (Sts, Det)) else 0
+    """Rename l's slots to x0.., y0.., s0.. and r's to the numbers after
+    l's, so the two share no slot name."""
+    n = {name: len(getattr(l, name)) for name in SIGNATURE_FIELDS[type(l)]}
     l2 = rename_slots(l, numbered("x"), numbered("y"), numbered("s"))
-    r2 = rename_slots(r, numbered("x", ni), numbered("y", mi), numbered("s", si))
+    r2 = rename_slots(
+        r,
+        numbered("x", n["inputs"]),
+        numbered("y", n.get("outputs", 0)),
+        numbered("s", n.get("states", 0)),
+    )
     return l2, r2
 
 
 def parallel(l: AtomicComponent, r: AtomicComponent) -> AtomicComponent:
-    """Symbolic parallel composition: concatenated signatures, conjoined
-    contracts."""
+    """Symbolic parallel composition, field by field: concatenated signatures
+    and tuples, conjoined formulas."""
     k = join_kind(l.kind(), r.kind())
-    l, r = lift_to(l, k), lift_to(r, k)
-    l, r = _prepare_parallel(l, r)
-    ins = Signature(l.inputs.vars() + r.inputs.vars())
-    if k == Kind.QLTL:
-        outs = Signature(l.outputs.vars() + r.outputs.vars())
-        return Qltl(ins, outs, simplify(And(l.phi, r.phi)))
-    if k == Kind.STS:
-        outs = Signature(l.outputs.vars() + r.outputs.vars())
-        states = Signature(l.states.vars() + r.states.vars())
-        return Sts(ins, outs, states, simplify(And(l.init, r.init)), simplify(And(l.trs, r.trs)))
-    if k == Kind.STATELESS:
-        outs = Signature(l.outputs.vars() + r.outputs.vars())
-        return Stateless(ins, outs, simplify(And(l.io, r.io)))
-    if k == Kind.DET:
-        states = Signature(l.states.vars() + r.states.vars())
-        return Det(
-            ins,
-            states,
-            l.init_vals + r.init_vals,
-            simplify(And(l.inpt, r.inpt)),
-            l.next + r.next,
-            l.out + r.out,
-        )
-    if k == Kind.STATELESS_DET:
-        return StatelessDet(ins, simplify(And(l.inpt, r.inpt)), l.out + r.out)
-    raise KindError(f"unhandled kind {k}")
+    l, r = _prepare_parallel(lift_to(l, k), lift_to(r, k))
+
+    def join(role, a, b):
+        if role == "signature":
+            return Signature(a.vars() + b.vars())
+        if role == "formula":
+            return simplify(And(a, b))
+        return a + b
+
+    return type(l)(*(join(role, getattr(l, n), getattr(r, n)) for n, role in LAYOUT[type(l)]))
 
 
 def decomposable(c: AtomicComponent) -> bool:
@@ -195,14 +183,11 @@ def feedback(c: AtomicComponent) -> AtomicComponent:
 
 def determ(c) -> bool:
     """True when every atomic leaf is deterministic."""
-    c = as_component(c)
-    if isinstance(c, Atomic):
-        return isinstance(c.atom, (Det, StatelessDet))
-    if isinstance(c, (Serial, Parallel)):
-        return determ(c.left) and determ(c.right)
-    if isinstance(c, Fdbk):
-        return determ(c.child)
-    raise TypeError(f"not a component: {c!r}")
+    return all(
+        isinstance(as_component(s).atom, (Det, StatelessDet))
+        for _, s in subterms(as_component(c))
+        if not isinstance(s, (Serial, Parallel, Fdbk))
+    )
 
 
 OIRelation = frozenset
@@ -260,13 +245,7 @@ def loop_free(c) -> bool:
 
 
 def _loop_free(c: Component) -> bool:
-    if isinstance(c, Atomic):
-        return True
-    if isinstance(c, (Serial, Parallel)):
-        return _loop_free(c.left) and _loop_free(c.right)
-    if isinstance(c, Fdbk):
-        return _loop_free(c.child) and (1, 1) not in _oi(c.child)
-    raise TypeError(f"not a component: {c!r}")
+    return all((1, 1) not in _oi(s.child) for _, s in subterms(c) if isinstance(s, Fdbk))
 
 
 def atomic(c) -> AtomicComponent:

@@ -26,7 +26,7 @@ from .compose import determ, loop_free, wf
 from .errors import NotDeterministic
 from .formulas import And, FALSEC, Formula, Not, Or, TRUEC, atom, conj, disj, eq
 from .oracle import FiniteDomain
-from .terms import App, Const, Term, VarRef, intc
+from .terms import App, Const, PrimedRef, Term, VarRef, intc
 from .types import INT, IntRange, Var
 
 
@@ -222,8 +222,6 @@ def random_sts_atom(rng: random.Random) -> Sts:
     x = Var("x", ty)
     y = Var("y", ty)
     s = Var("s", ty)
-    from .terms import PrimedRef
-
     candidates = [
         eq(VarRef(y), VarRef(s)),
         eq(VarRef(y), VarRef(x)),

@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import sys
 from fractions import Fraction
+from math import floor
 
 ZERO = "$zero"
 _DNF_CAP = 50000
@@ -182,6 +183,8 @@ class Solver:
         if not e:
             return None
         op = e[0]
+        if op == "to_real" and len(e) == 2:
+            return self.linear(e[1], env)
         if op == "+":
             acc = ({}, Fraction(0))
             for arg in e[1:]:
@@ -536,8 +539,6 @@ class Solver:
         for (_, u, v, c, strict) in diffs:
             if is_int:
                 if c.denominator != 1:
-                    from math import floor
-
                     c = Fraction(floor(c) if not strict or c != floor(c) else c - 1)
                     strict = False
                 elif strict:

@@ -30,7 +30,7 @@ from .formulas import (
     substitute_primed,
     Implies,
 )
-from .terms import NextRef, VarRef
+from .terms import NextRef, PrimedRef, VarRef
 from .types import Var
 
 
@@ -95,8 +95,6 @@ def det2sts(c: Det, gen: NameGen = None) -> Sts:
 
 
 def eq_primed(v: Var, t):
-    from .terms import PrimedRef
-
     return eq(PrimedRef(v), t)
 
 

@@ -9,18 +9,17 @@ from fractions import Fraction
 from typing import Optional
 
 from .components import (
+    KIND_CLASS,
+    LAYOUT,
     Atomic,
     AtomicComponent,
     Component,
-    Det,
     Fdbk,
+    Kind,
     Parallel,
-    Qltl,
     Serial,
     Signature,
-    Stateless,
-    StatelessDet,
-    Sts,
+    as_component,
 )
 from .errors import ComponentSyntaxError, TypeMismatch, UnboundVariable, UnknownType
 from .formulas import (
@@ -86,13 +85,10 @@ _PUNCT = [
     ".",
 ]
 
+_KIND_KEYWORDS = {k.value for k in Kind}
 _KEYWORDS = {
     "component",
-    "sts",
-    "stateless",
-    "det",
-    "stateless_det",
-    "qltl",
+    *_KIND_KEYWORDS,
     "fdbk",
     "forall",
     "exists",
@@ -253,7 +249,7 @@ class _Parser:
             inner = self.component_expr()
             self.expect(")")
             return Fdbk(inner)
-        if t.text in ("sts", "stateless", "det", "stateless_det", "qltl"):
+        if t.text in _KIND_KEYWORDS:
             return Atomic(self.atomic_def())
         if self.accept("("):
             inner = self.component_expr()
@@ -267,64 +263,26 @@ class _Parser:
         self.fail(f"expected a component, found {t.text!r}")
 
     def atomic_def(self) -> AtomicComponent:
-        kw = self.next().text
+        """An atomic component: the kind's keyword, then its fields in order,
+        each formula and term tuple scoped over the signatures before it."""
+        cls = KIND_CLASS[Kind(self.next().text)]
         self.expect("(")
-        if kw == "sts":
-            ins = self.signature()
-            self.expect(",")
-            outs = self.signature()
-            self.expect(",")
-            states = self.signature()
-            self.expect(",")
-            env = _Scope(ins, outs, states)
-            init = self.formula(env)
-            self.expect(",")
-            trs = self.formula(env)
-            self.expect(")")
-            return Sts(ins, outs, states, init, trs)
-        if kw == "stateless":
-            ins = self.signature()
-            self.expect(",")
-            outs = self.signature()
-            self.expect(",")
-            env = _Scope(ins, outs)
-            io = self.formula(env)
-            self.expect(")")
-            return Stateless(ins, outs, io)
-        if kw == "det":
-            ins = self.signature()
-            self.expect(",")
-            states = self.signature()
-            self.expect(",")
-            inits = self.literal_tuple(states)
-            self.expect(",")
-            env = _Scope(ins, states)
-            inpt = self.formula(env)
-            self.expect(",")
-            nxt = self.term_tuple(env, len(states))
-            self.expect(",")
-            out = self.term_tuple(env, None)
-            self.expect(")")
-            return Det(ins, states, inits, inpt, nxt, out)
-        if kw == "stateless_det":
-            ins = self.signature()
-            self.expect(",")
-            env = _Scope(ins)
-            inpt = self.formula(env)
-            self.expect(",")
-            out = self.term_tuple(env, None)
-            self.expect(")")
-            return StatelessDet(ins, inpt, out)
-        if kw == "qltl":
-            ins = self.signature()
-            self.expect(",")
-            outs = self.signature()
-            self.expect(",")
-            env = _Scope(ins, outs)
-            phi = self.formula(env, temporal=True)
-            self.expect(")")
-            return Qltl(ins, outs, phi)
-        self.fail(f"unknown component kind {kw!r}")
+        values, sigs = [], []
+        for i, (name, role) in enumerate(LAYOUT[cls]):
+            if i:
+                self.expect(",")
+            if role == "signature":
+                sigs.append(self.signature())
+                values.append(sigs[-1])
+            elif role == "formula":
+                values.append(self.formula(_Scope(*sigs)))
+            elif role == "values":
+                values.append(self.literal_tuple(sigs[-1]))
+            else:  # a next-state tuple has one term per state
+                arity = len(sigs[-1]) if name == "next" else None
+                values.append(self.term_tuple(_Scope(*sigs), arity))
+        self.expect(")")
+        return cls(*values)
 
     # --- signatures and types ---
 
@@ -416,7 +374,7 @@ class _Parser:
 
     # --- formulas ---
 
-    def formula(self, env: "_Scope", temporal: bool = False) -> Formula:
+    def formula(self, env: "_Scope") -> Formula:
         return self._iff(env)
 
     def _iff(self, env) -> Formula:
@@ -620,10 +578,10 @@ def parse_rcrs(text: str):
     return _Parser(text).parse_file()
 
 
-def parse_formula(text: str, scope_sigs: list[Signature], temporal=False) -> Formula:
+def parse_formula(text: str, scope_sigs: list[Signature]) -> Formula:
     p = _Parser(text)
     env = _Scope(*scope_sigs)
-    f = p.formula(env, temporal=temporal)
+    f = p.formula(env)
     t = p.peek()
     if t.kind != "eof":
         raise ComponentSyntaxError(f"trailing input {t.text!r}", t.line, t.col)
@@ -631,10 +589,6 @@ def parse_formula(text: str, scope_sigs: list[Signature], temporal=False) -> For
 
 
 # --- printing ----------------------------------------------------------------
-
-
-def _sig_text(s: Signature) -> str:
-    return "(" + ", ".join(f"{v.name}:{v.ty.short()}" for v in s) + ")"
 
 
 def _const_text(c: Const) -> str:
@@ -746,36 +700,24 @@ def formula_text(f: Formula, prec: int = 0) -> str:
     raise UnknownType(f"unprintable formula {f!r}")
 
 
-def _tuple_text(terms, unparenthesized_single=False) -> str:
-    if len(terms) == 1 and unparenthesized_single:
-        return term_text(terms[0])
-    return "(" + ", ".join(term_text(t) for t in terms) + ")"
+def _field_text(value, role: str) -> str:
+    if role == "signature":
+        return value.short()
+    if role == "formula":
+        return formula_text(value)
+    if role == "values":
+        return "(" + ", ".join(_const_text(c) for c in value) + ")"
+    return "(" + ", ".join(term_text(t) for t in value) + ")"
 
 
 def atomic_text(a: AtomicComponent) -> str:
-    if isinstance(a, Sts):
-        return (
-            f"sts({_sig_text(a.inputs)}, {_sig_text(a.outputs)}, {_sig_text(a.states)}, "
-            f"{formula_text(a.init)}, {formula_text(a.trs)})"
-        )
-    if isinstance(a, Stateless):
-        return f"stateless({_sig_text(a.inputs)}, {_sig_text(a.outputs)}, {formula_text(a.io)})"
-    if isinstance(a, Det):
-        inits = "(" + ", ".join(_const_text(c) for c in a.init_vals) + ")"
-        return (
-            f"det({_sig_text(a.inputs)}, {_sig_text(a.states)}, {inits}, "
-            f"{formula_text(a.inpt)}, {_tuple_text(a.next)}, {_tuple_text(a.out)})"
-        )
-    if isinstance(a, StatelessDet):
-        return f"stateless_det({_sig_text(a.inputs)}, {formula_text(a.inpt)}, {_tuple_text(a.out)})"
-    if isinstance(a, Qltl):
-        return f"qltl({_sig_text(a.inputs)}, {_sig_text(a.outputs)}, {formula_text(a.phi)})"
-    raise UnknownType(f"unprintable atomic component {a!r}")
+    if type(a) not in LAYOUT:
+        raise UnknownType(f"unprintable atomic component {a!r}")
+    fields = ", ".join(_field_text(getattr(a, name), role) for name, role in LAYOUT[type(a)])
+    return f"{a.kind().value}({fields})"
 
 
 def print_component(c) -> str:
-    from .components import as_component
-
     c = as_component(c)
     if isinstance(c, Atomic):
         return atomic_text(c.atom)

@@ -539,6 +539,19 @@ class TestEmitSmtlib:
         res = check_refines(a, b)
         assert isinstance(res, Proven) and "solver" in res.note
 
+    def test_int_operands_of_real_operations_cast(self):
+        from rcrs.analysis import emit_smtlib_sat
+        from rcrs.components import Kind
+        from rcrs.lattice import lift_to
+
+        c = parse_component("stateless_det((x:real, n:int), true, (x / n))").atom
+        assert "(ite (= n 0) 0.0 (/ x (to_real n)))" in emit_smtlib_sat(
+            lift_to(c, Kind.STATELESS).io, "p"
+        )
+        c = parse_component("stateless((x:real, n:int), (y:real), y = x + n && n <= x)").atom
+        script = emit_smtlib_sat(c.io, "p")
+        assert "(= y (+ x (to_real n)))" in script and "(<= (to_real n) x)" in script
+
     def test_range_types_guarded(self):
         ty = IntRange(0, 3)
         a = Stateless(sig(("x", ty)), sig(("y", ty)), atom("<=", var("y", ty), var("x", ty)))
@@ -578,7 +591,7 @@ class TestValuePools:
 
     @staticmethod
     def _goal(text, *scope):
-        return parse_formula(text, [Signature(scope)], temporal=True)
+        return parse_formula(text, [Signature(scope)])
 
     def test_unbounded_quantifier_undecided_without_domain(self):
         goal = self._goal("forall z:int . z * z >= 0")

@@ -173,3 +173,21 @@ class TestSubprocessContract:
             stdout=subprocess.PIPE,
         )
         assert proc.stdout.decode().splitlines()[0] == "sat"
+
+
+class TestToReal:
+    def test_cast_reads_as_its_argument(self):
+        s = """
+        (declare-const x Int)
+        (assert (< (to_real x) (to_real x)))
+        (check-sat)
+        """
+        assert verdicts(s) == ["unsat"]
+
+    def test_cast_does_not_make_mixed_sorts_decided(self):
+        s = """
+        (declare-const x Int)(declare-const r Real)
+        (assert (<= (- (to_real x) r) 0))
+        (check-sat)
+        """
+        assert verdicts(s) == ["unknown"]

@@ -3,7 +3,7 @@
 import pytest
 
 from rcrs.components import Fdbk, Serial, alpha_equivalent
-from rcrs.errors import ComponentSyntaxError, UnboundVariable, UnknownType
+from rcrs.errors import ComponentSyntaxError, TypeMismatch, UnboundVariable, UnknownType
 from rcrs.syntax import (
     formula_text,
     parse_component,
@@ -118,3 +118,48 @@ def test_leads_operator_round_trip():
     src = "qltl((x:bool), (y:bool), (x L y) && x U (x L y))"
     c = parse_component(src)
     assert parse_component(print_component(c)) == c
+
+
+# The parser reads each atomic kind's fields in order; these pin the errors
+# that depend on a field's position and on the signatures before it.
+@pytest.mark.parametrize(
+    "text,cls,message",
+    [
+        ("det((x:int), (s:int, t:int), 0, true, (s, t), (x))", ComponentSyntaxError,
+         "1:30: expected 2 initial values"),
+        ("det((x:int), (), (), true, x, (x))", ComponentSyntaxError,
+         "1:28: expected an empty tuple '()'"),
+        ("sts((x:int), (y:int), (s:int), x = 0, y = s && s' = x)", TypeMismatch,
+         "init: variable x is not declared"),
+        ("stateless_det((x:int), y = 0, (x))", UnboundVariable, "1:24: unknown variable 'y'"),
+    ],
+)
+def test_field_errors(text, cls, message):
+    with pytest.raises(cls) as err:
+        parse_component(text)
+    assert str(err.value) == message
+
+
+@pytest.mark.parametrize(
+    "text", ["det((x:int), (), (), true, (), ())", "stateless_det((x:int), true, ())"]
+)
+def test_empty_tuples_round_trip(text):
+    c = parse_component(text)
+    assert print_component(c) == text
+    assert parse_component(print_component(c)) == c
+
+
+@pytest.mark.parametrize(
+    "text,signature_fields",
+    [
+        ("sts((x:int), (y:int), (s:int), s = 0, y = s && s' = x)", ("inputs", "outputs", "states")),
+        ("stateless((x:int), (y:int), y = x)", ("inputs", "outputs")),
+        ("det((x:int), (s:int), (0), true, (x), (s))", ("inputs", "states")),
+        ("stateless_det((x:int), true, (x))", ("inputs",)),
+        ("qltl((x:bool), (y:bool), G (x -> F y))", ("inputs", "outputs")),
+    ],
+)
+def test_kind_keyword_and_variables(text, signature_fields):
+    a = parse_component(text).atom
+    assert print_component(a).startswith(a.kind().value + "(")
+    assert a.all_vars() == {v for name in signature_fields for v in getattr(a, name)}
