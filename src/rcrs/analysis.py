@@ -358,15 +358,19 @@ def _smt_script(goal: Formula, assertion: str) -> str:
 # --- finite / probe evaluation of first-order goals ---------------------------
 
 
-def _pool(ty: SemType, dom: Optional[FiniteDomain], constants: set) -> tuple[tuple, bool]:
-    """The values a variable of type `ty` ranges over, and whether they are
-    all of its values: the domain's finite values for the type (the type's
-    own when the domain has none), else probe values around the goal's
-    constants, which can refute a goal but never prove one."""
+def _pool(ty: SemType, dom: Optional[FiniteDomain], constants: set) -> tuple[tuple, str]:
+    """The values a variable of type `ty` ranges over, and where they come
+    from: "own" when they are the type's own finite values, "domain" when a
+    domain override gives them, else "probe" for probe values around the
+    goal's constants, which can refute a goal but never prove one."""
+    dom = dom or FiniteDomain()
     try:
-        return (dom or FiniteDomain()).values(ty), True
+        values = dom.values(ty)
     except DomainNotFinite:
-        return _probe_values(ty, constants), False
+        return _probe_values(ty, constants), "probe"
+    # an unbounded int or real has finite values only from an override
+    overridden = ty in dom.overrides or isinstance(ty, (IntType, RealType))
+    return values, "domain" if overridden else "own"
 
 
 def _probe_values(ty: SemType, constants: set) -> tuple:
@@ -385,17 +389,19 @@ def _probe_values(ty: SemType, constants: set) -> tuple:
     return tuple(sorted(vals))
 
 
-def _pools(goal: Formula, dom: Optional[FiniteDomain], types) -> tuple[dict, FiniteDomain]:
+def _pools(goal: Formula, dom: Optional[FiniteDomain], types) -> tuple[dict, FiniteDomain, list]:
     """The `_pool` of each of `types` and of each type the goal quantifies
-    over, and the domain its quantifiers range over: those pools."""
-    constants, quantified = set(), set()
+    over, the domain its quantifiers range over (those pools), and the type
+    of each quantifier binder."""
+    constants, binders = set(), []
     for n, _ in nodes(goal):
         if isinstance(n, Const):
             constants.add(n.value)
         elif isinstance(n, (Forall, Exists)):
-            quantified.add(n.var.ty)
+            binders.append(n.var.ty)
+    quantified = set(binders)
     pools = {ty: _pool(ty, dom, constants) for ty in set(types) | quantified}
-    return pools, FiniteDomain({ty: pools[ty][0] for ty in quantified})
+    return pools, FiniteDomain({ty: pools[ty][0] for ty in quantified}), binders
 
 
 @dataclass(frozen=True)
@@ -403,6 +409,26 @@ class FoVerdict:
     valid: Optional[bool]  # None when undecided
     witness: Optional[dict] = None  # assignment falsifying the goal
     exact: bool = False
+    # the verdict stands without a solver: a proof over the types' own values
+    # only, or a falsifying assignment under no quantifier over an override
+    final: bool = False
+
+
+# A first-order goal with more assignments than this goes to the solver
+# before finite evaluation: an assignment costs about 7 us to evaluate and a
+# solver spawn about 30 ms, so evaluating this many costs no more than a spawn.
+FINITE_FIRST_CAP = 4000
+
+
+def _fo_setup(goal: Formula, dom: Optional[FiniteDomain]):
+    """The goal's free variables, plain then primed, each sorted by name; how
+    many are plain; the `_pools`; and the number of assignments evaluation
+    visits at most: the product of the free and the binders' pool sizes."""
+    plain, primed, _ = free_refs(goal)
+    free = sorted(plain, key=lambda v: v.name) + sorted(primed, key=lambda v: v.name)
+    pools, eval_dom, binders = _pools(goal, dom, {v.ty for v in free})
+    size = math.prod(len(pools[ty][0]) for ty in [v.ty for v in free] + binders)
+    return free, len(plain), pools, eval_dom, size
 
 
 def check_fo_validity(goal: Formula, dom: FiniteDomain = None) -> FoVerdict:
@@ -411,42 +437,63 @@ def check_fo_validity(goal: Formula, dom: FiniteDomain = None) -> FoVerdict:
     a probe search over the free variables that can only refute.  Goals whose
     quantifiers range over types with no finite domain stay undecided: probe
     approximation under a quantifier would not be sound."""
-    plain, primed, _ = free_refs(goal)
-    pools, eval_dom = _pools(goal, dom, {v.ty for v in plain | primed})
-    if not all(pools[ty][1] for ty in eval_dom.overrides):
+    free, n_plain, pools, eval_dom, _ = _fo_setup(goal, dom)
+    sources = {ty: src for ty, (_, src) in pools.items()}
+    if any(sources[ty] == "probe" for ty in eval_dom.overrides):
         return FoVerdict(None)
-    exact = all(e for _, e in pools.values())
-    plain_vars = sorted(plain, key=lambda v: v.name)
-    primed_vars = sorted(primed, key=lambda v: v.name)
-    assignments = itertools.product(*[pools[v.ty][0] for v in plain_vars + primed_vars])
-    for values in assignments:
-        env_plain = dict(zip(plain_vars, values[: len(plain_vars)]))
-        env_primed = dict(zip(primed_vars, values[len(plain_vars) :]))
+    exact = "probe" not in sources.values()
+    plain_vars, primed_vars = free[:n_plain], free[n_plain:]
+    for values in itertools.product(*[pools[v.ty][0] for v in free]):
+        env_plain = dict(zip(plain_vars, values[:n_plain]))
+        env_primed = dict(zip(primed_vars, values[n_plain:]))
         if not eval_formula_step(goal, env_plain, env_primed, eval_dom):
             witness = {v.name: env_plain[v] for v in plain_vars}
             witness.update({f"{v.name}'": env_primed[v] for v in primed_vars})
-            return FoVerdict(False, witness, exact=True)
-    return FoVerdict(True if exact else None, None, exact=exact)
+            final = all(sources[ty] == "own" for ty in eval_dom.overrides)
+            return FoVerdict(False, witness, exact=True, final=final)
+    own = all(src == "own" for src in sources.values())
+    return FoVerdict(True if exact else None, None, exact=exact, final=own)
+
+
+def _fo_route(goal: Formula, script, dom: Optional[FiniteDomain]) -> tuple[str, Optional[FoVerdict]]:
+    """The cheaper route first.  Finite evaluation of the goal goes first when
+    every quantifier ranges over its type's own values and there are at most
+    FINITE_FIRST_CAP assignments; a `final` verdict ends it.  Otherwise the
+    solver runs on `script()`.  Returns "finite" or the solver's answer, and
+    the evaluation made (None when none was), for the caller to reuse."""
+    fo = None
+    _, _, pools, eval_dom, size = _fo_setup(goal, dom)
+    if size <= FINITE_FIRST_CAP and all(pools[ty][1] == "own" for ty in eval_dom.overrides):
+        fo = check_fo_validity(goal, dom)
+        if fo.final:
+            return "finite", fo
+    return run_solver(script()), fo
 
 
 def discharge_fo(vc: Vc, dom: FiniteDomain = None) -> tuple[CheckResult, str]:
-    """Try the solver, then exhaustive/probe evaluation.  Returns the result
-    and which route produced it."""
-    verdict = run_solver(emit_smtlib(vc))
+    """Finite evaluation where it decides the goal by itself, else the solver,
+    then exhaustive/probe evaluation.  Returns the result and which route
+    produced it."""
+    result, route, _ = _discharge_fo(vc, dom)
+    return result, route
+
+
+def _discharge_fo(vc: Vc, dom: Optional[FiniteDomain]) -> tuple[CheckResult, str, Optional[FoVerdict]]:
+    """`discharge_fo`, and the finite evaluation it made (None when none)."""
+    verdict, fo = _fo_route(vc.goal, lambda: emit_smtlib(vc), dom)
     if verdict == "unsat":
-        return Proven(), "solver"
-    if verdict == "sat":
+        return Proven(), "solver", fo
+    if fo is None:
         fo = check_fo_validity(vc.goal, dom)
-        witness = fo.witness if fo.valid is False else None
-        return Refuted(note=_witness_note(witness)), "solver"
-    fo = check_fo_validity(vc.goal, dom)
+    if verdict == "sat":
+        return Refuted(note=_witness_note(fo.witness)), "solver", fo
     if fo.valid is True:
-        return Proven(), "finite"
+        return Proven(), "finite", fo
     if fo.valid is False:
-        return Refuted(note=_witness_note(fo.witness)), "finite"
+        return Refuted(note=_witness_note(fo.witness)), "finite", fo
     if verdict == "unavailable":
-        return Unknown("goal undecided without a solver"), "none"
-    return Unknown("solver answered unknown and finite evaluation was probe-only"), "none"
+        return Unknown("goal undecided without a solver"), "none", fo
+    return Unknown("solver answered unknown and finite evaluation was probe-only"), "none", fo
 
 
 def _witness_note(witness: Optional[dict]) -> str:
@@ -466,7 +513,7 @@ def _lasso_search_setup(goal: Formula, dom: Optional[FiniteDomain], expand: Expa
     when there are more lasso assignments than `expand.cap`, which is decided
     before any family is built."""
     fv = sorted(free_vars(goal).vars, key=lambda v: v.name)
-    pools, eval_dom = _pools(goal, dom, {v.ty for v in fv})
+    pools, eval_dom, _ = _pools(goal, dom, {v.ty for v in fv})
     total = math.prod(lasso_count(len(set(pools[v.ty][0])), expand.stem, expand.loop) for v in fv)
     if total > expand.cap:
         return f"{total} lasso assignments exceed the cap {expand.cap}"
@@ -546,12 +593,13 @@ def is_valid(c, dom: FiniteDomain = None) -> CheckResult:
             return Proven()
         if goal == FalseC():
             return Refuted(note="contract is unsatisfiable")
-        verdict = run_solver(emit_smtlib_sat(a.io, "validity"))
+        verdict, neg = _fo_route(Not(a.io), lambda: emit_smtlib_sat(a.io, "validity"), dom)
         if verdict == "sat":
             return Proven(note="solver found the contract satisfiable")
         if verdict == "unsat":
             return Refuted(note="solver proved the contract unsatisfiable")
-        neg = check_fo_validity(Not(a.io), dom)
+        if neg is None:
+            neg = check_fo_validity(Not(a.io), dom)
         if neg.valid is False:
             return Proven(note="finite evaluation found a satisfying assignment")
         if neg.valid is True:
@@ -613,9 +661,8 @@ def is_input_receptive(c, dom: FiniteDomain = None, expand: Expansion = Expansio
     if not is_temporal(body):
         # G phi is valid iff phi is valid as a one-step formula
         vc = make_vc(body, "input-receptiveness")
-        result, route = discharge_fo(vc, dom)
+        result, route, fo = _discharge_fo(vc, dom)
         if isinstance(result, Refuted):
-            fo = check_fo_validity(body, dom)
             if fo.witness:
                 names = tuple(sorted(fo.witness))
                 steps = (tuple(fo.witness[n] for n in names),)

@@ -70,6 +70,9 @@ class AtomicComponent:
     composition and the printer walk (see LAYOUT)."""
 
     KIND: ClassVar[Kind]
+    # formula fields that range over only some of the signature fields; every
+    # other formula and term field ranges over all of them
+    SCOPES: ClassVar[dict[str, tuple[str, ...]]] = {}
     inputs: Signature
 
     def kind(self) -> Kind:
@@ -103,6 +106,7 @@ class Sts(AtomicComponent):
     states + inputs + primed states + outputs."""
 
     KIND = Kind.STS
+    SCOPES = {"init": ("states",)}
     inputs: Signature
     outputs: Signature
     states: Signature

@@ -201,7 +201,8 @@ def oi(c) -> OIRelation:
     return _oi(c)
 
 
-def _oi(c: Component) -> frozenset:
+def _oi(c) -> frozenset:
+    c = as_component(c)
     if isinstance(c, Atomic):
         a = c.atom
         xs = a.inputs.vars()
@@ -261,7 +262,8 @@ def atomic(c) -> AtomicComponent:
     return _atomic(c, ())
 
 
-def _atomic(c: Component, path: tuple) -> AtomicComponent:
+def _atomic(c, path: tuple) -> AtomicComponent:
+    c = as_component(c)
     if isinstance(c, Atomic):
         return c.atom
     if isinstance(c, Serial):

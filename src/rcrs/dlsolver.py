@@ -654,7 +654,9 @@ def run(script: str) -> list[str]:
         elif head == "check-sat":
             try:
                 out.append(solver.check())
-            except Exception:
+            except (ValueError, RecursionError):
+                # the reader and negation reject what they cannot represent;
+                # any other exception is a defect and propagates
                 out.append("unknown")
     return out
 

@@ -58,6 +58,7 @@ from .formulas import (
     Until,
     free_vars,
 )
+from .lattice import stateless2sts
 from .terms import App, Const, NextRef, PrimedRef, Term, VarRef
 from .types import (
     INT,
@@ -561,7 +562,7 @@ def _stepper(c: Component, dom: FiniteDomain) -> _Stepper:
         if isinstance(a, (Det, StatelessDet)):
             return _DetAtom(a, dom)
         if isinstance(a, Stateless):
-            a = Sts(a.inputs, a.outputs, Signature(()), TrueC(), a.io)
+            a = stateless2sts(a)
         if isinstance(a, Sts):
             return _StsAtom(a, dom)
         raise KindError("temporal components have no stepwise bounded behavior")

@@ -264,23 +264,27 @@ class _Parser:
 
     def atomic_def(self) -> AtomicComponent:
         """An atomic component: the kind's keyword, then its fields in order,
-        each formula and term tuple scoped over the signatures before it."""
+        each formula and term tuple scoped over the signatures before it, or
+        over those of them that the kind's SCOPES names."""
         cls = KIND_CLASS[Kind(self.next().text)]
         self.expect("(")
-        values, sigs = [], []
+        values, sigs = [], {}
         for i, (name, role) in enumerate(LAYOUT[cls]):
             if i:
                 self.expect(",")
             if role == "signature":
-                sigs.append(self.signature())
-                values.append(sigs[-1])
-            elif role == "formula":
-                values.append(self.formula(_Scope(*sigs)))
-            elif role == "values":
-                values.append(self.literal_tuple(sigs[-1]))
+                sigs[name] = self.signature()
+                values.append(sigs[name])
+                continue
+            if role == "values":
+                values.append(self.literal_tuple(sigs["states"]))
+                continue
+            scope = _Scope(*(sigs[n] for n in cls.SCOPES.get(name, sigs)))
+            if role == "formula":
+                values.append(self.formula(scope))
             else:  # a next-state tuple has one term per state
-                arity = len(sigs[-1]) if name == "next" else None
-                values.append(self.term_tuple(_Scope(*sigs), arity))
+                arity = len(sigs["states"]) if name == "next" else None
+                values.append(self.term_tuple(scope, arity))
         self.expect(")")
         return cls(*values)
 

@@ -3,6 +3,7 @@ receptiveness, refinement conditions, data refinement, and SMT emission."""
 
 import random
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
@@ -49,6 +50,8 @@ from rcrs.syntax import parse_component, parse_formula, parse_rcrs
 from rcrs.terms import App, PrimedRef, TRUE, VarRef, add, intc, mul, var
 from rcrs.types import BOOL, INT, REAL, IntRange, Var
 from rcrs.verdicts import LassoWitness, Proven, Refuted, TraceWitness, Unknown
+
+DATA = Path(__file__).parent / "data"
 
 
 def _div():
@@ -618,3 +621,88 @@ class TestValuePools:
         assert check_fo_validity(goal).valid is None
         _, _, eval_dom = analysis._lasso_search_setup(Globally(goal), None, Expansion())
         assert eval_dom.values(REAL) == (Fraction(-1), Fraction(0), Fraction(1))
+
+
+class TestRouteOrder:
+    """Finite evaluation goes first where its verdict stands by itself; the
+    solver is spawned only for goals it cannot decide."""
+
+    @pytest.fixture
+    def spawn_log(self, tmp_path, monkeypatch):
+        import sys
+
+        log = tmp_path / "spawns"
+        stub = tmp_path / "logging_solver.py"
+        stub.write_text(
+            f"import sys\nsys.stdin.read()\nopen({str(log)!r}, 'a').write('spawn\\n')\nprint('unknown')\n"
+        )
+        monkeypatch.setenv("RCRS_SMT_SOLVER", f"{sys.executable} {stub}")
+        return log
+
+    @staticmethod
+    def _tables(seed):
+        rng = random.Random(seed)
+        x, y, z = Var("x", IntRange(0, 2)), Var("y", BOOL), Var("z", IntRange(0, 1))
+        abstract, concrete = refinement_table_pair(rng, [x], [y])
+        first = random_stateless_table(rng, [x], [y])
+        second = random_stateless_table(rng, [y], [z])
+        return abstract, concrete, first, second
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_finite_goals_spawn_nothing(self, spawn_log, seed):
+        abstract, concrete, first, second = self._tables(seed)
+        assert isinstance(check_refines(abstract, concrete), Proven)
+        check_refines(concrete, abstract)
+        assert not isinstance(check_compat(first, second), Unknown)
+        assert not spawn_log.exists()
+
+    def test_receptiveness_refuted_without_solver(self, spawn_log):
+        bindings, _ = parse_rcrs((DATA / "div.rcrs").read_text())
+        res = is_input_receptive(bindings["Div"])
+        assert isinstance(res, Refuted)
+        assert res.witness.input_names == ("y",) and res.witness.steps == ((0,),)
+        assert not spawn_log.exists()
+
+    OVERRIDE = (
+        "stateless((x:int), (y:int), y = x)",
+        "stateless((x:int), (y:int), y = x && x != 5)",
+    )
+
+    def test_override_never_replaces_a_solver_refutation(self, with_solver):
+        # over the domain {0, 1} the refinement holds; over int it does not
+        spec, impl = (parse_component(t) for t in self.OVERRIDE)
+        assert isinstance(check_refines(spec, impl, FiniteDomain({"int": (0, 1)})), Refuted)
+
+    def test_override_pool_goes_to_the_solver(self, spawn_log):
+        spec, impl = (parse_component(t) for t in self.OVERRIDE)
+        res = check_refines(spec, impl, FiniteDomain({"int": (0, 1)}))
+        assert spawn_log.exists()
+        # the solver answered unknown: evaluation over the domain decides
+        assert isinstance(res, Proven) and res.note.endswith("via finite")
+
+    def test_large_enumeration_goes_to_the_solver(self, spawn_log):
+        from rcrs.analysis import FINITE_FIRST_CAP
+
+        ty = IntRange(0, 20)
+        assert 21**3 > FINITE_FIRST_CAP
+        goal = parse_formula("a + b + c >= 0", [Signature((Var("a", ty), Var("b", ty), Var("c", ty)))])
+        result, route = discharge_fo(make_vc(goal, "three ranges"))
+        assert spawn_log.exists()
+        assert isinstance(result, Proven) and route == "finite"
+
+    def test_each_goal_evaluated_once(self, spawn_log, monkeypatch):
+        import rcrs.analysis as analysis
+
+        calls = []
+        evaluate = analysis.check_fo_validity
+        monkeypatch.setattr(
+            analysis, "check_fo_validity", lambda *a: calls.append(a) or evaluate(*a)
+        )
+        # probe pools: evaluation runs first, cannot prove, and is reused
+        result, route = discharge_fo(make_vc(TestUnknownReasons.GOAL, "probe-only goal"))
+        assert isinstance(result, Unknown) and spawn_log.exists()
+        assert len(calls) == 1
+        bindings, _ = parse_rcrs((DATA / "div.rcrs").read_text())
+        calls.clear()
+        is_input_receptive(bindings["Div"])
+        assert len(calls) == 1

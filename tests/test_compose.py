@@ -227,6 +227,13 @@ class TestAtomic:
     def test_atomic_of_atomic(self, add_block):
         assert atomic(Atomic(add_block)) is add_block
 
+    def test_bare_atomic_children(self, add_block, split_block):
+        # a composite may hold atomic components without the Atomic wrapper
+        wrapped = Serial(Atomic(split_block), Atomic(add_block))
+        bare = Serial(split_block, add_block)
+        assert atomic(bare) == atomic(wrapped)
+        assert oi(bare) == oi(wrapped) == frozenset({(1, 1)})
+
     def test_fail_branch(self):
         ident = StatelessDet(sig(("x", INT)), TRUEC, (var("x", INT),))
         with pytest.raises(FeedbackOnNonDecomposable) as err:

@@ -6,6 +6,7 @@ import sys
 
 import pytest
 
+from rcrs import dlsolver
 from rcrs.dlsolver import run
 
 
@@ -191,3 +192,28 @@ class TestToReal:
         (check-sat)
         """
         assert verdicts(s) == ["unknown"]
+
+
+class TestFailures:
+    SCRIPT = "(declare-const x Int)(assert (< x 0))(check-sat)"
+
+    def test_rejected_input_reads_unknown(self, monkeypatch):
+        def reject(self):
+            raise ValueError("outside the fragment")
+
+        monkeypatch.setattr(dlsolver.Solver, "check", reject)
+        assert run(self.SCRIPT) == ["unknown"]
+
+    def test_defect_propagates(self, monkeypatch):
+        def defect(self):
+            raise KeyError("a bug, not an answer")
+
+        monkeypatch.setattr(dlsolver.Solver, "check", defect)
+        with pytest.raises(KeyError):
+            run(self.SCRIPT)
+
+    def test_loads_only_the_solver(self):
+        # a solver spawn imports no other module of the package
+        code = "import sys, rcrs.dlsolver; print(sorted(m for m in sys.modules if m.startswith('rcrs')))"
+        proc = subprocess.run([sys.executable, "-c", code], stdout=subprocess.PIPE, check=True)
+        assert proc.stdout.decode().strip() == "['rcrs', 'rcrs.dlsolver']"

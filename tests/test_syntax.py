@@ -3,7 +3,7 @@
 import pytest
 
 from rcrs.components import Fdbk, Serial, alpha_equivalent
-from rcrs.errors import ComponentSyntaxError, TypeMismatch, UnboundVariable, UnknownType
+from rcrs.errors import ComponentSyntaxError, UnboundVariable, UnknownType
 from rcrs.syntax import (
     formula_text,
     parse_component,
@@ -129,8 +129,10 @@ def test_leads_operator_round_trip():
          "1:30: expected 2 initial values"),
         ("det((x:int), (), (), true, x, (x))", ComponentSyntaxError,
          "1:28: expected an empty tuple '()'"),
-        ("sts((x:int), (y:int), (s:int), x = 0, y = s && s' = x)", TypeMismatch,
-         "init: variable x is not declared"),
+        ("sts((x:int), (y:int), (s:int), x = 0, y = s && s' = x)", UnboundVariable,
+         "1:32: unknown variable 'x'"),
+        ("sts((x:int), (y:int), (s:int), s = 0 && y = 0, y = s && s' = x)", UnboundVariable,
+         "1:41: unknown variable 'y'"),
         ("stateless_det((x:int), y = 0, (x))", UnboundVariable, "1:24: unknown variable 'y'"),
     ],
 )
