@@ -37,6 +37,7 @@ from .errors import (
     NotDeterministic,
     NotLoopFree,
     SignatureMismatch,
+    SolverFailure,
     SoundnessError,
     TemporalFragment,
     WfError,
@@ -75,7 +76,7 @@ from .oracle import (
     all_lassos,
     behavior,
     bounded_refute_refinement,
-    eval_formula_step,
+    compile_step,
     eval_qltl,
     lasso_count,
 )
@@ -169,7 +170,10 @@ def solver_command() -> Optional[list[str]]:
 
 def run_solver(script: str, timeout: float = SOLVER_TIMEOUT) -> str:
     """Run the configured solver on an SMT-LIB script; first output line is
-    the verdict.  Returns 'sat', 'unsat', 'unknown', or 'unavailable'."""
+    the verdict.  Returns 'sat', 'unsat', 'unknown', or 'unavailable'.  A
+    solver that exits non-zero without a verdict line raises SolverFailure
+    with its last stderr line; a timeout or a solver that cannot be started
+    reads 'unknown'."""
     cmd = solver_command()
     if cmd is None:
         return "unavailable"
@@ -178,13 +182,17 @@ def run_solver(script: str, timeout: float = SOLVER_TIMEOUT) -> str:
             cmd,
             input=script.encode(),
             stdout=subprocess.PIPE,
-            stderr=subprocess.DEVNULL,
+            stderr=subprocess.PIPE,
             timeout=timeout,
         )
     except (subprocess.TimeoutExpired, OSError):
         return "unknown"
     first = proc.stdout.decode(errors="replace").strip().splitlines()
-    verdict = first[0].strip() if first else "unknown"
+    verdict = first[0].strip() if first else ""
+    if proc.returncode != 0 and verdict not in ("sat", "unsat", "unknown"):
+        err = proc.stderr.decode(errors="replace").strip().splitlines()
+        last = f": {err[-1].strip()}" if err else ""
+        raise SolverFailure(f"solver exited with status {proc.returncode} and no verdict{last}")
     return verdict if verdict in ("sat", "unsat") else "unknown"
 
 
@@ -442,13 +450,12 @@ def check_fo_validity(goal: Formula, dom: FiniteDomain = None) -> FoVerdict:
     if any(sources[ty] == "probe" for ty in eval_dom.overrides):
         return FoVerdict(None)
     exact = "probe" not in sources.values()
-    plain_vars, primed_vars = free[:n_plain], free[n_plain:]
+    plain_vars, primed_vars = tuple(free[:n_plain]), tuple(free[n_plain:])
+    holds = compile_step(goal, plain_vars, primed_vars, eval_dom)
     for values in itertools.product(*[pools[v.ty][0] for v in free]):
-        env_plain = dict(zip(plain_vars, values[:n_plain]))
-        env_primed = dict(zip(primed_vars, values[n_plain:]))
-        if not eval_formula_step(goal, env_plain, env_primed, eval_dom):
-            witness = {v.name: env_plain[v] for v in plain_vars}
-            witness.update({f"{v.name}'": env_primed[v] for v in primed_vars})
+        if not holds(values):
+            witness = {v.name: x for v, x in zip(plain_vars, values)}
+            witness.update({f"{v.name}'": x for v, x in zip(primed_vars, values[n_plain:])})
             final = all(sources[ty] == "own" for ty in eval_dom.overrides)
             return FoVerdict(False, witness, exact=True, final=final)
     own = all(src == "own" for src in sources.values())

@@ -42,6 +42,7 @@ from .errors import (
     PortMismatch,
     RcrsError,
     SignatureMismatch,
+    SolverFailure,
     TemporalFragment,
     TypeMismatch,
     UnknownBlock,
@@ -81,6 +82,7 @@ _INTERNAL_ERRORS = (
     DomainNotFinite,
     ExplosionGuard,
     AlgebraicLoop,
+    SolverFailure,
 )
 
 
@@ -269,7 +271,8 @@ def main(argv=None) -> int:
     except SystemExit as e:
         return 3 if e.code not in (0, None) else 0
 
-    report = Report()
+    # `smt` writes its script to stdout, so that it pipes into a solver
+    report = Report(sys.stderr if args.cmd == "smt" else None)
     started = time.monotonic()
     try:
         code = _dispatch(args, report)

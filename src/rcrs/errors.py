@@ -84,6 +84,11 @@ class ExplosionGuard(RcrsError):
     pass
 
 
+class SolverFailure(RcrsError):
+    """The configured solver exited non-zero without a verdict: a defect in
+    the solver or its installation, not an undecided goal."""
+
+
 class SoundnessError(RcrsError):
     """Two routes disagree on a verdict: a defect in the toolkit, not in the
     input."""

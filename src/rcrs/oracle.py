@@ -6,8 +6,10 @@ validate every symbolic operation independently."""
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
+import operator
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Iterable, Optional
@@ -100,6 +102,8 @@ class FiniteDomain:
     def __init__(self, overrides: dict = None, cap: int = 10**7):
         self.overrides = dict(overrides or {})
         self.cap = cap
+        # (values, max stem, max loop) -> lasso family, built by _Lasso
+        self.families: dict = {}
 
     def values(self, ty: SemType) -> tuple:
         if ty in self.overrides:
@@ -183,7 +187,7 @@ def parse_literal(text: str):
         return text
 
 
-# --- step-level evaluation --------------------------------------------------
+# --- evaluation: terms and formulas compiled onto slot layouts --------------
 
 
 class _Poison:
@@ -197,180 +201,199 @@ class _Poison:
 POISON = _Poison()
 
 
-def euclid_div(a: int, b: int) -> int:
-    if b == 0:
-        return 0
-    q = a // b if b > 0 else -(a // -b)
-    return q
+def _divide(a, b):
+    if isinstance(a, bool) or isinstance(b, bool):
+        raise NonTemporalMisuse("division on booleans")
+    if isinstance(a, int) and isinstance(b, int):
+        # Euclidean division, and x / 0 = 0 as the SMT-LIB guard makes it
+        return 0 if b == 0 else (a // b if b > 0 else -(a // -b))
+    return Fraction(0) if b == 0 else Fraction(a) / Fraction(b)
 
 
-def _apply_fn(symbol: str, args: list):
-    if any(a is POISON for a in args):
-        if symbol == "ite" and args[0] is not POISON:
-            return args[1] if args[0] else args[2]
-        return POISON
-    if symbol == "+":
-        return args[0] + args[1]
-    if symbol == "-":
-        return args[0] - args[1]
-    if symbol == "*":
-        return args[0] * args[1]
-    if symbol == "/":
-        a, b = args
-        if isinstance(a, bool) or isinstance(b, bool):
-            raise NonTemporalMisuse("division on booleans")
-        if isinstance(a, int) and isinstance(b, int):
-            return euclid_div(a, b)
-        if b == 0:
-            return Fraction(0)
-        return Fraction(a) / Fraction(b)
-    if symbol == "neg":
-        return -args[0]
-    if symbol == "ite":
-        return args[1] if args[0] else args[2]
-    raise KindError(f"unknown function symbol {symbol}")
+_FUNCTIONS = {"+": operator.add, "-": operator.sub, "*": operator.mul, "/": _divide, "neg": operator.neg}
+_PREDICATES = {
+    "=": operator.eq, "!=": operator.ne, "<": operator.lt,
+    "<=": operator.le, ">": operator.gt, ">=": operator.ge,
+}
 
 
-def _apply_pred(pred: str, a, b) -> bool:
-    if a is POISON or b is POISON:
-        return POISON
-    if pred == "=":
-        return a == b
-    if pred == "!=":
-        return a != b
-    if pred == "<":
-        return a < b
-    if pred == "<=":
-        return a <= b
-    if pred == ">":
-        return a > b
-    if pred == ">=":
-        return a >= b
-    raise KindError(f"unknown predicate {pred}")
+def _raiser(error: type, *args):
+    # a node compiled to this fails only when an evaluation reaches it
+    def fail(*_):
+        raise error(*args)
+
+    return fail
 
 
-def _eval_term(t: Term, env: dict, i: Optional[int] = None, primed: dict = None):
-    """Value of a term.  At one step (`i` is None) a variable reads its value
-    in `env` and a primed one its value in `primed`.  At position `i` of a
-    temporal evaluation `env` maps each variable to a lasso word or to a
-    finite prefix, and a position past the prefix reads POISON."""
-    if isinstance(t, VarRef):
-        if i is None:
-            return env[t.var]
-        w = env[t.var]
-        if isinstance(w, LassoWord):
-            return w.at(i)
-        return w[i] if i < len(w) else POISON
-    if isinstance(t, Const):
-        v = t.value
-        return Fraction(v) if isinstance(t.ty, RealType) and not isinstance(v, Fraction) else v
-    if isinstance(t, App):
-        return _apply_fn(t.symbol, [_eval_term(a, env, i, primed) for a in t.args])
-    if isinstance(t, NextRef):
-        if i is None:
-            raise NonTemporalMisuse("next operator outside temporal evaluation")
-        return _eval_term(t.arg, env, i + 1, primed)
-    if isinstance(t, PrimedRef):
-        if i is None:
-            return (primed or {})[t.var]
-        if all(isinstance(w, LassoWord) for w in env.values()):
-            raise NonTemporalMisuse("primed reference in temporal evaluation")
-        raise NonTemporalMisuse("prefix evaluation does not handle primed terms")
-    raise KindError(f"not a term: {t!r}")
+def _compile(node, sem, plain: tuple = (), primed: tuple = ()):
+    """A term or formula as a closure `(env, i) -> value` over a slot layout:
+    `env` is a tuple holding the evaluation's semantics object, the values
+    of `plain` and of `primed`, then one slot per enclosing quantifier,
+    innermost last; `i` is the position a temporal evaluation reads at.
 
+    `sem` is a semantics class (`_Step`, `_Prefix` or `_Lasso`).  Its truth
+    values, connectives, atom mapping, `unsettled` and variable `read` (None
+    at one step, where a slot holds the value) are bound here; the instance in
+    slot 0 gives the positions an `until` scans (`window`), the `candidates`
+    of a quantified variable, and `visit`, called on every formula node when
+    the class defines it.  A left operand equal to `true` or `false` decides
+    And, Or and Implies, and the right one is then not evaluated.  A POISON
+    operand makes a term or an atom POISON, except for the branches of an
+    `ite` whose condition is known.  A node the semantics refuses, or a
+    variable with no slot, raises only when the evaluation reaches it."""
+    T, F = sem.true, sem.false
+    NOT, AND, OR, read = sem.not_, sem.and_, sem.or_, sem.read
+    primes = {v: k for k, v in enumerate(primed, 1 + len(plain))}
 
-def _evaluate(f: Formula, env: dict, i: Optional[int], sem):
-    """Truth of a formula at step or position `i` under the semantics `sem`
-    (`_Step`, `_Prefix` or `_Lasso`).  `sem` gives the truth values `true`
-    and `false`, the connectives on the values between them, the mapping of
-    an atom's value, the positions an `until` scans (see `_until`), the
-    `candidates` a quantified variable ranges over and the value of a
-    quantifier no instance settles; `visit`, when set, is called on every
-    node.  A left operand equal to `true` or `false` decides And, Or and
-    Implies, and the right one is then not evaluated."""
-    if sem.visit:
-        sem.visit()
-    if isinstance(f, Atom):
-        a, b = f.args
-        return sem.atom(
-            _apply_pred(f.pred, _eval_term(a, env, i, sem.primed), _eval_term(b, env, i, sem.primed))
-        )
-    if isinstance(f, (And, Or, Implies)):
-        # true is the unit of And and false absorbs it; Or is the dual, and
-        # a -> b is (not a) or b
-        conj = isinstance(f, And)
-        a = _evaluate(f.left, env, i, sem)
-        if isinstance(f, Implies):
-            a = sem.not_(a)
-        if a == (sem.false if conj else sem.true):
-            return a
-        b = _evaluate(f.right, env, i, sem)
-        if a == (sem.true if conj else sem.false):
-            return b
-        return sem.and_(a, b) if conj else sem.or_(a, b)
-    if isinstance(f, Not):
-        return sem.not_(_evaluate(f.arg, env, i, sem))
-    if isinstance(f, TrueC):
-        return sem.true
-    if isinstance(f, FalseC):
-        return sem.false
-    if isinstance(f, Iff):
-        return sem.iff(_evaluate(f.left, env, i, sem), _evaluate(f.right, env, i, sem))
-    # F a = true U a;  G a = not (true U not a);  a W b = not (a U not b)
-    if isinstance(f, Until):
-        return _until(f.left, f.right, env, i, sem)
-    if isinstance(f, Finally):
-        return _until(TRUEC, f.arg, env, i, sem)
-    if isinstance(f, Globally):
-        return sem.not_(_until(TRUEC, Not(f.arg), env, i, sem))
-    if isinstance(f, Leads):
-        return sem.not_(_until(f.left, Not(f.right), env, i, sem))
-    if isinstance(f, (Forall, Exists)):
+    def term(t, scope):
+        if isinstance(t, (VarRef, PrimedRef)):
+            k = (scope if isinstance(t, VarRef) else primes).get(t.var)
+            if isinstance(t, PrimedRef) and read is not None:
+                return _raiser(NonTemporalMisuse, sem.primed_refusal)
+            if k is None:
+                return _raiser(KeyError, t.var)
+            return (lambda env, i: env[k]) if read is None else (lambda env, i: read(env[k], i))
+        if isinstance(t, Const):
+            v = t.value
+            v = Fraction(v) if isinstance(t.ty, RealType) and not isinstance(v, Fraction) else v
+            return lambda env, i: v
+        if isinstance(t, NextRef):
+            if read is None:
+                return _raiser(NonTemporalMisuse, "next operator outside temporal evaluation")
+            arg = term(t.arg, scope)
+            return lambda env, i: arg(env, i + 1)
+        if not isinstance(t, App):
+            return _raiser(KindError, f"not a term: {t!r}")
+        args = [term(a, scope) for a in t.args]
+        if t.symbol == "ite":
+            c, a, b = args
+
+            def ite(env, i):
+                cv, av, bv = c(env, i), a(env, i), b(env, i)
+                return POISON if cv is POISON else (av if cv else bv)
+
+            return ite
+        op = _FUNCTIONS.get(t.symbol) or _raiser(KindError, f"unknown function symbol {t.symbol}")
+        if len(args) == 1:
+            (a,) = args
+            return lambda env, i: POISON if (v := a(env, i)) is POISON else op(v)
+        return strict(op, *args)
+
+    def strict(op, a, b):
+        def apply(env, i):
+            av, bv = a(env, i), b(env, i)
+            return POISON if av is POISON or bv is POISON else op(av, bv)
+
+        return apply
+
+    def formula(f, scope, depth):
+        node = connective(f, scope, depth)
+        if sem.visit is None:
+            return node
+
+        def visited(env, i):
+            env[0].visit()
+            return node(env, i)
+
+        return visited
+
+    def connective(f, scope, depth):
+        if isinstance(f, Atom):
+            op = _PREDICATES.get(f.pred) or _raiser(KindError, f"unknown predicate {f.pred}")
+            compare, atom = strict(op, *(term(t, scope) for t in f.args)), sem.atom
+            return lambda env, i: atom(compare(env, i))
+        if isinstance(f, (And, Or, Implies)):
+            # true is the unit of And and false absorbs it; Or is the dual, and
+            # a -> b is (not a) or b
+            a, b = formula(f.left, scope, depth), formula(f.right, scope, depth)
+            stop, pass_, join = (F, T, AND) if isinstance(f, And) else (T, F, OR)
+            negate = isinstance(f, Implies)
+
+            def binary(env, i):
+                av = NOT(a(env, i)) if negate else a(env, i)
+                if av == stop:
+                    return av
+                bv = b(env, i)
+                return bv if av == pass_ else join(av, bv)
+
+            return binary
+        if isinstance(f, Not):
+            arg = formula(f.arg, scope, depth)
+            return lambda env, i: NOT(arg(env, i))
+        if isinstance(f, (TrueC, FalseC)):
+            v = T if isinstance(f, TrueC) else F
+            return lambda env, i: v
+        if isinstance(f, Iff):
+            a, b, iff = formula(f.left, scope, depth), formula(f.right, scope, depth), sem.iff
+            return lambda env, i: iff(a(env, i), b(env, i))
+        # F a = true U a;  G a = not (true U not a);  a W b = not (a U not b)
+        if isinstance(f, Until):
+            return until(f.left, f.right, False, scope, depth)
+        if isinstance(f, Finally):
+            return until(TRUEC, f.arg, False, scope, depth)
+        if isinstance(f, Globally):
+            return until(TRUEC, Not(f.arg), True, scope, depth)
+        if isinstance(f, Leads):
+            return until(f.left, Not(f.right), True, scope, depth)
+        if not isinstance(f, (Forall, Exists)):
+            return _raiser(KindError, f"not a formula: {f!r}")
         # an instance that is definitely false (Forall) or true (Exists)
-        # settles the quantifier; the semantics combines the other ones
-        universal = isinstance(f, Forall)
-        decisive = sem.false if universal else sem.true
-        results = []
-        for v in sem.candidates(f.var.ty):
-            r = _evaluate(f.body, {**env, f.var: v}, i, sem)
-            if r == decisive:
-                return r
-            results.append(r)
-        return sem.unsettled(universal, results)
-    raise KindError(f"not a formula: {f!r}")
+        # settles the quantifier; `sem.unsettled` combines the other ones
+        universal, ty, unsettled = isinstance(f, Forall), f.var.ty, sem.unsettled
+        decisive = F if universal else T
+        body = formula(f.body, {**scope, f.var: depth}, depth + 1)
+
+        def quantifier(env, i):
+            results = []
+            for v in env[0].candidates(ty):
+                r = body(env + (v,), i)
+                if r == decisive:
+                    return r
+                results.append(r)
+            return unsettled(universal, results)
+
+        return quantifier
+
+    def until(left, right, negate, scope, depth):
+        # left U right at i (negated for G and W), scanned over the window of
+        # the words in scope; a scan ending with left holding all along and
+        # right never is open on a prefix, and definite past a lasso window
+        a, b, visible = formula(left, scope, depth), formula(right, scope, depth), tuple(scope.values())
+        open_ended = sem.open_ended
+
+        def scan(env, i):
+            acc, pref = F, T
+            for k in env[0].window(env, visible, i):
+                acc = OR(acc, AND(pref, b(env, k)))
+                if acc == T:
+                    return acc
+                pref = AND(pref, a(env, k))
+                if pref == F:
+                    # no candidate position can lie beyond a broken chain
+                    return acc
+            return None if open_ended else acc
+
+        return (lambda env, i: NOT(scan(env, i))) if negate else scan
+
+    scope = {v: k for k, v in enumerate(plain, 1)}
+    if isinstance(node, Term):
+        return term(node, scope)
+    return formula(node, scope, 1 + len(plain) + len(primed))
 
 
-def _until(left, right, env, i: int, sem):
-    """left U right at position i, scanned over the positions of
-    `sem.window(env, i)`.  A scan that ends with left holding all along and
-    right never is open on a finite prefix (`sem.open_ended`), and definite
-    past a lasso window."""
-    acc, pref = sem.false, sem.true
-    for k in sem.window(env, i):
-        acc = sem.or_(acc, sem.and_(pref, _evaluate(right, env, k, sem)))
-        if acc == sem.true:
-            return acc
-        pref = sem.and_(pref, _evaluate(left, env, k, sem))
-        if pref == sem.false:
-            # no candidate position can lie beyond a broken chain
-            return acc
-    return None if sem.open_ended else acc
+@functools.lru_cache(maxsize=64)
+def _program(f: Formula, sem, plain: tuple, primed: tuple = ()):
+    """`_compile`, kept for the formulas compiled last: a caller evaluating
+    one formula on many words or assignments compiles it once."""
+    return _compile(f, sem, plain, primed)
 
 
 def _and3(a, b):
-    if a is False or b is False:
-        return False
-    if a is True and b is True:
-        return True
-    return None
+    return False if a is False or b is False else (True if a is True and b is True else None)
 
 
 def _or3(a, b):
-    if a is True or b is True:
-        return True
-    if a is False and b is False:
-        return False
-    return None
+    return True if a is True or b is True else (False if a is False and b is False else None)
 
 
 def _not3(a):
@@ -392,21 +415,21 @@ class _Step:
     temporal operators are refused."""
 
     true, false = True, False
-    visit = None
+    visit = read = None
+    open_ended = False
     not_ = staticmethod(_not3)
     and_ = staticmethod(_and3)
     or_ = staticmethod(_or3)
     iff = staticmethod(_iff3)
 
-    def __init__(self, dom: FiniteDomain = None, primed: dict = None):
+    def __init__(self, dom: FiniteDomain = None):
         self.dom = dom
-        self.primed = primed
 
     @staticmethod
     def atom(v):
         return None if v is POISON else v
 
-    def window(self, env, i):
+    def window(self, env, visible, i):
         raise NonTemporalMisuse("temporal operator in step evaluation")
 
     def candidates(self, ty):
@@ -422,7 +445,16 @@ class _Step:
 def eval_formula_step(f: Formula, plain: dict, primed: dict = None, dom: FiniteDomain = None) -> bool:
     """Evaluate a non-temporal formula at one step; quantifiers range over the
     finite domain of the bound variable's type."""
-    return _evaluate(f, plain, None, _Step(dom, primed))
+    primed = primed or {}
+    env = (_Step(dom),) + tuple(plain.values()) + tuple(primed.values())
+    return _program(f, _Step, tuple(plain), tuple(primed))(env, 0)
+
+
+def compile_step(f: Formula, plain: tuple, primed: tuple = (), dom: FiniteDomain = None):
+    """`eval_formula_step` of `f`, compiled once: a function of one tuple,
+    the values of the variables `plain` then those of `primed`."""
+    fn, head = _compile(f, _Step, plain, primed), (_Step(dom),)
+    return lambda values: fn(head + values, 0)
 
 
 # --- one stepper per component ------------------------------------------------
@@ -438,61 +470,51 @@ class _Stepper:
 
 
 class _DetAtom(_Stepper):
-    """A deterministic atom: one successor, none on an illegal input."""
+    """A deterministic atom: one successor, none on an illegal input.  Its
+    terms and formula are compiled once, onto its states then its inputs."""
 
     def __init__(self, a: AtomicComponent, dom: FiniteDomain = None):
-        self.atom = a
-        self.sem = _Step(dom)
-        self.xvars = a.inputs.vars()
-        if isinstance(a, Det):
-            self.init = [tuple(_eval_term(cst, {}) for cst in a.init_vals)]
-            self.svars = a.states.vars()
-        else:
-            self.init = [()]
-            self.svars = ()
+        self.head, det = (_Step(dom),), isinstance(a, Det)
+        slots = (a.states.vars() if det else ()) + a.inputs.vars()
+        self.init = [tuple(_compile(t, _Step)(self.head, 0) for t in a.init_vals)] if det else [()]
+        self.next = [_compile(t, _Step, slots) for t in a.next] if det else None
+        self.inpt = _compile(a.inpt, _Step, slots)
+        self.out = [_compile(t, _Step, slots) for t in a.out]
 
     def successors(self, s, x, commit: bool = True):
-        env = dict(zip(self.svars, s))
-        env.update(zip(self.xvars, x))
-        if commit and not _evaluate(self.atom.inpt, env, None, self.sem):
+        env = self.head + s + x
+        if commit and not self.inpt(env, 0):
             return []
-        y = tuple(_eval_term(t, env) for t in self.atom.out)
-        if commit and isinstance(self.atom, Det):
-            s = tuple(_eval_term(t, env) for t in self.atom.next)
+        y = tuple([t(env, 0) for t in self.out])
+        if commit and self.next is not None:
+            s = tuple([t(env, 0) for t in self.next])
         return [(s, y)]
 
 
 class _StsAtom(_Stepper):
     """A transition system: the successors of a (state, input) pair range
-    over the domain's states and outputs, and are computed once."""
+    over the domain's states and outputs, and are computed once.  The
+    relation is compiled once, onto the states, inputs and outputs, then the
+    primed states."""
 
     def __init__(self, c: Sts, dom: FiniteDomain):
-        self.c, self.dom = c, dom
-        self.svars, self.xvars, self.yvars = c.states.vars(), c.inputs.vars(), c.outputs.vars()
+        svars = c.states.vars()
+        self.head = (_Step(dom),)
         self.states = dom.tuples(c.states)
         inputs = dom.tuples(c.inputs)
         self.outputs = dom.tuples(c.outputs)
         if len(self.states) * max(len(inputs), 1) * max(len(self.outputs), 1) > dom.cap:
             raise ExplosionGuard("state/input/output product exceeds the cap")
-        self.init = [
-            s for s in self.states if eval_formula_step(c.init, dict(zip(self.svars, s)), None, dom)
-        ]
+        init = _compile(c.init, _Step, svars)
+        self.init = [s for s in self.states if init(self.head + s, 0)]
+        self.trs = _compile(c.trs, _Step, svars + c.inputs.vars() + c.outputs.vars(), svars)
         self.memo: dict = {}
 
     def successors(self, s, x, commit: bool = True):
         key = (s, x)
         if key not in self.memo:
-            env = dict(zip(self.svars, s))
-            env.update(zip(self.xvars, x))
-            succ = []
-            for s2 in self.states:
-                primed = dict(zip(self.svars, s2))
-                for y in self.outputs:
-                    env2 = dict(env)
-                    env2.update(zip(self.yvars, y))
-                    if eval_formula_step(self.c.trs, env2, primed, self.dom):
-                        succ.append((s2, y))
-            self.memo[key] = succ
+            env, trs = self.head + s + x, self.trs
+            self.memo[key] = [(s2, y) for s2 in self.states for y in self.outputs if trs(env + y + s2, 0)]
         return self.memo[key]
 
 
@@ -853,10 +875,12 @@ class QltlVerdict:
 class _Lasso:
     """(family, definite) pairs on lasso words, as in QltlVerdict.  The cap
     of `expand` bounds each quantifier's lasso family (distinct words) and
-    the number of formula nodes one evaluation visits."""
+    the number of formula nodes one evaluation visits.  The families are
+    built once per domain (`FiniteDomain.families`)."""
 
     true, false = (True, True), (False, False)
-    primed = None
+    read = staticmethod(LassoWord.at)
+    primed_refusal = "primed reference in temporal evaluation"
     open_ended = False
     # the family value is two-valued, the definite one Kleene: the Kleene
     # connectives serve both
@@ -866,10 +890,7 @@ class _Lasso:
     iff = _pairwise(_iff3)
 
     def __init__(self, expand: Expansion, dom: FiniteDomain):
-        self.expand = expand
-        self.dom = dom
-        self.ops = 0
-        self.families: dict = {}
+        self.expand, self.dom, self.ops = expand, dom, 0
 
     def visit(self):
         self.ops += 1
@@ -880,23 +901,24 @@ class _Lasso:
     def atom(v):
         return v, v
 
-    def window(self, env, i: int):
+    def window(self, env, visible, i: int):
         # past the longest stem plus two common periods every position
         # repeats one already scanned, so the scan's value is definite
-        s = max([len(w.stem) for w in env.values()] or [0])
-        p = math.lcm(*(len(w.loop) for w in env.values()))
+        words = [env[k] for k in visible]
+        s = max([len(w.stem) for w in words] or [0])
+        p = math.lcm(*(len(w.loop) for w in words))
         return range(i, i + s + 2 * p + 3)
 
     def candidates(self, ty):
-        values = self.dom.values(ty)
-        if values not in self.families:
-            size = lasso_count(len(dict.fromkeys(values)), self.expand.stem, self.expand.loop)
-            if size > self.expand.cap:
-                raise ExplosionGuard(
-                    f"quantifier lasso family of {size} words exceeds the cap {self.expand.cap}"
-                )
-            self.families[values] = all_lassos(values, self.expand.stem, self.expand.loop)
-        return self.families[values]
+        values, e = self.dom.values(ty), self.expand
+        key = (values, e.stem, e.loop)
+        family = self.dom.families.get(key)
+        size = lasso_count(len(dict.fromkeys(values)), e.stem, e.loop) if family is None else len(family)
+        if size > e.cap:
+            raise ExplosionGuard(f"quantifier lasso family of {size} words exceeds the cap {e.cap}")
+        if family is None:
+            family = self.dom.families[key] = all_lassos(values, e.stem, e.loop)
+        return family
 
     @staticmethod
     def unsettled(universal: bool, results: list):
@@ -920,7 +942,8 @@ def eval_qltl(
     for v in free_vars(phi).vars:
         if v not in words:
             raise NonTemporalMisuse(f"free variable {v.name} has no lasso word")
-    fam, snd = _evaluate(phi, dict(words), 0, _Lasso(expand, dom or FiniteDomain()))
+    env = (_Lasso(expand, dom or FiniteDomain()),) + tuple(words.values())
+    fam, snd = _program(phi, _Lasso, tuple(words))(env, 0)
     return QltlVerdict(bool(fam), snd)
 
 
@@ -932,12 +955,14 @@ class _Prefix(_Step):
     disagree."""
 
     open_ended = True
+    read = staticmethod(lambda w, i: w[i] if i < len(w) else POISON)
+    primed_refusal = "prefix evaluation does not handle primed terms"
 
     def __init__(self, dom: FiniteDomain, length: int):
         super().__init__(dom)
         self.length = length
 
-    def window(self, env, i: int):
+    def window(self, env, visible, i: int):
         return range(i, self.length)
 
     def candidates(self, ty):
@@ -963,4 +988,5 @@ def eval_prefix3(phi: Formula, words: dict[Var, tuple], dom: FiniteDomain) -> Op
     length = min(len(w) for w in words.values())
     if length == 0:
         return None
-    return _evaluate(phi, dict(words), 0, _Prefix(dom, length))
+    env = (_Prefix(dom, length),) + tuple(words.values())
+    return _program(phi, _Prefix, tuple(words))(env, 0)

@@ -585,6 +585,43 @@ class TestUnknownReasons:
         assert isinstance(result, Unknown) and route == "none"
         assert result.reason == "solver answered unknown and finite evaluation was probe-only"
 
+    def test_crashing_solver_is_a_failure(self, tmp_path, monkeypatch):
+        import sys
+
+        from rcrs.analysis import run_solver
+        from rcrs.errors import SolverFailure
+
+        stub = tmp_path / "crashing_solver.py"
+        stub.write_text("import sys\nsys.stdin.read()\n{}['x']\n")
+        monkeypatch.setenv("RCRS_SMT_SOLVER", f"{sys.executable} {stub}")
+        with pytest.raises(SolverFailure, match="KeyError: 'x'"):
+            run_solver(emit_smtlib(make_vc(self.GOAL, "probe-only goal")))
+        with pytest.raises(SolverFailure):
+            discharge_fo(make_vc(self.GOAL, "probe-only goal"))
+
+    def test_verdict_before_a_failing_exit_stands(self, tmp_path, monkeypatch):
+        import sys
+
+        from rcrs.analysis import run_solver
+
+        stub = tmp_path / "late_error_solver.py"
+        stub.write_text("import sys\nsys.stdin.read()\nprint('unsat')\nsys.exit(1)\n")
+        monkeypatch.setenv("RCRS_SMT_SOLVER", f"{sys.executable} {stub}")
+        assert run_solver(emit_smtlib(make_vc(self.GOAL, "probe-only goal"))) == "unsat"
+
+    def test_timeout_and_missing_solver(self, tmp_path, monkeypatch):
+        import sys
+
+        from rcrs.analysis import run_solver
+
+        script = emit_smtlib(make_vc(self.GOAL, "probe-only goal"))
+        stub = tmp_path / "slow_solver.py"
+        stub.write_text("import sys, time\nsys.stdin.read()\ntime.sleep(30)\n")
+        monkeypatch.setenv("RCRS_SMT_SOLVER", f"{sys.executable} {stub}")
+        assert run_solver(script, timeout=0.5) == "unknown"
+        monkeypatch.delenv("RCRS_SMT_SOLVER")
+        assert run_solver(script) == "unavailable"
+
 
 
 class TestValuePools:

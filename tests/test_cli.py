@@ -259,6 +259,31 @@ class TestLegalAndSmt:
         assert code == 0
         assert "(check-sat)" in out
 
+    # the bundled solver does not decide a division by a variable
+    @pytest.mark.parametrize(
+        "argv,verdicts",
+        [
+            (("div", "--query", "valid", "--target", "Source"), ["sat"]),
+            (("div", "--query", "valid", "--target", "Div"), ["unknown"]),
+            (("sum", "--query", "valid", "--target", "Sum"), ["unknown"]),
+            (("refine", "--query", "refine", "--abstract", "Spec", "--concrete", "Impl"), ["unsat"]),
+        ],
+    )
+    def test_smt_stdout_is_smtlib_only(self, capsys, tmp_path, argv, verdicts):
+        from rcrs.dlsolver import read_sexprs, run
+
+        p = tmp_path / "input.rcrs"
+        p.write_text({"div": DIV_RCRS, "sum": SUM_RCRS, "refine": REFINE_RCRS}[argv[0]])
+        code, out, err = run_cli(capsys, "smt", str(p), *argv[1:])
+        assert code == 0
+        scripts = out.split("(set-logic ")[1:]
+        assert scripts and all(script.rstrip().endswith("(check-sat)") for script in scripts)
+        assert "time_ms" not in out and err.startswith("time_ms: ")
+        # every command is one the solver acts on: nothing is skipped
+        heads = {"set-logic", "declare-const", "declare-fun", "declare-datatypes", "assert", "check-sat"}
+        assert all(isinstance(c, list) and c and c[0] in heads for c in read_sexprs(out))
+        assert run(out) == verdicts
+
     def test_smt_temporal_contract_exit_3(self, capsys, tmp_path):
         p = tmp_path / "gf.rcrs"
         p.write_text("component GF = qltl((x:bool), (), G F x)\n")
@@ -374,6 +399,22 @@ class TestFileErrors:
         )
         assert code == 3
         assert err.count("\n") == 1 and err.startswith("error: ")
+
+
+class TestSolverFailure:
+    def test_crashing_solver_exits_4(self, capsys, monkeypatch, tmp_path, refine_file):
+        import sys
+
+        stub = tmp_path / "crashing_solver.py"
+        stub.write_text("import sys\nsys.stdin.read()\n{}['x']\n")
+        monkeypatch.setenv("RCRS_SMT_SOLVER", f"{sys.executable} {stub}")
+        code, out, err = run_cli(
+            capsys, "check", "refine", refine_file, "--abstract", "Spec", "--concrete", "Impl"
+        )
+        assert code == 4
+        assert "verdict" not in out
+        assert err.startswith("analysis failure: solver exited with status 1")
+        assert err.rstrip().endswith("KeyError: 'x'") and err.count("\n") == 1
 
 
 class TestUncaughtErrors:

@@ -7,7 +7,7 @@ from fractions import Fraction
 import pytest
 
 from rcrs.components import Atomic, Det, Fdbk, Parallel, Serial, Signature, Stateless, Sts, sig
-from rcrs.errors import DomainNotFinite, ExplosionGuard, NotDeterministic, NotLoopFree
+from rcrs.errors import DomainNotFinite, ExplosionGuard, NonTemporalMisuse, NotDeterministic, NotLoopFree
 from rcrs.formulas import (
     And,
     Exists,
@@ -15,13 +15,16 @@ from rcrs.formulas import (
     Finally,
     Forall,
     Globally,
+    Iff,
     Implies,
     Or,
     TRUEC,
+    Until,
     atom,
     eq,
 )
 from rcrs.oracle import (
+    POISON,
     Expansion,
     FiniteDomain,
     IllegalAt,
@@ -34,13 +37,14 @@ from rcrs.oracle import (
     bounded_refute_refinement,
     bounded_rel,
     bounded_equiv,
+    eval_formula_step,
     eval_prefix3,
     eval_qltl,
     exec_det,
     lasso_count,
     parse_domain_file,
 )
-from rcrs.terms import NextRef, PrimedRef, TRUE, VarRef, add, intc, ite, var
+from rcrs.terms import FALSE, NextRef, PrimedRef, TRUE, VarRef, add, intc, ite, var
 from rcrs.types import BOOL, INT, IntRange, Var
 from rcrs.verdicts import Refuted, Unknown
 
@@ -295,6 +299,101 @@ class TestEvalQltl:
         assert eval_qltl(FALSEC, {}) == QltlVerdict(False, False)
         assert eval_qltl(Globally(FALSEC), {}) == QltlVerdict(False, False)
         assert eval_qltl(Finally(TRUEC), {}) == QltlVerdict(True, True)
+
+
+class TestEvaluatorEdgeRules:
+    """Rules every route of the evaluator keeps: at one step, on prefixes and
+    on lassos."""
+
+    X = Var("x", BOOL)
+    Y = Var("y", BOOL)
+    x_true = atom("=", var("x", BOOL), TRUE)
+    x_false = atom("=", var("x", BOOL), FALSE)
+    # fails at one step: a next-step reference
+    step_raises = eq(NextRef(var("x", BOOL)), TRUE)
+    # fails on a prefix or a lasso: a primed reference
+    temporal_raises = eq(PrimedRef(Var("x", BOOL)), TRUE)
+
+    def test_decided_left_operand_skips_a_raising_right_one(self):
+        env = {self.X: True}
+        with pytest.raises(NonTemporalMisuse):
+            eval_formula_step(self.step_raises, env)
+        assert eval_formula_step(And(self.x_false, self.step_raises), env) is False
+        assert eval_formula_step(Or(self.x_true, self.step_raises), env) is True
+        assert eval_formula_step(Implies(self.x_false, self.step_raises), env) is True
+        words = {self.X: LassoWord((), (True,))}
+        with pytest.raises(NonTemporalMisuse):
+            eval_qltl(self.temporal_raises, words)
+        assert eval_qltl(And(self.x_false, self.temporal_raises), words) == QltlVerdict(False, False)
+        assert eval_qltl(Or(self.x_true, self.temporal_raises), words) == QltlVerdict(True, True)
+        assert eval_qltl(Implies(self.x_false, self.temporal_raises), words) == QltlVerdict(True, True)
+
+    def test_ite_with_known_condition_takes_its_branch_over_poison(self):
+        c, n, m = Var("c", BOOL), Var("n", INT), Var("m", INT)
+        f = eq(ite(VarRef(c), VarRef(n), VarRef(m)), intc(1))
+        assert eval_formula_step(f, {c: True, n: 1, m: POISON}) is True
+        assert eval_formula_step(f, {c: False, n: 1, m: POISON}) is None
+        assert eval_formula_step(f, {c: POISON, n: 1, m: 1}) is None
+        # arithmetic over POISON is POISON, and an atom over it unknown
+        assert eval_formula_step(eq(add(VarRef(m), intc(1)), intc(2)), {m: POISON}) is None
+
+    def test_misuse_raises_only_when_reached(self):
+        env = {self.X: True}
+        for misuse in (self.step_raises, Globally(self.x_true), Finally(self.x_true)):
+            with pytest.raises(NonTemporalMisuse):
+                eval_formula_step(misuse, env)
+            assert eval_formula_step(Or(self.x_true, misuse), env) is True
+        # a quantifier reaches its body only for the candidates it tries
+        assert eval_formula_step(Exists(self.Y, Or(self.x_true, self.step_raises)), env, None, FiniteDomain())
+        with pytest.raises(NonTemporalMisuse, match="prefix evaluation"):
+            eval_prefix3(self.temporal_raises, {self.X: (True,)}, FiniteDomain())
+        assert eval_prefix3(Or(Finally(self.x_true), self.temporal_raises), {self.X: (True,)}, FiniteDomain())
+        with pytest.raises(NonTemporalMisuse, match="temporal evaluation"):
+            eval_qltl(Globally(self.temporal_raises), {self.X: LassoWord((), (True,))})
+
+    @staticmethod
+    def _budget(phi, words, stem, loop, budget):
+        """The evaluation fits in `budget` formula-node visits and runs out
+        of a budget one smaller, so it fails at the same node."""
+        with pytest.raises(ExplosionGuard, match="work budget"):
+            eval_qltl(phi, words, Expansion(stem, loop, cap=budget - 1))
+        return eval_qltl(phi, words, Expansion(stem, loop, cap=budget))
+
+    def test_shadowing_quantifier_scans_the_window_of_its_own_word(self):
+        # the shadowed word's stem of 5 is out of scope under the quantifier:
+        # G scans 5 positions of the candidate word, not 10
+        words = {self.X: LassoWord((True,) * 5, (False,))}
+        x, y = var("x", BOOL), var("y", BOOL)
+        assert self._budget(Exists(self.X, Globally(eq(x, x))), words, 1, 1, 17) == QltlVerdict(True, True)
+        assert self._budget(Exists(self.Y, Globally(eq(y, y))), words, 1, 1, 32) == QltlVerdict(True, True)
+
+    def test_work_budget_runs_out_at_the_same_node(self):
+        n_ty = IntRange(0, 2)
+        x, y, n = var("x", BOOL), var("y", BOOL), var("n", n_ty)
+        words = {self.X: LassoWord((True, False), (False, True, True)), Var("n", n_ty): LassoWord((0,), (1, 2))}
+        cases = [
+            (Globally(Implies(eq(x, TRUE), Finally(atom(">=", n, intc(2))))), 105, QltlVerdict(True, True)),
+            (
+                Forall(self.Y, Implies(Globally(Finally(eq(y, TRUE))), Iff(eq(y, x), Finally(eq(x, TRUE))))),
+                205,
+                QltlVerdict(False, False),
+            ),
+            (Until(eq(x, TRUE), atom(">=", n, intc(2))), 5, QltlVerdict(False, False)),
+        ]
+        for phi, budget, verdict in cases:
+            assert self._budget(phi, words, 1, 2, budget) == verdict
+
+    def test_poison_through_feedback(self):
+        # the probe pass computes the looped-back first output (the state)
+        # with POISON on the loop input, which reaches only the ite's untaken
+        # branch and the other output
+        a, c, s = var("a", INT), var("c", BOOL), var("s", INT)
+        child = Det(
+            sig(("a", INT), ("c", BOOL)), sig(("s", INT)), (intc(0),), TRUEC,
+            (add(a, intc(1)),), (s, ite(c, intc(7), add(a, intc(1)))),
+        )
+        trace = ((True,), (False,), (False,), (True,))
+        assert exec_det(Fdbk(Atomic(child)), trace) == ((7,), (2,), (3,), (7,))
 
 
 def _reference_lassos(values, max_stem, max_loop):
