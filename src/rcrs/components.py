@@ -9,9 +9,18 @@ from dataclasses import dataclass, fields, replace
 from typing import ClassVar, Iterable, Iterator, Optional
 
 from .errors import EmptyFeedbackSignature, PrimedInTemporal, TypeMismatch
-from .formulas import Exists, Forall, Formula, free_refs, rewrite, substitute, uses_primed
+from .formulas import (
+    Exists,
+    Forall,
+    Formula,
+    first_free,
+    free_refs,
+    rewrite,
+    substitute,
+    uses_primed,
+)
 from .terms import Const, PrimedRef, Term, VarRef, type_of
-from .types import SemType, UnitType, Var, base_type
+from .types import Memo, SemType, UnitType, Var, base_type
 
 
 @dataclass(frozen=True)
@@ -90,14 +99,13 @@ def _check_free(f: Formula, allowed_plain, allowed_primed, what: str, temporal_o
         raise TypeMismatch(f"{what} must not contain temporal operators")
     if temporal_ok and uses_primed(f):
         raise PrimedInTemporal(f"{what} must not contain primed references")
-    allowed = set(allowed_plain)
-    allowed_pr = set(allowed_primed)
-    for v in primed_used:
-        if v not in allowed_pr:
-            raise TypeMismatch(f"{what}: primed reference to non-state variable {v.name}")
-    for v in plain_used:
-        if v not in allowed:
-            raise TypeMismatch(f"{what}: variable {v.name} is not declared")
+    stray = primed_used - set(allowed_primed)
+    if stray:
+        v = first_free(f, stray, primed=True)
+        raise TypeMismatch(f"{what}: primed reference to non-state variable {v.name}")
+    stray = plain_used - set(allowed_plain)
+    if stray:
+        raise TypeMismatch(f"{what}: variable {first_free(f, stray).name} is not declared")
 
 
 @dataclass(frozen=True)
@@ -233,9 +241,9 @@ def _check_term_scope(t: Term, scope: set[Var]):
         raise PrimedInTemporal("next operators are not allowed in deterministic payload terms")
     if primed:
         raise TypeMismatch("primed references are not allowed in deterministic payload terms")
-    for v in plain:
-        if v not in scope:
-            raise TypeMismatch(f"term variable {v.name} is not declared")
+    stray = plain - scope
+    if stray:
+        raise TypeMismatch(f"term variable {first_free(t, stray).name} is not declared")
     type_of(t)
 
 
@@ -255,7 +263,7 @@ def _fresh_output_names(n: int, avoid: set[Var]) -> list[str]:
 # --- composite terms ------------------------------------------------------
 
 
-class Component:
+class Component(Memo):
     pass
 
 

@@ -253,19 +253,28 @@ def atomic(c) -> AtomicComponent:
     """Collapse a composite component term into an equivalent atomic one.
 
     Fails (FeedbackOnNonDecomposable) exactly when a feedback is applied over
-    a component whose first output still depends on its first input.
+    a component whose first output still depends on its first input.  The
+    component keeps the atomic form once computed, and a composite containing
+    it reuses it; a failure raises again on every call.
     """
     c = as_component(c)
-    res = wf(c)
-    if not res:
-        raise WfError(res.reason)
-    return _atomic(c, ())
+    d = c.__dict__
+    a = d.get("_atomic")
+    if a is None:
+        res = wf(c)
+        if not res:
+            raise WfError(res.reason)
+        a = d["_atomic"] = _atomic(c, ())
+    return a
 
 
 def _atomic(c, path: tuple) -> AtomicComponent:
     c = as_component(c)
     if isinstance(c, Atomic):
         return c.atom
+    kept = c.__dict__.get("_atomic")
+    if kept is not None:
+        return kept
     if isinstance(c, Serial):
         return serial(_atomic(c.left, path + ("left",)), _atomic(c.right, path + ("right",)))
     if isinstance(c, Parallel):

@@ -36,10 +36,10 @@ from .terms import (
     VarRef,
     type_of,
 )
-from .types import Var, base_type, is_numeric
+from .types import Memo, Var, base_type, is_numeric, keep_hash
 
 
-class Formula:
+class Formula(Memo):
     pass
 
 
@@ -123,6 +123,8 @@ class Globally(Formula):
 class Finally(Formula):
     arg: Formula
 
+
+keep_hash(*Formula.__subclasses__())
 
 TRUEC = TrueC()
 FALSEC = FalseC()
@@ -258,22 +260,95 @@ def rewrite(root, fn: Callable[..., Optional[object]], bound: frozenset = frozen
 _TEMPORAL = (NextRef, Until, Leads, Globally, Finally)
 
 
-def free_refs(node) -> tuple[set[Var], set[Var], bool]:
+def free_refs(node) -> tuple[frozenset[Var], frozenset[Var], bool]:
     """Free plain and free primed variables of a term or formula, and whether
-    a temporal operator or next occurs in it anywhere."""
-    plain: set[Var] = set()
-    primed: set[Var] = set()
-    temporal = False
+    a temporal operator or next occurs in it anywhere.  A node keeps the
+    triple once computed."""
+    d = node.__dict__
+    if "_free" not in d:
+        _derive_scope(node)
+    return d["_free"]
+
+
+def _binders(node) -> frozenset[Var]:
+    """The variables bound by a quantifier anywhere in a term or formula."""
+    d = node.__dict__
+    if "_binders" not in d:
+        _derive_scope(node)
+    return d["_binders"]
+
+
+_NONE: frozenset[Var] = frozenset()
+
+
+def _derive_scope(root):
+    """Keep the free references and the binders on root and on every node
+    below it that lacks them, each computed from its children's.  Children
+    go first, on an explicit stack: no formula is too deep for it."""
+    stack = [root]
+    while stack:
+        node = stack[-1]
+        d = node.__dict__
+        if "_free" in d:  # a shared subtree, reached twice
+            stack.pop()
+            continue
+        if isinstance(node, VarRef):
+            d["_free"], d["_binders"] = (frozenset((node.var,)), _NONE, False), _NONE
+            stack.pop()
+            continue
+        if isinstance(node, PrimedRef):
+            d["_free"], d["_binders"] = (_NONE, frozenset((node.var,)), False), _NONE
+            stack.pop()
+            continue
+        kids = children(node)
+        todo = [k for k in kids if "_free" not in k.__dict__]
+        if todo:
+            stack += todo
+            continue
+        stack.pop()
+        plain = primed = binders = _NONE
+        temporal = isinstance(node, _TEMPORAL)
+        for k in kids:
+            kd = k.__dict__
+            p, q, t = kd["_free"]
+            b = kd["_binders"]
+            if p:
+                plain = _union(plain, p)
+            if q:
+                primed = _union(primed, q)
+            if b:
+                binders = _union(binders, b)
+            temporal = temporal or t
+        if isinstance(node, (Forall, Exists)):
+            v = node.var
+            if v in plain:
+                plain = plain - {v}
+            if v in primed:
+                primed = primed - {v}
+            if v not in binders:
+                binders = binders | {v}
+        d["_free"] = (plain, primed, temporal)
+        d["_binders"] = binders
+
+
+def _union(a: frozenset, b: frozenset) -> frozenset:
+    """a | b, reusing a or b when it contains the other."""
+    if b <= a:
+        return a
+    if a <= b:
+        return b
+    return a | b
+
+
+def first_free(node, among, primed: bool = False) -> Optional[Var]:
+    """The variable of the first free plain (or primed) reference to one of
+    `among` in a term or formula, in pre-order, left to right; None if there
+    is none."""
+    ref = PrimedRef if primed else VarRef
     for n, bound in nodes(node):
-        if isinstance(n, VarRef):
-            if n.var not in bound:
-                plain.add(n.var)
-        elif isinstance(n, PrimedRef):
-            if n.var not in bound:
-                primed.add(n.var)
-        elif isinstance(n, _TEMPORAL):
-            temporal = True
-    return plain, primed, temporal
+        if isinstance(n, ref) and n.var in among and n.var not in bound:
+            return n.var
+    return None
 
 
 @dataclass(frozen=True)
@@ -287,7 +362,7 @@ def free_vars(f: Formula) -> FreeVars:
     """Free variables of a formula; primed occurrences report the underlying
     variable with the uses_primed flag set."""
     plain, primed, temporal = free_refs(f)
-    return FreeVars(frozenset(plain | primed), bool(primed), temporal)
+    return FreeVars(_union(plain, primed), bool(primed), temporal)
 
 
 def is_temporal(f: Formula) -> bool:
@@ -327,8 +402,24 @@ def substitute(f, sigma: Mapping[Var, Term], primed_sigma: Mapping[Var, Term] = 
 
 
 def _substitute(f, sigma: Mapping, primed_sigma: Mapping, range_vars: Optional[set]):
-    def step(g, bound):
+    def ranges() -> set:  # the variables of the replacements
         nonlocal range_vars
+        if range_vars is None:
+            range_vars = set()
+            for t in (*sigma.values(), *primed_sigma.values()):
+                plain, primed, _ = free_refs(t)
+                range_vars |= plain | primed
+        return range_vars
+
+    keys, primed_keys = sigma.keys(), primed_sigma.keys()
+
+    def step(g, bound):
+        plain, primed, _ = free_refs(g)
+        if keys.isdisjoint(plain) and primed_keys.isdisjoint(primed):
+            # nothing to replace; unchanged unless a binder must be renamed
+            binders = _binders(g)
+            if not binders or binders.isdisjoint(ranges()):
+                return g
         if isinstance(g, VarRef):
             if g.var in sigma and g.var not in bound:
                 return _checked(sigma[g.var], g.var)
@@ -337,21 +428,15 @@ def _substitute(f, sigma: Mapping, primed_sigma: Mapping, range_vars: Optional[s
             if g.var in primed_sigma and g.var not in bound:
                 return _checked(primed_sigma[g.var], g.var)
             return g
-        if isinstance(g, (Forall, Exists)):
-            if range_vars is None:  # the variables of the replacements
-                range_vars = set()
-                for t in (*sigma.values(), *primed_sigma.values()):
-                    plain, primed, _ = free_refs(t)
-                    range_vars |= plain | primed
-            if g.var in range_vars:
-                inner = bound | {g.var}
-                live = {v: t for v, t in sigma.items() if v not in inner}
-                live_primed = {v: t for v, t in primed_sigma.items() if v not in inner}
-                if live or live_primed:
-                    v2 = fresh_var(g.var, free_vars(g.body).vars | range_vars)
-                    live[g.var] = VarRef(v2)
-                    body = _substitute(g.body, live, live_primed, range_vars | {v2})
-                    return type(g)(v2, body)
+        if isinstance(g, (Forall, Exists)) and g.var in ranges():
+            inner = bound | {g.var}
+            live = {v: t for v, t in sigma.items() if v not in inner}
+            live_primed = {v: t for v, t in primed_sigma.items() if v not in inner}
+            if live or live_primed:
+                v2 = fresh_var(g.var, free_vars(g.body).vars | range_vars)
+                live[g.var] = VarRef(v2)
+                body = _substitute(g.body, live, live_primed, range_vars | {v2})
+                return type(g)(v2, body)
         return None
 
     return rewrite(f, step)

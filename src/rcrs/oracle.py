@@ -58,6 +58,7 @@ from .formulas import (
     TRUEC,
     TrueC,
     Until,
+    first_free,
     free_vars,
 )
 from .lattice import stateless2sts
@@ -939,9 +940,10 @@ def eval_qltl(
     expansion bounds: existential hits and universal misses are definite;
     the rest is reported as an approximation (family verdict).
     """
-    for v in free_vars(phi).vars:
-        if v not in words:
-            raise NonTemporalMisuse(f"free variable {v.name} has no lasso word")
+    unbound = {v for v in free_vars(phi).vars if v not in words}
+    if unbound:
+        v = first_free(phi, unbound) or first_free(phi, unbound, primed=True)
+        raise NonTemporalMisuse(f"free variable {v.name} has no lasso word")
     env = (_Lasso(expand, dom or FiniteDomain()),) + tuple(words.values())
     fam, snd = _program(phi, _Lasso, tuple(words))(env, 0)
     return QltlVerdict(bool(fam), snd)

@@ -8,12 +8,12 @@ from fractions import Fraction
 from typing import Union
 
 from .errors import TypeMismatch
-from .types import BOOL, INT, REAL, SemType, Var, base_type, is_numeric
+from .types import BOOL, INT, REAL, Memo, SemType, Var, base_type, is_numeric, keep_hash
 
 Value = Union[bool, int, Fraction, float, str, tuple]
 
 
-class Term:
+class Term(Memo):
     pass
 
 
@@ -47,6 +47,8 @@ class App(Term):
     symbol: str
     args: tuple[Term, ...]
 
+
+keep_hash(*Term.__subclasses__())
 
 TRUE = Const(True, BOOL)
 FALSE = Const(False, BOOL)
@@ -104,33 +106,39 @@ def type_of(t: Term) -> SemType:
     """Result type of a term; raises TypeMismatch on ill-typed applications.
 
     Arithmetic over range-refined integers widens to unbounded int: ranges
-    constrain storage slots, not expression results.
+    constrain storage slots, not expression results.  A term keeps its type
+    once computed; an ill-typed term raises on every call.
     """
+    if not isinstance(t, Term):
+        raise TypeMismatch(f"not a term: {t!r}")
+    d = t.__dict__
+    ty = d.get("_type")
+    if ty is not None:
+        return ty
     if isinstance(t, VarRef) or isinstance(t, PrimedRef):
-        return base_type(t.var.ty)
-    if isinstance(t, NextRef):
-        return type_of(t.arg)
-    if isinstance(t, Const):
-        return base_type(t.ty)
-    if isinstance(t, App):
-        if t.symbol == "ite":
-            cty = type_of(t.args[0])
-            if cty != BOOL:
-                raise TypeMismatch("ite condition must be boolean")
-            a, b = type_of(t.args[1]), type_of(t.args[2])
-            return _join_numeric(a, b, "ite")
-        if t.symbol == "neg":
-            a = type_of(t.args[0])
-            if not is_numeric(a):
-                raise TypeMismatch("negation needs a numeric argument")
-            return a
-        if t.symbol in ("+", "-", "*", "/"):
-            a, b = (type_of(x) for x in t.args)
-            if not (is_numeric(a) and is_numeric(b)):
-                raise TypeMismatch(f"{t.symbol} needs numeric arguments")
-            return _join_numeric(a, b, t.symbol)
+        ty = base_type(t.var.ty)
+    elif isinstance(t, NextRef):
+        ty = type_of(t.arg)
+    elif isinstance(t, Const):
+        ty = base_type(t.ty)
+    elif t.symbol == "ite":
+        cty = type_of(t.args[0])
+        if cty != BOOL:
+            raise TypeMismatch("ite condition must be boolean")
+        ty = _join_numeric(type_of(t.args[1]), type_of(t.args[2]), "ite")
+    elif t.symbol == "neg":
+        ty = type_of(t.args[0])
+        if not is_numeric(ty):
+            raise TypeMismatch("negation needs a numeric argument")
+    elif t.symbol in ("+", "-", "*", "/"):
+        a, b = map(type_of, t.args)
+        if not (is_numeric(a) and is_numeric(b)):
+            raise TypeMismatch(f"{t.symbol} needs numeric arguments")
+        ty = _join_numeric(a, b, t.symbol)
+    else:
         raise TypeMismatch(f"unknown function symbol {t.symbol!r}")
-    raise TypeMismatch(f"not a term: {t!r}")
+    d["_type"] = ty
+    return ty
 
 
 def _join_numeric(a: SemType, b: SemType, context: str) -> SemType:

@@ -2,8 +2,9 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from fractions import Fraction
+from operator import attrgetter
 
 
 class SemType:
@@ -106,8 +107,47 @@ def is_value(value, ty: SemType) -> bool:
     return isinstance(ty, EnumType) and value in ty.values
 
 
+class Memo:
+    """Base of the immutable values that keep facts derived from their fields
+    on themselves: variables, terms and formulas their hash, terms and
+    formulas their free references, terms their type, component terms their
+    atomic form.  Each fact is computed at most once per value and stored in
+    the instance dict under a name that starts with an underscore; it is not
+    a field, so repr, ==, fields() and replace() do not see it.
+
+    Facts never leave the process.  A hash depends on the process's hash
+    seed, so pickling and copying drop every fact."""
+
+    def __getstate__(self):
+        return {k: v for k, v in self.__dict__.items() if not k.startswith("_")}
+
+
+def keep_hash(*classes):
+    """Make each dataclass keep its field hash after the first call.  The
+    value is the one the dataclass computes, the hash of the tuple of its
+    fields, so set and dict order stay as they were."""
+    for cls in classes:
+        cls.__hash__ = _kept_hash(tuple(f.name for f in fields(cls)))
+
+
+def _kept_hash(names):
+    # attrgetter of one name returns the value, not a 1-tuple
+    get = attrgetter(*names) if names else (lambda self: ())
+    one = len(names) == 1
+
+    def __hash__(self):
+        d = self.__dict__
+        h = d.get("_hash")
+        if h is None:
+            key = get(self)
+            h = d["_hash"] = hash((key,) if one else key)
+        return h
+
+    return __hash__
+
+
 @dataclass(frozen=True)
-class Var:
+class Var(Memo):
     """A named, typed variable.  Equality is (name, type) equality."""
 
     name: str
@@ -119,3 +159,6 @@ class Var:
 
     def __repr__(self):
         return f"{self.name}:{self.ty.short()}"
+
+
+keep_hash(Var)
