@@ -4,6 +4,7 @@ SMT-LIB emission to an external solver, and bounded-oracle fallbacks."""
 
 from __future__ import annotations
 
+import contextlib
 import itertools
 import math
 import os
@@ -25,6 +26,7 @@ from .components import (
     StatelessDet,
     Sts,
     as_component,
+    field_values,
     numbered,
     rename_slots,
     wf,
@@ -74,11 +76,11 @@ from .oracle import (
     Expansion,
     FiniteDomain,
     all_lassos,
-    behavior,
     bounded_refute_refinement,
     compile_step,
     eval_qltl,
     lasso_count,
+    legal_lasso,
 )
 from .terms import App, Const, NextRef, PrimedRef, Term, VarRef, type_of
 from .types import (
@@ -119,12 +121,8 @@ class Vc:
             raise TemporalFragment("first-order goals must not contain temporal operators")
 
 
-def _fragment_of(goal: Formula) -> str:
-    return "temporal" if is_temporal(goal) else "first-order"
-
-
-def make_vc(goal: Formula, provenance: str) -> Vc:
-    return Vc(goal, _fragment_of(goal), provenance)
+def make_vc(goal: Formula, provenance: str, sufficient_only: bool = False) -> Vc:
+    return Vc(goal, "temporal" if is_temporal(goal) else "first-order", provenance, sufficient_only)
 
 
 # --- legal inputs -------------------------------------------------------------
@@ -163,9 +161,7 @@ def legal_formula(c: AtomicComponent) -> Formula:
 
 def solver_command() -> Optional[list[str]]:
     path = os.environ.get(SOLVER_ENV, "").strip()
-    if not path:
-        return None
-    return shlex.split(path)
+    return shlex.split(path) if path else None
 
 
 def run_solver(script: str, timeout: float = SOLVER_TIMEOUT) -> str:
@@ -178,13 +174,7 @@ def run_solver(script: str, timeout: float = SOLVER_TIMEOUT) -> str:
     if cmd is None:
         return "unavailable"
     try:
-        proc = subprocess.run(
-            cmd,
-            input=script.encode(),
-            stdout=subprocess.PIPE,
-            stderr=subprocess.PIPE,
-            timeout=timeout,
-        )
+        proc = subprocess.run(cmd, input=script.encode(), capture_output=True, timeout=timeout)
     except (subprocess.TimeoutExpired, OSError):
         return "unknown"
     first = proc.stdout.decode(errors="replace").strip().splitlines()
@@ -338,26 +328,17 @@ def _smt_script(goal: Formula, assertion: str) -> str:
             continue
         if isinstance(ty, EnumType):
             enums[ty.name] = ty
-    for v in plain | primed:
-        if isinstance(v.ty, EnumType):
-            enums[v.ty.name] = v.ty
     for name in sorted(enums):
         ty = enums[name]
         ctors = " ".join(f"({v})" for v in ty.values)
         lines.append(f"(declare-datatypes (({name} 0)) ((" + ctors + ")))")
 
-    decls = []
-    for v in sorted(plain, key=lambda v: v.name):
-        decls.append(f"(declare-const {_smt_symbol(v)} {_sort_name(v.ty)})")
-        guard = _range_guard(v)
-        if guard:
-            decls.append(f"(assert {guard})")
-    for v in sorted(primed, key=lambda v: v.name):
-        decls.append(f"(declare-const {_smt_symbol(v, True)} {_sort_name(v.ty)})")
-        guard = _range_guard(v, True)
-        if guard:
-            decls.append(f"(assert {guard})")
-    lines.extend(decls)
+    for is_primed, free in ((False, plain), (True, primed)):
+        for v in sorted(free, key=lambda v: v.name):
+            lines.append(f"(declare-const {_smt_symbol(v, is_primed)} {_sort_name(v.ty)})")
+            guard = _range_guard(v, is_primed)
+            if guard:
+                lines.append(f"(assert {guard})")
     lines.append(f"(assert {assertion})")
     lines.append("(check-sat)")
     return "\n".join(lines) + "\n"
@@ -462,45 +443,13 @@ def check_fo_validity(goal: Formula, dom: FiniteDomain = None) -> FoVerdict:
     return FoVerdict(True if exact else None, None, exact=exact, final=own)
 
 
-def _fo_route(goal: Formula, script, dom: Optional[FiniteDomain]) -> tuple[str, Optional[FoVerdict]]:
-    """The cheaper route first.  Finite evaluation of the goal goes first when
-    every quantifier ranges over its type's own values and there are at most
-    FINITE_FIRST_CAP assignments; a `final` verdict ends it.  Otherwise the
-    solver runs on `script()`.  Returns "finite" or the solver's answer, and
-    the evaluation made (None when none was), for the caller to reuse."""
-    fo = None
-    _, _, pools, eval_dom, size = _fo_setup(goal, dom)
-    if size <= FINITE_FIRST_CAP and all(pools[ty][1] == "own" for ty in eval_dom.overrides):
-        fo = check_fo_validity(goal, dom)
-        if fo.final:
-            return "finite", fo
-    return run_solver(script()), fo
-
-
 def discharge_fo(vc: Vc, dom: FiniteDomain = None) -> tuple[CheckResult, str]:
-    """Finite evaluation where it decides the goal by itself, else the solver,
-    then exhaustive/probe evaluation.  Returns the result and which route
-    produced it."""
-    result, route, _ = _discharge_fo(vc, dom)
-    return result, route
-
-
-def _discharge_fo(vc: Vc, dom: Optional[FiniteDomain]) -> tuple[CheckResult, str, Optional[FoVerdict]]:
-    """`discharge_fo`, and the finite evaluation it made (None when none)."""
-    verdict, fo = _fo_route(vc.goal, lambda: emit_smtlib(vc), dom)
-    if verdict == "unsat":
-        return Proven(), "solver", fo
-    if fo is None:
-        fo = check_fo_validity(vc.goal, dom)
-    if verdict == "sat":
-        return Refuted(note=_witness_note(fo.witness)), "solver", fo
-    if fo.valid is True:
-        return Proven(), "finite", fo
-    if fo.valid is False:
-        return Refuted(note=_witness_note(fo.witness)), "finite", fo
-    if verdict == "unavailable":
-        return Unknown("goal undecided without a solver"), "none", fo
-    return Unknown("solver answered unknown and finite evaluation was probe-only"), "none", fo
+    """Discharge a first-order condition (see `_discharge_first_order`).
+    Returns the result and which route produced it."""
+    d = _discharge(vc.goal, dom)
+    if d.holds is None:
+        return Unknown(d.reason), d.route
+    return (Proven() if d.holds else Refuted(note=_witness_note(d.witness))), d.route
 
 
 def _witness_note(witness: Optional[dict]) -> str:
@@ -528,14 +477,13 @@ def _lasso_search_setup(goal: Formula, dom: Optional[FiniteDomain], expand: Expa
     return fv, families, eval_dom
 
 
-def _lasso_search(
-    goal, dom, expand, want: bool
-) -> tuple[Optional[LassoWitness], Optional[str]]:
-    """A lasso assignment on which the goal is definitely `want`, and why the
-    search did not run in full (None when it did)."""
+def _lasso_search(goal, dom, expand, want: bool) -> Optional[LassoWitness]:
+    """A lasso assignment on which the goal is definitely `want`; None when
+    the bounded search finds none.  Raises ExplosionGuard, naming the cap,
+    when a cap skips the search or cuts it short."""
     setup = _lasso_search_setup(goal, dom, expand)
     if isinstance(setup, str):
-        return None, f"not searched: {setup}"
+        raise ExplosionGuard(f"not searched: {setup}")
     fv, families, eval_dom = setup
     note = "lasso model of the goal" if want else "lasso assignment falsifying the goal"
     for combo in itertools.product(*families):
@@ -543,9 +491,7 @@ def _lasso_search(
         try:
             res = eval_qltl(goal, words, expand, eval_dom)
             verdict = res.definite
-            if verdict is None and all(
-                not w.stem and len(w.loop) == 1 for w in combo
-            ):
+            if verdict is None and all(not w.stem and len(w.loop) == 1 for w in combo):
                 # constant words specialize syntactically: rewriting the
                 # instantiated formula can settle quantified subformulas
                 # (e.g. an implication collapsing to true) that the family
@@ -559,91 +505,150 @@ def _lasso_search(
                 else:
                     verdict = eval_qltl(specialized, {}, expand, eval_dom).definite
         except ExplosionGuard as e:
-            return None, f"search stopped: {e}"
+            raise ExplosionGuard(f"search stopped: {e}") from None
         if verdict is want:
-            return LassoWitness(
-                tuple((v.name, w.stem, w.loop) for v, w in words.items()), note=note
-            ), None
-    return None, None
+            return LassoWitness(tuple((v.name, w.stem, w.loop) for v, w in words.items()), note=note)
+    return None
 
 
 def refute_temporal(
-    goal: Formula,
-    dom: FiniteDomain = None,
-    expand: Expansion = Expansion(),
+    goal: Formula, dom: FiniteDomain = None, expand: Expansion = Expansion()
 ) -> Optional[LassoWitness]:
     """Search lasso assignments of the goal's free variables for a definite
-    falsification; None when the bounded search finds nothing."""
-    return _lasso_search(goal, dom, expand, want=False)[0]
+    falsification; None when the bounded search finds nothing.  Raises
+    ExplosionGuard when a cap skips the search or cuts it short."""
+    return _lasso_search(goal, dom, expand, want=False)
 
 
 def witness_temporal_truth(
     goal: Formula, dom: FiniteDomain = None, expand: Expansion = Expansion()
 ) -> Optional[LassoWitness]:
     """Search for a lasso assignment making the goal definitely true (a model
-    of the formula): sound evidence of satisfiability."""
-    return _lasso_search(goal, dom, expand, want=True)[0]
+    of the formula): sound evidence of satisfiability.  None and
+    ExplosionGuard as for `refute_temporal`."""
+    return _lasso_search(goal, dom, expand, want=True)
+
+
+# --- one discharger -----------------------------------------------------------
+
+
+@dataclass(frozen=True)
+class _Decision:
+    """What `_discharge` found: the answer (None when undecided), the route
+    that gave it ("constant", "finite", "solver", "lasso" or "none"), the
+    assignment or lasso that settles it when it has one, and why a search
+    stayed undecided when a cap cut it short."""
+
+    holds: Optional[bool]
+    route: str
+    witness: object = None
+    reason: str = ""
+
+
+def _discharge(goal: Formula, dom: Optional[FiniteDomain], expand=Expansion(), sat=False) -> _Decision:
+    """Is the goal valid, or with `sat` satisfiable?  The routes, in order: a
+    constant goal; `_discharge_first_order` for a first-order goal; for a
+    temporal goal, a lasso falsifying it (with `sat`, a lasso model); and a
+    closed temporal goal is decided either way by the lasso search's definite
+    value.  The witness falsifies the goal, or with `sat` satisfies it."""
+    if isinstance(goal, (TrueC, FalseC)):
+        return _Decision(isinstance(goal, TrueC), "constant")
+    if not is_temporal(goal):
+        return _discharge_first_order(goal, dom, sat)
+    search, converse = refute_temporal, witness_temporal_truth
+    if sat:
+        search, converse = converse, search
+    try:
+        witness = search(goal, dom, expand)
+        if witness is not None:
+            return _Decision(sat, "lasso", witness)
+        if not free_vars(goal).vars and converse(goal, dom, expand) is not None:
+            return _Decision(not sat, "lasso")
+    except ExplosionGuard as e:
+        return _Decision(None, "none", reason=str(e))
+    return _Decision(None, "none")
+
+
+def _discharge_first_order(goal: Formula, dom: Optional[FiniteDomain], sat: bool) -> _Decision:
+    """The cheaper route first.  Finite evaluation goes first when every
+    quantifier ranges over its type's own values and there are at most
+    FINITE_FIRST_CAP assignments; a `final` verdict ends it.  Otherwise the
+    solver runs, then evaluation over the domain, made at most once."""
+    target = Not(goal) if sat else goal  # satisfiable iff the negation is not valid
+    fo = None
+    _, _, pools, eval_dom, size = _fo_setup(target, dom)
+    if size <= FINITE_FIRST_CAP and all(pools[ty][1] == "own" for ty in eval_dom.overrides):
+        fo = check_fo_validity(target, dom)
+        if fo.final:
+            return _Decision(fo.valid != sat, "finite", fo.witness)
+    script = emit_smtlib_sat(goal, "satisfiability") if sat else emit_smtlib(make_vc(goal, "validity"))
+    verdict = run_solver(script)
+    if verdict in ("sat", "unsat"):
+        if verdict == "sat" and not sat and fo is None:
+            fo = check_fo_validity(goal, dom)  # for the counterexample's assignment
+        witness = fo.witness if fo and verdict == "sat" else None
+        return _Decision((verdict == "unsat") != sat, "solver", witness)
+    fo = fo or check_fo_validity(target, dom)
+    if fo.valid is not None:
+        return _Decision(fo.valid != sat, "finite", fo.witness)
+    if verdict == "unavailable":
+        return _Decision(None, "none", reason="goal undecided without a solver")
+    return _Decision(None, "none", reason="solver answered unknown and finite evaluation was probe-only")
 
 
 # --- validity / compatibility -------------------------------------------------
 
+# the note of a satisfiability verdict, by route and answer
+_SATISFIABILITY_NOTES = {
+    ("constant", True): "",
+    ("constant", False): "contract is unsatisfiable",
+    ("solver", True): "solver found the contract satisfiable",
+    ("solver", False): "solver proved the contract unsatisfiable",
+    ("finite", True): "finite evaluation found a satisfying assignment",
+    ("finite", False): "exhaustive finite evaluation: contract unsatisfiable",
+    ("lasso", True): "lasso model found for the temporal contract",
+    ("lasso", False): "the closed temporal contract is definitely false",
+}
+
 
 def is_valid(c, dom: FiniteDomain = None) -> CheckResult:
     """A component is valid when its semantics is not the everywhere-failing
-    transformer: its contract admits at least one behavior."""
+    transformer: some input trace is legal.  A stateless or temporal contract
+    is valid iff it is satisfiable.  A transition system is valid when its
+    legal-input formula is `true`, invalid when it is `false`, and otherwise
+    decided, if at all, by the configuration walk of `legal_lasso`."""
     a = atomic(as_component(c))
-    if isinstance(a, (Det, StatelessDet)):
-        a = lift_to(a, Kind.STATELESS if isinstance(a, StatelessDet) else Kind.STS)
-    if isinstance(a, Stateless):
-        goal = simplify(exists_many(list(a.inputs.vars()) + list(a.outputs.vars()), a.io))
-        if goal == TrueC():
-            return Proven()
-        if goal == FalseC():
-            return Refuted(note="contract is unsatisfiable")
-        verdict, neg = _fo_route(Not(a.io), lambda: emit_smtlib_sat(a.io, "validity"), dom)
-        if verdict == "sat":
-            return Proven(note="solver found the contract satisfiable")
-        if verdict == "unsat":
-            return Refuted(note="solver proved the contract unsatisfiable")
-        if neg is None:
-            neg = check_fo_validity(Not(a.io), dom)
-        if neg.valid is False:
-            return Proven(note="finite evaluation found a satisfying assignment")
-        if neg.valid is True:
-            return Refuted(note="exhaustive finite evaluation: contract unsatisfiable")
+    if isinstance(a, (Det, Sts)):
+        return _transition_validity(a, dom)
+    contract = field_values(a, "formula")[-1]  # io, inpt or phi
+    if not is_temporal(contract):
+        # an existential closure that simplifies to a constant decides it
+        slots = [v for s in field_values(a, "signature") for v in s.vars()]
+        closed = simplify(exists_many(slots, contract))
+        contract = closed if isinstance(closed, (TrueC, FalseC)) else contract
+    d = _discharge(contract, dom, sat=True)
+    if d.holds is None:
+        if is_temporal(contract):
+            return Unknown("temporal satisfiability is out of scope for proof")
         return Unknown("satisfiability undecided")
-    if isinstance(a, Sts):
-        return _sts_validity(a, dom)
-    if isinstance(a, Qltl):
-        if not is_temporal(a.phi):
-            return is_valid(Atomic(Stateless(a.inputs, a.outputs, a.phi)), dom)
-        witness = witness_temporal_truth(a.phi, dom)
-        if witness is not None:
-            return Proven(note="lasso model found for the temporal contract")
-        return Unknown("temporal satisfiability is out of scope for proof")
-    raise TypeError(f"not an atomic component: {a!r}")
+    return (Proven if d.holds else Refuted)(note=_SATISFIABILITY_NOTES[d.route, d.holds])
 
 
-def _sts_validity(a: Sts, dom: FiniteDomain, horizon: int = 4) -> CheckResult:
-    use = dom or FiniteDomain()
+def _transition_validity(a: AtomicComponent, dom: Optional[FiniteDomain], horizon=4) -> CheckResult:
+    legal = legal_formula(a)
+    if legal == TrueC():
+        return Proven(note="legal-input formula is true")
+    if legal == FalseC():
+        return Refuted(note="no input is legal")
     try:
-        beh = behavior(Atomic(a), use, horizon)
-        legal_found = False
-        all_illegal = True
-        for trace in use.traces(a.inputs, horizon):
-            k = beh.first_illegal(trace)
-            if k is None:
-                all_illegal = False
-                if beh.outputs(trace):
-                    legal_found = True
-                    break
+        lasso = legal_lasso(Atomic(a), dom or FiniteDomain(), horizon)
     except (DomainNotFinite, ExplosionGuard) as e:
         return Unknown(f"bounded behavior unavailable: {e}")
-    if legal_found:
+    if lasso:
         return Proven(note=f"legal bounded behavior found at horizon {horizon}")
-    if all_illegal:
+    if lasso is False:
         return Refuted(note=f"every input trace is illegal within horizon {horizon}")
-    return Unknown("no bounded behavior found; validity undecided")
+    return Unknown(f"no legal input lasso within horizon {horizon}; validity undecided")
 
 
 def check_compat(c1, c2, dom: FiniteDomain = None) -> CheckResult:
@@ -657,33 +662,24 @@ def check_compat(c1, c2, dom: FiniteDomain = None) -> CheckResult:
 
 
 def is_input_receptive(c, dom: FiniteDomain = None, expand: Expansion = Expansion()) -> CheckResult:
-    """Receptive iff the legal-input formula is valid over all input traces."""
-    a = atomic(as_component(c))
-    legal = legal_formula(a)
-    if legal == TrueC():
-        return Proven()
-    if legal == FalseC():
-        return Refuted(note="no input is legal")
-    body = legal.arg if isinstance(legal, Globally) else legal
-    if not is_temporal(body):
-        # G phi is valid iff phi is valid as a one-step formula
-        vc = make_vc(body, "input-receptiveness")
-        result, route, fo = _discharge_fo(vc, dom)
-        if isinstance(result, Refuted):
-            if fo.witness:
-                names = tuple(sorted(fo.witness))
-                steps = (tuple(fo.witness[n] for n in names),)
-                return Refuted(TraceWitness(names, steps, step=0, note="illegal input value"))
-            return Refuted(note=result.note)
-        if isinstance(result, Proven):
-            return Proven(note=f"legal-input formula valid ({route})")
-        return result
-    witness, cut = _lasso_search(legal, dom, expand, want=False)
-    if witness is not None:
-        return Refuted(witness, note="input lasso with no legal continuation")
-    if cut is not None:
-        return Unknown(f"temporal receptiveness {cut}")
-    return Unknown("temporal receptiveness not refuted at the bounds")
+    """Receptive iff the legal-input formula is valid over all input traces;
+    `G phi` with a first-order phi is valid iff phi is valid in one step."""
+    legal = legal_formula(atomic(as_component(c)))
+    body = legal.arg if isinstance(legal, Globally) and not is_temporal(legal.arg) else legal
+    d = _discharge(body, dom, expand)
+    if d.holds:
+        return Proven(note="" if d.route == "constant" else f"legal-input formula valid ({d.route})")
+    if d.holds is None and is_temporal(body):
+        return Unknown(f"temporal receptiveness {d.reason or 'not refuted at the bounds'}")
+    if d.holds is None:
+        return Unknown(d.reason)
+    if isinstance(d.witness, LassoWitness):
+        return Refuted(d.witness, note="input lasso with no legal continuation")
+    if d.witness:
+        names = tuple(sorted(d.witness))
+        steps = (tuple(d.witness[n] for n in names),)
+        return Refuted(TraceWitness(names, steps, step=0, note="illegal input value"))
+    return Refuted(note="no input is legal" if d.route == "constant" else "")
 
 
 # --- refinement ---------------------------------------------------------------
@@ -691,12 +687,8 @@ def is_input_receptive(c, dom: FiniteDomain = None, expand: Expansion = Expansio
 
 def _canonical_pair(a: AtomicComponent, b: AtomicComponent, k: Kind):
     """Lift both components to kind k and rename them onto shared canonical
-    input/output variables, with states s0.. for a and t0.. for b."""
-    a, b = lift_to(a, k), lift_to(b, k)
-    return (
-        rename_slots(a, numbered("x"), numbered("y"), numbered("s")),
-        rename_slots(b, numbered("x"), numbered("y"), numbered("t")),
-    )
+    input, output and state variables x0.., y0.. and s0..."""
+    return tuple(rename_slots(lift_to(c, k), numbered("x"), numbered("y"), numbered("s")) for c in (a, b))
 
 
 def refine_vc(abstract, concrete) -> list[Vc]:
@@ -719,34 +711,23 @@ def refine_vc(abstract, concrete) -> list[Vc]:
     if k in (Kind.DET, Kind.STS):
         a, b = _canonical_pair(aa, ac, Kind.STS)
         if a.states.types() == b.states.types():
-            # align the state spaces onto shared names
-            b = rename_slots(b, (), (), numbered("s"))
-            gen = NameGen(
-                [v.name for v in a.all_vars()] + [v.name for v in b.all_vars()]
-            )
+            gen = NameGen([v.name for v in a.all_vars()] + [v.name for v in b.all_vars()])
             ys = list(a.outputs.vars())
             svars = list(a.states.vars())
             ex_a = quantify_primed(svars, a.trs, gen, extra=ys, exists=True)
             ex_b = quantify_primed(svars, b.trs, gen, extra=ys, exists=True)
             goal = simplify(
-                conj(
-                    [
-                        Implies(b.init, a.init),
-                        Implies(ex_a, ex_b),
-                        Implies(And(ex_a, b.trs), a.trs),
-                    ]
-                )
+                conj([Implies(b.init, a.init), Implies(ex_a, ex_b), Implies(And(ex_a, b.trs), a.trs)])
             )
-            provenance = "transition-system refinement (sufficient only)"
-            return [Vc(goal, _fragment_of(goal), provenance, sufficient_only=True)]
-        k = Kind.QLTL
+            return [make_vc(goal, "transition-system refinement (sufficient only)", sufficient_only=True)]
     a, b = _canonical_pair(aa, ac, Kind.QLTL)
     ys = list(a.outputs.vars())
     legal_a = simplify(exists_many(ys, a.phi))
     if not a.inputs and not isinstance(legal_a, (TrueC, FalseC)):
         # a closed legality antecedent proven satisfiable collapses to true
-        if witness_temporal_truth(legal_a) is not None:
-            legal_a = TrueC()
+        with contextlib.suppress(ExplosionGuard):
+            if witness_temporal_truth(legal_a) is not None:
+                legal_a = TrueC()
     vcs = []
     legality = simplify(Implies(legal_a, exists_many(ys, b.phi)))
     if legality != TrueC():
@@ -760,11 +741,7 @@ def refine_vc(abstract, concrete) -> list[Vc]:
 
 
 def check_refines(
-    abstract,
-    concrete,
-    dom: FiniteDomain = None,
-    horizon: int = 4,
-    expand: Expansion = Expansion(),
+    abstract, concrete, dom: FiniteDomain = None, horizon: int = 4, expand: Expansion = Expansion()
 ) -> CheckResult:
     """Discharge the refinement verification conditions; additionally run the
     bounded oracle refuter when the domains are finite so refutations carry a
@@ -775,46 +752,37 @@ def check_refines(
     unknown_reasons: list[str] = []
     sufficient_only = False
     for vc in vcs:
-        if vc.goal == TrueC():
+        d = _discharge(vc.goal, dom, expand)
+        if d.holds and d.route == "constant":
             proven_notes.append(vc.provenance)
-            continue
-        if vc.fragment == "first-order":
-            result, route = discharge_fo(vc, dom)
-            if isinstance(result, Proven):
-                proven_notes.append(f"{vc.provenance} via {route}")
-                if vc.sufficient_only:
-                    sufficient_only = True
-                continue
-            if isinstance(result, Refuted):
-                if vc.sufficient_only:
-                    # a failed sufficient condition proves nothing by itself
-                    unknown_reasons.append("sufficient transition-system condition failed")
-                    continue
-                refuted = Refuted(result.witness, note=f"{vc.provenance}: {result.note}")
-                continue
-            unknown_reasons.append(result.reason)
+        elif d.holds:
+            proven_notes.append(f"{vc.provenance} via {d.route}")
+            sufficient_only = sufficient_only or vc.sufficient_only
+        elif d.holds is False and vc.sufficient_only:
+            # a failed sufficient condition proves nothing by itself
+            unknown_reasons.append("sufficient transition-system condition failed")
+        elif isinstance(d.witness, LassoWitness):
+            refuted = Refuted(d.witness, note=f"{vc.provenance}: falsified on a lasso")
+        elif d.holds is False:
+            refuted = Refuted(note=f"{vc.provenance}: {_witness_note(d.witness)}")
+        elif vc.fragment == "temporal":
+            reason = d.reason or "not refuted at the bounds (no temporal prover)"
+            unknown_reasons.append(f"temporal goal {reason}")
         else:
-            witness, cut = _lasso_search(vc.goal, dom, expand, want=False)
-            if witness is not None:
-                refuted = Refuted(witness, note=f"{vc.provenance}: falsified on a lasso")
-            elif cut is not None:
-                unknown_reasons.append(f"temporal goal {cut}")
-            else:
-                unknown_reasons.append("temporal goal not refuted at the bounds (no temporal prover)")
-    oracle_result = None
+            unknown_reasons.append(d.reason)
     try:
         oracle_result = bounded_refute_refinement(
             as_component(abstract), as_component(concrete), dom or FiniteDomain(), horizon
         )
     except (DomainNotFinite, ExplosionGuard, KindError, NotDeterministic, NotLoopFree):
         oracle_result = None
-    if isinstance(oracle_result, Refuted):
-        refuted = oracle_result
+    refuted = oracle_result if isinstance(oracle_result, Refuted) else refuted
+    proven = not unknown_reasons and len(proven_notes) == len(vcs)
     if refuted is not None:
-        if not unknown_reasons and len(proven_notes) == len(vcs):
+        if proven:
             raise SoundnessError("a query cannot be both proven and refuted at the same bounds")
         return refuted
-    if not unknown_reasons and len(proven_notes) == len(vcs):
+    if proven:
         note = "; ".join(proven_notes)
         if sufficient_only:
             note += " (sufficient condition only)"
@@ -841,9 +809,7 @@ def data_refine_vc(c1: Sts, c2: Sts, relation: Formula) -> list[Vc]:
     tvars = list(c2.states.vars())
     xvars = list(c1.inputs.vars())
     yvars = list(c1.outputs.vars())
-    gen = NameGen(
-        [v.name for v in c1.all_vars()] + [v.name for v in c2.all_vars()]
-    )
+    gen = NameGen([v.name for v in c1.all_vars()] + [v.name for v in c2.all_vars()])
     p = quantify_primed(svars, c1.trs, gen, extra=yvars, exists=True)
     p2 = quantify_primed(tvars, c2.trs, gen, extra=yvars, exists=True)
 
@@ -851,9 +817,7 @@ def data_refine_vc(c1: Sts, c2: Sts, relation: Formula) -> list[Vc]:
 
     vc2 = forall_many(tvars + xvars + svars, Implies(And(relation, p), p2))
 
-    rel_primed = substitute(
-        relation, {v: PrimedRef(v) for v in svars + tvars}
-    )
+    rel_primed = substitute(relation, {v: PrimedRef(v) for v in svars + tvars})
     inner = quantify_primed(svars, And(rel_primed, c1.trs), gen, exists=True)
     body = Implies(conj([relation, p, c2.trs]), inner)
     body = quantify_primed(tvars, body, gen, exists=False)

@@ -662,6 +662,36 @@ def behavior(c, dom: FiniteDomain, horizon: int) -> Behavior:
     return Behavior(horizon, in_sig, sigma_out(c), pouts, dead)
 
 
+def legal_lasso(c, dom: FiniteDomain, horizon: int):
+    """A legal input lasso, searched over the input prefixes of the domain up
+    to the horizon.  Each prefix carries the sequence of configuration sets
+    it reaches (see _Stepper) and ends at its first illegal input.  When a
+    set repeats along a prefix, repeating the inputs between its two visits
+    keeps every run live forever: that lasso is returned as (stem, loop), two
+    tuples of input tuples.  Returns False when every input trace of the
+    horizon is illegal, None when neither holds."""
+    c = as_component(c)
+    node = _stepper(c, dom)
+    inputs = dom.tuples(sigma_in(c))
+    dom.traces(sigma_in(c), horizon)  # the walk may visit every trace: the same cap holds
+    stack, live = [((), (frozenset(node.init),))], False
+    while stack:
+        px, sets = stack.pop()
+        for x in inputs:
+            succ = [node.successors(config, x) for config in sets[-1]]
+            if not all(succ):
+                continue  # some run is stuck: x is illegal after px
+            px2, reached = px + (x,), frozenset(c2 for s in succ for c2, _ in s)
+            if reached in sets:
+                i = sets.index(reached)
+                return px2[:i], px2[i:]
+            if len(px2) < horizon:
+                stack.append((px2, sets + (reached,)))
+            else:
+                live = True
+    return None if live else False
+
+
 def bounded_rel(c, dom: FiniteDomain, horizon: int):
     """Exhaustive relation of a transition-system-family atomic component:
     the full-run input/output pairs and the illegal input prefixes."""

@@ -19,6 +19,8 @@ from rcrs.analysis import (
     legal_formula,
     make_vc,
     refine_vc,
+    refute_temporal,
+    witness_temporal_truth,
 )
 from rcrs.components import (
     Atomic,
@@ -32,8 +34,8 @@ from rcrs.components import (
     sig,
 )
 from rcrs.compose import atomic
-from rcrs.corpus import refinement_table_pair, random_stateless_table
-from rcrs.errors import SignatureMismatch, TemporalFragment, WfError
+from rcrs.corpus import random_sts_atom, refinement_table_pair, random_stateless_table
+from rcrs.errors import ExplosionGuard, SignatureMismatch, TemporalFragment, WfError
 from rcrs.formulas import (
     And,
     Exists,
@@ -45,7 +47,15 @@ from rcrs.formulas import (
     atom,
     eq,
 )
-from rcrs.oracle import Expansion, FiniteDomain, behavior, eval_prefix3, exec_det
+from rcrs.oracle import (
+    Expansion,
+    FiniteDomain,
+    behavior,
+    bounded_rel,
+    eval_prefix3,
+    exec_det,
+    legal_lasso,
+)
 from rcrs.syntax import parse_component, parse_formula, parse_rcrs
 from rcrs.terms import App, PrimedRef, TRUE, VarRef, add, intc, mul, var
 from rcrs.types import BOOL, INT, REAL, IntRange, Var
@@ -205,6 +215,82 @@ class TestReceptiveness:
         w = res.witness
         trace = tuple((0, w.slot("y")[i]) for i in range(len(w.steps)))
         assert exec_det(Atomic(_div()), trace) == IllegalAt(w.step)
+
+
+class TestLegalityCore:
+    """Validity, receptiveness and refinement share one discharger; a
+    transition system's validity reads its legal-input formula first, then
+    walks its reachable configuration sets."""
+
+    # stuck at step 6 on every input: no legal input trace at all
+    DIES = "sts((x:bool), (y:bool), (s:int[0..7]), s = 0, s < 5 && s' = s + 1 && y = x)"
+
+    def test_dies_is_not_proven(self):
+        res = is_valid(parse_component(self.DIES))
+        assert isinstance(res, Unknown)
+        assert res.reason == "no legal input lasso within horizon 4; validity undecided"
+
+    def test_stuck_within_the_horizon_is_refuted(self):
+        res = is_valid(parse_component(self.DIES.replace("s < 5", "s < 3")))
+        assert isinstance(res, Refuted)
+        assert res.note == "every input trace is illegal within horizon 4"
+
+    @pytest.mark.parametrize("name", ["Sum", "UnitDelay", "Thermostat"])
+    def test_true_legal_formula_proves_validity(self, name):
+        bindings, _ = parse_rcrs(
+            "component Add = stateless_det((x:int, y:int), true, (x + y))\n"
+            "component UnitDelay = det((x:int), (s:int), (0), true, (x), (s))\n"
+            "component Split = stateless_det((x:int), true, (x, x))\n"
+            "component Sum = fdbk(Add ; UnitDelay ; Split)\n" + TestOvenExample.OVEN_TEXT
+        )
+        assert legal_formula(atomic(bindings[name])) == TRUEC
+        res = is_valid(bindings[name])
+        assert res == Proven(note="legal-input formula is true")
+
+    def test_unsatisfiable_init_is_the_miraculous_transformer(self):
+        c = parse_component("sts((x:bool), (y:bool), (s:int[0..1]), false, y = x && x && s' = s)")
+        assert legal_formula(atomic(c)) == TRUEC
+        assert isinstance(is_valid(c), Proven)
+
+    def test_closed_legal_formula_decides_oven_receptiveness(self):
+        bindings, _ = parse_rcrs(TestOvenExample.OVEN_TEXT)
+        res = is_input_receptive(bindings["Oven"])
+        assert res == Proven(note="legal-input formula valid (lasso)")
+
+    def test_closed_temporal_vc_is_decided(self):
+        bindings, _ = parse_rcrs(TestOvenExample.OVEN_TEXT)
+        res = check_refines(bindings["Oven"], bindings["Oven"])
+        assert res == Proven(note="temporal refinement: legality inclusion via lasso")
+
+    def test_lasso_entry_points_raise_when_a_cap_cuts_the_search(self):
+        goal = parse_component("qltl((x:bool), (), G F x)").atom.phi
+        for search in (refute_temporal, witness_temporal_truth):
+            with pytest.raises(ExplosionGuard, match="^not searched: 16 lasso assignments exceed the cap 3$"):
+                search(goal, None, Expansion(cap=3))
+        assert refute_temporal(goal).words == (("x", (), (False,)),)
+
+
+class TestValidityAgainstTheOracle:
+    """Seeded cross-check of transition-system validity against the bounded
+    oracle: a refutation has an illegal prefix on every input trace of the
+    horizon, and the walk's legal input lasso has no illegal point."""
+
+    def test_random_sts_atoms(self):
+        dom, labels = FiniteDomain(), []
+        for seed in range(300):
+            s = random_sts_atom(random.Random(seed))
+            res = is_valid(Atomic(s))
+            labels.append(res.label())
+            if isinstance(res, Refuted):
+                _, dead = bounded_rel(Atomic(s), dom, 4)
+                for trace in dom.traces(s.inputs, 4):
+                    assert any(trace[:k] in dead for k in range(1, 5)), (seed, trace)
+            elif res.note == "legal bounded behavior found at horizon 4":
+                stem, loop = legal_lasso(Atomic(s), dom, 4)
+                unrolled = stem + 3 * loop
+                beh = behavior(Atomic(s), dom, len(unrolled))
+                assert beh.first_illegal(unrolled) is None, (seed, stem, loop)
+        assert labels.count("Proven") == 283 and labels.count("Refuted") == 17
 
 
 class TestRefineVc:
