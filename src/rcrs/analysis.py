@@ -4,12 +4,17 @@ SMT-LIB emission to an external solver, and bounded-oracle fallbacks."""
 
 from __future__ import annotations
 
+import atexit
 import contextlib
 import itertools
 import math
 import os
+import re
+import select
 import shlex
 import subprocess
+import tempfile
+import time
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional
@@ -164,15 +169,167 @@ def solver_command() -> Optional[list[str]]:
     return shlex.split(path) if path else None
 
 
+_VERDICTS = (b"sat", b"unsat", b"unknown")
+_CHECK_SAT = re.compile(r"\(\s*check-sat\s*\)")
+# `(check-sat)` on the empty context: a streaming solver answers it at once
+_PROBE = b"(check-sat)\n(reset)\n"
+
+
+class _Session:
+    """A live solver process that takes one goal after another: each goal's
+    script followed by `(reset)`, one verdict line back for its
+    `(check-sat)`.  It takes goals once it has answered `_PROBE`; stderr
+    goes to a temporary file, so that no pipe can fill."""
+
+    def __init__(self, cmd: list[str]):
+        self.cmd = cmd
+        self.stderr = tempfile.TemporaryFile()
+        self.proc = subprocess.Popen(
+            cmd, stdin=subprocess.PIPE, stdout=subprocess.PIPE, stderr=self.stderr, bufsize=0
+        )
+        os.set_blocking(self.proc.stdin.fileno(), False)
+        self.started = time.monotonic()
+        self.pending, self.eof, self.ready = b"", False, False
+        self.send(_PROBE, self.started + SOLVER_TIMEOUT)
+
+    def send(self, data: bytes, deadline: float):
+        """Write data, giving up at the deadline or when the process has
+        closed its stdin; `verdict` then tells what became of it."""
+        fd = self.proc.stdin.fileno()
+        while data:
+            if not select.select([], [fd], [], max(0.0, deadline - time.monotonic()))[1]:
+                return
+            try:
+                data = data[os.write(fd, data) :]
+            except BlockingIOError:
+                continue
+            except OSError:  # the process is gone
+                return
+
+    def verdict(self, deadline: float) -> Optional[str]:
+        """The next verdict line, skipping any other output; None when none
+        has come by the deadline, "" when stdout ended without one."""
+        fd = self.proc.stdout.fileno()
+        while True:
+            line, newline, rest = self.pending.partition(b"\n")
+            if newline:
+                self.pending, word = rest, line.strip()
+                if word in _VERDICTS:
+                    return word.decode()
+                continue
+            if self.eof:
+                return ""
+            if not select.select([fd], [], [], max(0.0, deadline - time.monotonic()))[0]:
+                return None
+            chunk = os.read(fd, 4096)
+            self.eof = not chunk
+            self.pending += chunk or b"\n"  # an unterminated last line counts
+
+    def failure(self) -> Optional[SolverFailure]:
+        """After stdout ended: the failure to raise when the process exited
+        non-zero, naming its last stderr line."""
+        try:
+            code = self.proc.wait(SOLVER_TIMEOUT)
+        except subprocess.TimeoutExpired:
+            return None
+        if code == 0:
+            return None
+        self.stderr.seek(0)
+        return _failure(code, self.stderr.read())
+
+    def close(self):
+        self.proc.kill()
+        self.proc.wait()
+        for f in (self.proc.stdin, self.proc.stdout, self.stderr):
+            f.close()
+
+
+_session: Optional[_Session] = None
+_seen: set[tuple[str, ...]] = set()  # commands that have run a goal
+_one_shot: set[tuple[str, ...]] = set()  # commands whose session failed
+
+
+def _close_session():
+    global _session
+    if _session is not None:
+        _session.close()
+        _session = None
+
+
+atexit.register(_close_session)
+
+
+def _ready_session(cmd: list[str]) -> Optional[_Session]:
+    """The live session of the command once it has answered its probe.  The
+    command's first goal starts none; the second starts one and sends it the
+    probe.  None until the probe's answer is there, which is checked without
+    waiting.  A session that has died, or has not answered within
+    SOLVER_TIMEOUT, is killed, and the command spawns once per goal from
+    then on."""
+    global _session
+    key = tuple(cmd)
+    if _session is not None and _session.cmd != cmd:
+        _close_session()
+    if key in _one_shot or key not in _seen:
+        _seen.add(key)
+        return None
+    if _session is None:
+        try:
+            _session = _Session(cmd)
+        except OSError:
+            _one_shot.add(key)
+        return None
+    if not _session.ready:
+        answer = _session.verdict(time.monotonic())
+        if answer is None and time.monotonic() - _session.started <= SOLVER_TIMEOUT:
+            return None
+        _session.ready = bool(answer)
+    if _session.ready and _session.proc.poll() is None:
+        return _session
+    _close_session()
+    _one_shot.add(key)
+    return None
+
+
+def _session_verdict(session: _Session, script: str, timeout: float) -> str:
+    """Ask the session; a timeout kills it (the next goal starts another)
+    and reads 'unknown'.  A session that ends without a verdict is closed
+    for good, and raises SolverFailure when it exited non-zero."""
+    deadline = time.monotonic() + timeout
+    session.send(script.encode() + b"\n(reset)\n", deadline)
+    answer = session.verdict(deadline)
+    if answer == "":
+        failure = session.failure()
+        _close_session()
+        _one_shot.add(tuple(session.cmd))
+        if failure is not None:
+            raise failure
+        return "unknown"
+    if answer is None:
+        _close_session()
+    return answer or "unknown"
+
+
+def _failure(code: int, stderr: bytes) -> SolverFailure:
+    err = stderr.decode(errors="replace").strip().splitlines()
+    last = f": {err[-1].strip()}" if err else ""
+    return SolverFailure(f"solver exited with status {code} and no verdict{last}")
+
+
 def run_solver(script: str, timeout: float = SOLVER_TIMEOUT) -> str:
-    """Run the configured solver on an SMT-LIB script; first output line is
-    the verdict.  Returns 'sat', 'unsat', 'unknown', or 'unavailable'.  A
-    solver that exits non-zero without a verdict line raises SolverFailure
-    with its last stderr line; a timeout or a solver that cannot be started
-    reads 'unknown'."""
+    """Run the configured solver on an SMT-LIB script and return 'sat',
+    'unsat', 'unknown', or 'unavailable'.  A command's first goal spawns the
+    solver on the script and takes the first output line as the verdict;
+    later goals with one `(check-sat)` go to the command's `_Session` once
+    it is ready.  A solver that exits non-zero without a verdict line raises
+    SolverFailure with its last stderr line; a timeout or a solver that
+    cannot be started reads 'unknown'."""
     cmd = solver_command()
     if cmd is None:
         return "unavailable"
+    session = _ready_session(cmd)
+    if session is not None and len(_CHECK_SAT.findall(script)) == 1:
+        return _session_verdict(session, script, timeout)
     try:
         proc = subprocess.run(cmd, input=script.encode(), capture_output=True, timeout=timeout)
     except (subprocess.TimeoutExpired, OSError):
@@ -180,9 +337,7 @@ def run_solver(script: str, timeout: float = SOLVER_TIMEOUT) -> str:
     first = proc.stdout.decode(errors="replace").strip().splitlines()
     verdict = first[0].strip() if first else ""
     if proc.returncode != 0 and verdict not in ("sat", "unsat", "unknown"):
-        err = proc.stderr.decode(errors="replace").strip().splitlines()
-        last = f": {err[-1].strip()}" if err else ""
-        raise SolverFailure(f"solver exited with status {proc.returncode} and no verdict{last}")
+        raise _failure(proc.returncode, proc.stderr)
     return verdict if verdict in ("sat", "unsat") else "unknown"
 
 
@@ -477,15 +632,15 @@ def _lasso_search_setup(goal: Formula, dom: Optional[FiniteDomain], expand: Expa
     return fv, families, eval_dom
 
 
-def _lasso_search(goal, dom, expand, want: bool) -> Optional[LassoWitness]:
-    """A lasso assignment on which the goal is definitely `want`; None when
-    the bounded search finds none.  Raises ExplosionGuard, naming the cap,
-    when a cap skips the search or cuts it short."""
+def _lasso_verdicts(goal, dom, expand):
+    """Each lasso assignment of the goal's free variables with the goal's
+    definite value on it (None when undecided); a closed goal has one, the
+    empty assignment.  Raises ExplosionGuard, naming the cap, when a cap
+    skips the search or cuts it short."""
     setup = _lasso_search_setup(goal, dom, expand)
     if isinstance(setup, str):
         raise ExplosionGuard(f"not searched: {setup}")
     fv, families, eval_dom = setup
-    note = "lasso model of the goal" if want else "lasso assignment falsifying the goal"
     for combo in itertools.product(*families):
         words = dict(zip(fv, combo))
         try:
@@ -506,8 +661,20 @@ def _lasso_search(goal, dom, expand, want: bool) -> Optional[LassoWitness]:
                     verdict = eval_qltl(specialized, {}, expand, eval_dom).definite
         except ExplosionGuard as e:
             raise ExplosionGuard(f"search stopped: {e}") from None
+        yield words, verdict
+
+
+def _lasso_witness(words: dict, want: bool) -> LassoWitness:
+    note = "lasso model of the goal" if want else "lasso assignment falsifying the goal"
+    return LassoWitness(tuple((v.name, w.stem, w.loop) for v, w in words.items()), note=note)
+
+
+def _lasso_search(goal, dom, expand, want: bool) -> Optional[LassoWitness]:
+    """A lasso assignment on which the goal is definitely `want`; None when
+    the bounded search finds none.  ExplosionGuard as for `_lasso_verdicts`."""
+    for words, verdict in _lasso_verdicts(goal, dom, expand):
         if verdict is want:
-            return LassoWitness(tuple((v.name, w.stem, w.loop) for v, w in words.items()), note=note)
+            return _lasso_witness(words, want)
     return None
 
 
@@ -548,22 +715,23 @@ class _Decision:
 def _discharge(goal: Formula, dom: Optional[FiniteDomain], expand=Expansion(), sat=False) -> _Decision:
     """Is the goal valid, or with `sat` satisfiable?  The routes, in order: a
     constant goal; `_discharge_first_order` for a first-order goal; for a
-    temporal goal, a lasso falsifying it (with `sat`, a lasso model); and a
-    closed temporal goal is decided either way by the lasso search's definite
-    value.  The witness falsifies the goal, or with `sat` satisfies it."""
+    temporal goal with free variables, a lasso falsifying it (with `sat`, a
+    lasso model); and a closed temporal goal is decided either way by its
+    definite value, evaluated once.  The witness falsifies the goal, or with
+    `sat` satisfies it."""
     if isinstance(goal, (TrueC, FalseC)):
         return _Decision(isinstance(goal, TrueC), "constant")
     if not is_temporal(goal):
         return _discharge_first_order(goal, dom, sat)
-    search, converse = refute_temporal, witness_temporal_truth
-    if sat:
-        search, converse = converse, search
     try:
-        witness = search(goal, dom, expand)
-        if witness is not None:
-            return _Decision(sat, "lasso", witness)
-        if not free_vars(goal).vars and converse(goal, dom, expand) is not None:
-            return _Decision(not sat, "lasso")
+        if free_vars(goal).vars:
+            witness = (witness_temporal_truth if sat else refute_temporal)(goal, dom, expand)
+            if witness is not None:
+                return _Decision(sat, "lasso", witness)
+        else:
+            ((words, value),) = _lasso_verdicts(goal, dom, expand)
+            if value is not None:
+                return _Decision(value, "lasso", _lasso_witness(words, sat) if value is sat else None)
     except ExplosionGuard as e:
         return _Decision(None, "none", reason=str(e))
     return _Decision(None, "none")

@@ -1,7 +1,10 @@
 """A miniature SMT-LIB 2 solver for quantified integer/rational difference
 logic, suitable as an `RCRS_SMT_SOLVER` executable for desk-scale use.
 
-Reads a script on standard input and prints `sat`, `unsat`, or `unknown`.
+Reads SMT-LIB on standard input and prints `sat`, `unsat`, or `unknown` for
+each `(check-sat)` as soon as it is read; `(reset)` starts a fresh context, so
+one process can answer one goal after another.
+
 It decides boolean combinations (with quantifiers) of difference constraints
 x - y <= c, bounds +-x <= c, boolean/enum literals, and if-then-else; every
 atom outside that fragment degrades the answer to `unknown` rather than a
@@ -14,6 +17,8 @@ Usage: python3 -m rcrs.dlsolver < script.smt2
 
 from __future__ import annotations
 
+import codecs
+import re
 import sys
 from fractions import Fraction
 from math import floor
@@ -661,11 +666,63 @@ def run(script: str) -> list[str]:
     return out
 
 
+_DELIMITER = re.compile(r"[();|]")
+
+
+def commands(chunks):
+    """The text of each complete top-level command in a stream of text
+    chunks, as soon as its closing parenthesis arrives, with any atoms and
+    comments before it; then whatever is left at the end of the stream."""
+    buf, i, depth = "", 0, 0
+    for chunk in chunks:
+        buf += chunk
+        while m := _DELIMITER.search(buf, i):
+            c, i = m.group(), m.end()
+            if c in ";|":  # a comment or a quoted symbol: skip it whole
+                end = buf.find("\n" if c == ";" else "|", i)
+                if end < 0:
+                    i = m.start()  # wait for its end
+                    break
+                i = end + 1
+            elif c == "(":
+                depth += 1
+            else:
+                depth -= 1
+                if depth <= 0:  # below zero, read_sexprs rejects the text
+                    yield buf[:i]
+                    buf, i, depth = buf[i:], 0, 0
+    yield buf
+
+
+def _text_chunks(stream):
+    """The text of a byte stream, a chunk as soon as it arrives."""
+    decoder = codecs.getincrementaldecoder("utf-8")(errors="replace")
+    while data := stream.read1(65536):
+        yield decoder.decode(data)
+    yield decoder.decode(b"", final=True)
+
+
 def main() -> int:
-    script = sys.stdin.read()
-    results = run(script) or ["unknown"]
-    for r in results:
-        print(r)
+    """Answer each `(check-sat)` as soon as it is read, on its own flushed
+    line, as `run` answers it on the commands before it; `(reset)` starts a
+    fresh context.  A script without `(reset)` gets the answers of `run` on
+    the whole script, or `unknown` when it has no `(check-sat)`."""
+    context, answered = [], False
+    for text in commands(_text_chunks(sys.stdin.buffer)):
+        heads = [c[0] for c in read_sexprs(text) if isinstance(c, list) and c]
+        if heads == ["check-sat"]:
+            # `run` is looked up here, so that a wrapper installed on it sees
+            # every goal
+            for answer in run("".join(context) + text):
+                sys.stdout.write(answer + "\n")
+                answered = True
+            sys.stdout.flush()
+        elif heads == ["reset"]:
+            context.clear()
+        else:
+            context.append(text)
+    if not answered:
+        print("unknown")
     return 0
 
 

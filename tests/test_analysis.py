@@ -829,3 +829,153 @@ class TestRouteOrder:
         calls.clear()
         is_input_receptive(bindings["Div"])
         assert len(calls) == 1
+
+
+# A streaming solver that answers `unsat` to each `(check-sat)` as it reads it
+# and logs `start PID` and `answer PID`; a goal asserting `slow` hangs, and
+# one asserting `crash` makes it exit with status 1.
+STREAMING_STUB = """\
+import os, sys, time
+log = open(sys.argv[1], "a", buffering=1)
+log.write(f"start {os.getpid()}\\n")
+goal = ""
+for line in sys.stdin:
+    goal += line
+    if "(check-sat)" in line:
+        if "(assert slow)" in goal:
+            time.sleep(30)
+        if "(assert crash)" in goal:
+            sys.exit("stub solver crashed")
+        log.write(f"answer {os.getpid()}\\n")
+        print("unsat", flush=True)
+    if "(reset)" in line:
+        goal = ""
+"""
+
+
+def _wait_for_session():
+    """The live session once it has answered its probe."""
+    import time
+
+    import rcrs.analysis as analysis
+
+    deadline = time.monotonic() + 10
+    while analysis._ready_session(analysis.solver_command()) is None:
+        assert time.monotonic() < deadline, "the session never answered its probe"
+        time.sleep(0.01)
+    return analysis._session
+
+
+class TestSolverSession:
+    """One live solver per command: its first goal spawns the solver on the
+    script alone, its second also starts a session, and later goals stream
+    to the session once it has answered its probe."""
+
+    GOAL = "(declare-const x Int)\n(assert (< x x))\n(check-sat)\n"
+
+    @pytest.fixture
+    def stub_log(self, tmp_path, monkeypatch):
+        import sys
+
+        import rcrs.analysis as analysis
+
+        log, stub = tmp_path / "solver.log", tmp_path / "streaming_solver.py"
+        stub.write_text(STREAMING_STUB)
+        # -S: the stub needs no site packages, and starts faster without them
+        monkeypatch.setenv("RCRS_SMT_SOLVER", f"{sys.executable} -S {stub} {log}")
+        yield log
+        analysis._close_session()
+
+    @staticmethod
+    def _pids(log, event):
+        return [int(pid) for e, pid in (line.split() for line in log.read_text().splitlines()) if e == event]
+
+    def test_ten_goals_spawn_one_session(self, stub_log):
+        from rcrs.analysis import run_solver
+
+        assert run_solver(self.GOAL) == run_solver(self.GOAL) == "unsat"
+        session = _wait_for_session()
+        assert all(run_solver(self.GOAL) == "unsat" for _ in range(8))
+        starts, answers = self._pids(stub_log, "start"), self._pids(stub_log, "answer")
+        assert len(starts) == 3 and session.proc.pid in starts
+        # the probe and eight goals; the two one-shot spawns answer once each
+        assert answers.count(session.proc.pid) == 9
+        assert sorted(answers.count(pid) for pid in starts) == [1, 1, 9]
+
+    def test_timeout_kills_the_session_and_the_next_goal_restarts_it(self, stub_log):
+        import rcrs.analysis as analysis
+        from rcrs.analysis import run_solver
+
+        run_solver(self.GOAL), run_solver(self.GOAL)
+        first = _wait_for_session()
+        assert run_solver("(assert slow)\n" + self.GOAL, timeout=0.1) == "unknown"
+        assert analysis._session is None and first.proc.returncode is not None
+        assert run_solver(self.GOAL) == "unsat"
+        second = _wait_for_session()
+        assert second.proc.pid != first.proc.pid
+        assert run_solver(self.GOAL) == "unsat"
+        assert self._pids(stub_log, "answer").count(second.proc.pid) == 2
+
+    def test_session_dying_mid_goal_is_a_failure(self, stub_log):
+        import rcrs.analysis as analysis
+        from rcrs.analysis import run_solver
+        from rcrs.errors import SolverFailure
+
+        run_solver(self.GOAL), run_solver(self.GOAL)
+        _wait_for_session()
+        with pytest.raises(SolverFailure, match="status 1 and no verdict: stub solver crashed$"):
+            run_solver("(assert crash)\n" + self.GOAL)
+        # the command spawns once per goal from then on
+        assert analysis._session is None
+        assert run_solver(self.GOAL) == run_solver(self.GOAL) == "unsat"
+        assert analysis._session is None
+
+    def test_session_does_not_outlive_its_process(self, stub_log):
+        import os
+        import subprocess
+        import sys
+
+        code = (
+            "import time\n"
+            "from rcrs import analysis\n"
+            f"analysis.run_solver({self.GOAL!r}), analysis.run_solver({self.GOAL!r})\n"
+            "deadline = time.monotonic() + 10\n"
+            "while not analysis._ready_session(analysis.solver_command()) and time.monotonic() < deadline:\n"
+            "    time.sleep(0.01)\n"
+            "print(analysis._session.proc.pid)\n"
+        )
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)}
+        out = subprocess.run([sys.executable, "-c", code], env=env, stdout=subprocess.PIPE, check=True)
+        pid = int(out.stdout)
+        assert pid in self._pids(stub_log, "start")
+        for started in self._pids(stub_log, "start"):
+            with pytest.raises(ProcessLookupError):
+                os.kill(started, 0)
+
+    def test_session_verdicts_equal_in_process_verdicts(self, with_solver):
+        import re
+
+        from rcrs import dlsolver
+        from rcrs.analysis import emit_smtlib_sat, run_solver
+        from rcrs.syntax import print_component
+
+        scripts = []
+        for seed in range(4):
+            rng = random.Random(seed)
+            x, y = Var("x", IntRange(0, 2)), Var("y", IntRange(0, 1))
+            tables = [*refinement_table_pair(rng, [x], [y]), random_stateless_table(rng, [x], [y])]
+            # the same tables over int
+            abstract, concrete, table = (
+                parse_component(re.sub(r"int\[\d+\.\.\d+\]", "int", print_component(t))) for t in tables
+            )
+            vcs = refine_vc(abstract, concrete) + refine_vc(concrete, abstract)
+            scripts += [emit_smtlib(vc) for vc in vcs if vc.fragment == "first-order"]
+            scripts.append(emit_smtlib_sat(table.atom.io, "satisfiability"))
+        run_solver(scripts[0]), run_solver(scripts[1])
+        session = _wait_for_session()
+        answers = [run_solver(s) for s in scripts]
+        assert answers == [dlsolver.run(s)[0] for s in scripts]
+        assert {"sat", "unsat"} <= set(answers)
+        import rcrs.analysis as analysis
+
+        assert analysis._session is session and session.proc.poll() is None

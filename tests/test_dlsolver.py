@@ -217,3 +217,64 @@ class TestFailures:
         code = "import sys, rcrs.dlsolver; print(sorted(m for m in sys.modules if m.startswith('rcrs')))"
         proc = subprocess.run([sys.executable, "-c", code], stdout=subprocess.PIPE, check=True)
         assert proc.stdout.decode().strip() == "['rcrs', 'rcrs.dlsolver']"
+
+
+class TestStreaming:
+    """Each `(check-sat)` is answered as soon as it is read; `(reset)` starts
+    a fresh context."""
+
+    # several goals without `(reset)`, split across lines anyhow
+    SCRIPT = (
+        "(declare-const x Int)(assert (< x 3))(check-sat)\n"
+        "(assert (> x 5)) ; a comment with (check-sat)\n"
+        "(check-sat)(declare-const |odd (name)| Int)\n(assert (< |odd (name)| x))\n(check-sat"
+        ")\n(assert (forall ((y Int)) (not (= y 0))))(check-sat)"
+    )
+
+    def test_answers_while_stdin_is_open(self):
+        import select
+
+        goals = (("(assert true)\n(check-sat)\n", b"sat\n"), ("(reset)(assert false)(check-sat)", b"unsat\n"))
+        with subprocess.Popen(
+            [sys.executable, "-m", "rcrs.dlsolver"], stdin=subprocess.PIPE, stdout=subprocess.PIPE
+        ) as proc:
+            try:
+                for goal, want in goals:
+                    proc.stdin.write(goal.encode())
+                    proc.stdin.flush()
+                    assert select.select([proc.stdout], [], [], 10)[0], "no answer while stdin is open"
+                    assert proc.stdout.readline() == want
+            finally:
+                proc.kill()
+
+    def test_stream_without_reset_answers_as_run(self):
+        proc = subprocess.run(
+            [sys.executable, "-m", "rcrs.dlsolver"], input=self.SCRIPT.encode(), stdout=subprocess.PIPE, check=True
+        )
+        assert run(self.SCRIPT) == ["sat", "unsat", "unsat", "unsat"]
+        assert proc.stdout.decode().splitlines() == run(self.SCRIPT)
+
+    def test_commands_split_at_every_chunk_boundary(self):
+        whole = list(dlsolver.commands([self.SCRIPT]))
+        # ten commands, then the empty rest
+        assert "".join(whole) == self.SCRIPT and len(whole) == 11 and whole[-1] == ""
+        for cut in range(len(self.SCRIPT)):
+            assert list(dlsolver.commands([self.SCRIPT[:cut], self.SCRIPT[cut:]])) == whole
+
+    def test_each_goal_goes_through_run(self, monkeypatch, capsys):
+        import io
+
+        goals = []
+        solve = dlsolver.run
+        monkeypatch.setattr(dlsolver, "run", lambda script: goals.append(script) or solve(script))
+        stream = "(assert false)(check-sat)(reset)(check-sat)(reset)(assert false)"
+        monkeypatch.setattr(sys, "stdin", io.TextIOWrapper(io.BytesIO(stream.encode())))
+        assert dlsolver.main() == 0
+        assert capsys.readouterr().out == "unsat\nsat\n"
+        assert goals == ["(assert false)(check-sat)", "(check-sat)"]
+
+    def test_no_check_sat_reads_unknown(self):
+        proc = subprocess.run(
+            [sys.executable, "-m", "rcrs.dlsolver"], input=b"(assert true)", stdout=subprocess.PIPE, check=True
+        )
+        assert proc.stdout == b"unknown\n"
