@@ -812,11 +812,25 @@ def _transition_validity(a: AtomicComponent, dom: Optional[FiniteDomain], horizo
         lasso = legal_lasso(Atomic(a), dom or FiniteDomain(), horizon)
     except (DomainNotFinite, ExplosionGuard) as e:
         return Unknown(f"bounded behavior unavailable: {e}")
-    if lasso:
-        return Proven(note=f"legal bounded behavior found at horizon {horizon}")
-    if lasso is False:
-        return Refuted(note=f"every input trace is illegal within horizon {horizon}")
-    return Unknown(f"no legal input lasso within horizon {horizon}; validity undecided")
+    if lasso is None:
+        return Unknown(f"no legal input lasso within horizon {horizon}; validity undecided")
+    note = (
+        f"legal bounded behavior found at horizon {horizon}"
+        if lasso
+        else f"every input trace is illegal within horizon {horizon}"
+    )
+    # The walk sees only the domain's values.  Over an override it misses the
+    # successors, outputs and quantified values outside it, which a lasso
+    # needs exact, and the inputs outside it, which a refutation needs too.
+    binders = [
+        n.var.ty for f in field_values(a, "formula") for n, _ in nodes(f) if isinstance(n, (Forall, Exists))
+    ]
+    successors = [] if isinstance(a, Det) else [v.ty for v in (*a.outputs, *a.states)]
+    inputs = [] if lasso else [v.ty for v in a.inputs]
+    ty = next((t for t in binders + successors + inputs if _pool(t, dom, set())[1] != "own"), None)
+    if ty is not None:
+        return Unknown(f"{note}, but {ty.short()} ranges over a domain override")
+    return Proven(note=note) if lasso else Refuted(note=note)
 
 
 def check_compat(c1, c2, dom: FiniteDomain = None) -> CheckResult:

@@ -1,12 +1,25 @@
-"""Concrete syntax: a lexer/recursive-descent parser for component definition
-files and a precedence-aware printer.  Round trip: parse(print(c)) equals c
-up to whitespace; print(parse(s)) equals s up to alpha renaming."""
+"""Concrete syntax: a lexer, a parser for component definition files and a
+printer, all driven by one operator table.
+
+`OPERATORS` gives each operator's token, node, binding power and
+associativity: the component operators `;` and `||`, then the formula
+connectives, quantifiers and temporal operators, the comparisons and the
+arithmetic.  One precedence-climbing routine (`_Parser.climb`, after Pratt's
+top down operator precedence) reads components, formulas and terms from it,
+and the printer places brackets from it, so the two cannot disagree.
+Formulas and terms share one expression grammar: a bracket is read once, and
+an operand is a formula or a term by what it turned out to be; a boolean
+term standing for a formula becomes the atom `t = true`.  Brackets are
+always allowed.
+
+Round trip: parse(print(c)) equals c, and print(parse(print(c))) equals
+print(c)."""
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+import re
 from fractions import Fraction
-from typing import Optional
+from typing import NamedTuple, Optional
 
 from .components import (
     KIND_CLASS,
@@ -21,7 +34,7 @@ from .components import (
     Signature,
     as_component,
 )
-from .errors import ComponentSyntaxError, TypeMismatch, UnboundVariable, UnknownType
+from .errors import ComponentSyntaxError, UnboundVariable, UnknownType
 from .formulas import (
     And,
     Atom,
@@ -39,74 +52,84 @@ from .formulas import (
     TrueC,
     Until,
     atom as mk_atom,
+    children,
 )
-from .terms import App, Const, NextRef, PrimedRef, Term, VarRef, type_of
+from .terms import FALSE, PREDICATES, REAL, TRUE, App, Const, NextRef, PrimedRef, Term, VarRef, type_of
 from .types import (
     BOOL,
     EnumType,
     INT,
     IntRange,
     IntType,
-    REAL,
     RealType,
     SemType,
     UNIT,
     Var,
 )
 
-_PUNCT = [
-    "<->",
-    "->",
-    "&&",
-    "||",
-    "!=",
-    "<=",
-    ">=",
-    "..",
-    "(",
-    ")",
-    "[",
-    "]",
-    "{",
-    "}",
-    ",",
-    ":",
-    ";",
-    "=",
-    "<",
-    ">",
-    "!",
-    "+",
-    "-",
-    "*",
-    "/",
-    "@",
-    "'",
-    ".",
-]
+
+class Op(NamedTuple):
+    token: str
+    node: object  # the node class, or the App symbol or Atom predicate
+    power: int  # binding power: the higher, the tighter
+    assoc: str  # "left", "right" or "none" for an infix operator, else "prefix"
+
+
+# From the loosest to the tightest.  The comparisons and everything tighter
+# take term operands; every other expression operator takes formulas.
+_COMPARE = 7
+OPERATORS = (
+    Op(";", Serial, 1, "left"),
+    Op("||", Parallel, 2, "left"),
+    Op("forall", Forall, 0, "prefix"),
+    Op("exists", Exists, 0, "prefix"),
+    Op("<->", Iff, 1, "right"),
+    Op("->", Implies, 2, "right"),
+    Op("||", Or, 3, "left"),
+    Op("&&", And, 4, "left"),
+    Op("U", Until, 5, "right"),
+    Op("L", Leads, 5, "right"),
+    Op("!", Not, 6, "prefix"),
+    Op("G", Globally, 6, "prefix"),
+    Op("F", Finally, 6, "prefix"),
+    *(Op(p, p, _COMPARE, "none") for p in ("=", "!=", "<=", ">=", "<", ">")),
+    Op("+", "+", 8, "left"),
+    Op("-", "-", 8, "left"),
+    Op("*", "*", 9, "left"),
+    Op("/", "/", 9, "left"),
+    Op("-", "neg", 10, "prefix"),
+    Op("@", NextRef, 10, "prefix"),
+)
+_COMPONENT_INFIX = {op.token: op for op in OPERATORS if op.node in (Serial, Parallel)}
+_INFIX = {
+    op.token: op for op in OPERATORS if op.assoc != "prefix" and op.node not in (Serial, Parallel)
+}
+_PREFIX = {op.token: op for op in OPERATORS if op.assoc == "prefix"}
+_BY_NODE = {op.node: op for op in OPERATORS}
 
 _KIND_KEYWORDS = {k.value for k in Kind}
 _KEYWORDS = {
     "component",
     *_KIND_KEYWORDS,
     "fdbk",
-    "forall",
-    "exists",
     "true",
     "false",
     "bool",
     "int",
     "real",
     "unit",
-    "G",
-    "F",
-    "U",
-    "L",
+    *(op.token for op in OPERATORS if op.token.isalpha()),
 }
 
+# one alternative per token class, the longest punctuation first
+_LEXEME = re.compile(
+    r"(?P<skip>[ \t\r]+|#[^\n]*)|(?P<newline>\n)|(?P<real>\d+\.\d+)|(?P<int>\d+)"
+    r"|(?P<word>[^\W\d]\w*)|(?P<punct><->|->|&&|\|\||!=|<=|>=|\.\.|[][(){},:;=<>!+*/@'.-])"
+    r"|(?P<bad>.)"
+)
 
-@dataclass(frozen=True)
-class Token:
+
+class Token(NamedTuple):
     kind: str  # 'name', 'int', 'real', 'punct', 'kw', 'eof'
     text: str
     line: int
@@ -115,58 +138,25 @@ class Token:
 
 def _lex(text: str) -> list[Token]:
     toks: list[Token] = []
-    i, line, col = 0, 1, 1
-    n = len(text)
-    while i < n:
-        ch = text[i]
-        if ch == "\n":
-            i += 1
+    line, line_start, m = 1, 0, None
+    for m in _LEXEME.finditer(text):
+        kind = m.lastgroup
+        if kind == "skip":
+            continue
+        if kind == "newline":
             line += 1
-            col = 1
+            line_start = m.end()
             continue
-        if ch in " \t\r":
-            i += 1
-            col += 1
-            continue
-        if ch == "#":
-            while i < n and text[i] != "\n":
-                i += 1
-            continue
-        if ch.isdigit():
-            j = i
-            while j < n and text[j].isdigit():
-                j += 1
-            if j + 1 < n and text[j] == "." and text[j + 1].isdigit():
-                k = j + 1
-                while k < n and text[k].isdigit():
-                    k += 1
-                toks.append(Token("real", text[i:k], line, col))
-                col += k - i
-                i = k
-                continue
-            toks.append(Token("int", text[i:j], line, col))
-            col += j - i
-            i = j
-            continue
-        if ch.isalpha() or ch == "_":
-            j = i
-            while j < n and (text[j].isalnum() or text[j] == "_"):
-                j += 1
-            word = text[i:j]
+        word = m.group()
+        col = m.start() - line_start + 1
+        if kind == "word":
             kind = "kw" if word in _KEYWORDS else "name"
-            toks.append(Token(kind, word, line, col))
-            col += j - i
-            i = j
-            continue
-        for p in _PUNCT:
-            if text.startswith(p, i):
-                toks.append(Token("punct", p, line, col))
-                i += len(p)
-                col += len(p)
-                break
-        else:
-            raise ComponentSyntaxError(f"unexpected character {ch!r}", line, col)
-    toks.append(Token("eof", "", line, col))
+        elif kind == "bad":
+            raise ComponentSyntaxError(f"unexpected character {word!r}", line, col)
+        toks.append(Token(kind, word, line, col))
+    # the end of input is placed before a comment that ends the text
+    end = m.start() if m is not None and m.group().startswith("#") else len(text)
+    toks.append(Token("eof", "", line, end - line_start + 1))
     return toks
 
 
@@ -174,85 +164,157 @@ class _Parser:
     def __init__(self, text: str):
         self.toks = _lex(text)
         self.pos = 0
+        self.tok = self.toks[0]
         self.bindings: dict[str, Component] = {}
         self.order: list[str] = []
 
     # --- token utilities ---
-
-    def peek(self, offset=0) -> Token:
-        return self.toks[min(self.pos + offset, len(self.toks) - 1)]
+    # a keyword or punctuation token is told by its text alone: no name or
+    # literal is spelled like one
 
     def next(self) -> Token:
-        t = self.toks[self.pos]
+        t = self.tok
         if t.kind != "eof":
             self.pos += 1
+            self.tok = self.toks[self.pos]
         return t
 
-    def at(self, text: str) -> bool:
-        t = self.peek()
-        return t.text == text and t.kind in ("punct", "kw")
-
     def accept(self, text: str) -> bool:
-        if self.at(text):
+        if self.tok.text == text:
             self.next()
             return True
         return False
 
     def expect(self, text: str) -> Token:
-        t = self.peek()
-        if not self.at(text):
+        t = self.tok
+        if t.text != text:
             raise ComponentSyntaxError(f"expected {text!r}, found {t.text!r}", t.line, t.col)
         return self.next()
 
-    def fail(self, msg: str, cls=ComponentSyntaxError):
-        t = self.peek()
-        raise cls(msg, t.line, t.col)
+    def fail(self, msg: str):
+        t = self.tok
+        raise ComponentSyntaxError(msg, t.line, t.col)
 
     # --- file level ---
 
     def parse_file(self):
-        while self.peek().kind != "eof":
+        while self.tok.kind != "eof":
             self.expect("component")
             name = self._name("component name")
             self.expect("=")
-            expr = self.component_expr()
-            self.bindings[name] = expr
+            self.bindings[name] = self.climb(None)
             self.order.append(name)
         if not self.order:
             self.fail("no component bindings found")
         return self.bindings, self.order
 
     def _name(self, what: str) -> str:
-        t = self.peek()
+        t = self.tok
         if t.kind != "name":
             self.fail(f"expected {what}, found {t.text!r}")
         return self.next().text
 
+    # --- operators ---
+
+    def climb(self, env: Optional["_Scope"], power: int = 0):
+        """The longest expression here whose infix operators bind at least
+        `power`: a component when `env` is None, else a formula or a term
+        over `env`."""
+        if env is None:
+            left, infix = self.component_factor(), _COMPONENT_INFIX
+        else:
+            left, infix = self.prefix(env), _INFIX
+        while (op := infix.get(self.tok.text)) is not None and op.power >= power:
+            if op.power < _COMPARE:
+                left = self.as_formula(left)
+            elif isinstance(left, Formula):
+                break  # comparisons do not chain, and a formula is no term
+            self.next()
+            start = self.tok
+            right = self.climb(env, op.power + (op.assoc != "right"))
+            left = _build(op, left, self.operand(op, right, start))
+        return left
+
+    def prefix(self, env: "_Scope"):
+        op = _PREFIX.get(self.tok.text)
+        if op is None:
+            return self.primary(env)
+        self.next()
+        if op.node in (Forall, Exists):
+            v = self.decl()
+            self.expect(".")
+            return op.node(v, self.formula(env.extend(v)))
+        start = self.tok
+        return _build(op, self.operand(op, self.climb(env, op.power), start))
+
+    def operand(self, op: Op, value, start: Token):
+        """`value`, read from `start`, as an operand of `op`: a term from the
+        comparisons up, else a formula; a component stays as it is."""
+        return self.as_term(value, start) if op.power >= _COMPARE else self.as_formula(value)
+
+    @staticmethod
+    def as_term(value, start: Token) -> Term:
+        if isinstance(value, Formula):
+            raise ComponentSyntaxError(f"expected a term, found {start.text!r}", start.line, start.col)
+        return value
+
+    def as_formula(self, value):
+        """A term standing for a formula: `true`, `false`, or a boolean term
+        t as the atom `t = true`; anything else stays as it is."""
+        if not isinstance(value, Term):
+            return value
+        if value == TRUE:
+            return TrueC()
+        if value == FALSE:
+            return FalseC()
+        if type_of(value) != BOOL:
+            self.fail("expected a comparison or a boolean term")
+        return Atom("=", (value, TRUE))
+
+    def primary(self, env: "_Scope"):
+        t = self.next()
+        if t.kind == "int":
+            return Const(int(t.text), INT)
+        if t.kind == "real":
+            return Const(Fraction(t.text), REAL)
+        if t.text == "true":
+            return TRUE
+        if t.text == "false":
+            return FALSE
+        if t.text == "(":
+            inner = self.climb(env)
+            self.expect(")")
+            return inner
+        if t.kind == "name":
+            v = env.lookup(t.text)
+            if v is not None:
+                return PrimedRef(v) if self.accept("'") else VarRef(v)
+            ty = env.enum_of(t.text)
+            if ty is not None:
+                return Const(t.text, ty)
+            raise UnboundVariable(f"unknown variable {t.text!r}", t.line, t.col)
+        raise ComponentSyntaxError(f"expected a term, found {t.text!r}", t.line, t.col)
+
+    def formula(self, env: "_Scope") -> Formula:
+        return self.as_formula(self.climb(env))
+
+    def term(self, env: "_Scope") -> Term:
+        start = self.tok
+        return self.as_term(self.climb(env, _COMPARE + 1), start)
+
     # --- components ---
 
-    def component_expr(self) -> Component:
-        left = self.component_term()
-        while self.accept(";"):
-            left = Serial(left, self.component_term())
-        return left
-
-    def component_term(self) -> Component:
-        left = self.component_factor()
-        while self.accept("||"):
-            left = Parallel(left, self.component_factor())
-        return left
-
     def component_factor(self) -> Component:
-        t = self.peek()
+        t = self.tok
         if self.accept("fdbk"):
             self.expect("(")
-            inner = self.component_expr()
+            inner = self.climb(None)
             self.expect(")")
             return Fdbk(inner)
         if t.text in _KIND_KEYWORDS:
             return Atomic(self.atomic_def())
         if self.accept("("):
-            inner = self.component_expr()
+            inner = self.climb(None)
             self.expect(")")
             return inner
         if t.kind == "name":
@@ -293,7 +355,7 @@ class _Parser:
     def signature(self) -> Signature:
         self.expect("(")
         slots = []
-        if not self.at(")"):
+        if self.tok.text != ")":
             slots.append(self.decl())
             while self.accept(","):
                 slots.append(self.decl())
@@ -306,7 +368,7 @@ class _Parser:
         return Var(name, self.semtype())
 
     def semtype(self) -> SemType:
-        t = self.peek()
+        t = self.tok
         if self.accept("bool"):
             return BOOL
         if self.accept("real"):
@@ -321,7 +383,7 @@ class _Parser:
                 self.expect("]")
                 return IntRange(lo, hi)
             return INT
-        if t.kind == "name" and self.peek(1).text == "{":
+        if t.kind == "name" and self.toks[self.pos + 1].text == "{":
             name = self.next().text
             self.expect("{")
             values = [self._name("enum value")]
@@ -333,8 +395,7 @@ class _Parser:
 
     def _int_literal(self) -> int:
         neg = self.accept("-")
-        t = self.peek()
-        if t.kind != "int":
+        if self.tok.kind != "int":
             self.fail("expected an integer literal")
         v = int(self.next().text)
         return -v if neg else v
@@ -345,7 +406,7 @@ class _Parser:
 
         if self.accept("("):
             vals = []
-            if not self.at(")"):
+            if self.tok.text != ")":
                 vals.append(self.literal(ty_at(0)))
                 while self.accept(","):
                     vals.append(self.literal(ty_at(len(vals))))
@@ -356,13 +417,12 @@ class _Parser:
         return (self.literal(states[0].ty),)
 
     def literal(self, ty: SemType) -> Const:
-        t = self.peek()
         if self.accept("true"):
-            return Const(True, BOOL)
+            return TRUE
         if self.accept("false"):
-            return Const(False, BOOL)
+            return FALSE
         neg = self.accept("-")
-        t = self.peek()
+        t = self.tok
         if t.kind == "int":
             v = int(self.next().text)
             v = -v if neg else v
@@ -376,152 +436,6 @@ class _Parser:
             return Const(self.next().text, ty)
         self.fail(f"expected a literal of type {ty.short()}")
 
-    # --- formulas ---
-
-    def formula(self, env: "_Scope") -> Formula:
-        return self._iff(env)
-
-    def _iff(self, env) -> Formula:
-        left = self._implies(env)
-        if self.accept("<->"):
-            return Iff(left, self._iff(env))
-        return left
-
-    def _implies(self, env) -> Formula:
-        left = self._or(env)
-        if self.accept("->"):
-            return Implies(left, self._implies(env))
-        return left
-
-    def _or(self, env) -> Formula:
-        left = self._and(env)
-        while self.accept("||"):
-            left = Or(left, self._and(env))
-        return left
-
-    def _and(self, env) -> Formula:
-        left = self._until(env)
-        while self.accept("&&"):
-            left = And(left, self._until(env))
-        return left
-
-    def _until(self, env) -> Formula:
-        left = self._unary(env)
-        if self.accept("U"):
-            return Until(left, self._until(env))
-        if self.accept("L"):
-            return Leads(left, self._until(env))
-        return left
-
-    def _unary(self, env) -> Formula:
-        if self.accept("!"):
-            return Not(self._unary(env))
-        if self.accept("G"):
-            return Globally(self._unary(env))
-        if self.accept("F"):
-            return Finally(self._unary(env))
-        if self.at("forall") or self.at("exists"):
-            kw = self.next().text
-            v = self.decl()
-            self.expect(".")
-            body = self._iff(env.extend(v))
-            return Forall(v, body) if kw == "forall" else Exists(v, body)
-        return self._atom_formula(env)
-
-    def _atom_formula(self, env) -> Formula:
-        if self.at("true") and not self._starts_term_after_bool():
-            self.next()
-            return TrueC()
-        if self.at("false") and not self._starts_term_after_bool():
-            self.next()
-            return FalseC()
-        if self.at("("):
-            save = self.pos
-            self.next()
-            try:
-                inner = self._iff(env)
-                self.expect(")")
-                if not self._peek_term_operator():
-                    return inner
-            except (ComponentSyntaxError, TypeMismatch):
-                pass
-            self.pos = save
-        left = self.term(env)
-        for op in ("=", "!=", "<=", ">=", "<", ">"):
-            if self.accept(op):
-                right = self.term(env)
-                return mk_atom(op, left, right)
-        if type_of(left) != BOOL:
-            self.fail("expected a comparison or a boolean term")
-        return Atom("=", (left, Const(True, BOOL)))
-
-    def _starts_term_after_bool(self) -> bool:
-        return self.peek(1).text in ("=", "!=")
-
-    def _peek_term_operator(self) -> bool:
-        return self.peek().text in ("+", "-", "*", "/", "=", "!=", "<=", ">=", "<", ">")
-
-    # --- terms ---
-
-    def term(self, env) -> Term:
-        left = self._muldiv(env)
-        while True:
-            if self.accept("+"):
-                left = App("+", (left, self._muldiv(env)))
-            elif self.accept("-"):
-                left = App("-", (left, self._muldiv(env)))
-            else:
-                return left
-
-    def _muldiv(self, env) -> Term:
-        left = self._unary_term(env)
-        while True:
-            if self.accept("*"):
-                left = App("*", (left, self._unary_term(env)))
-            elif self.accept("/"):
-                left = App("/", (left, self._unary_term(env)))
-            else:
-                return left
-
-    def _unary_term(self, env) -> Term:
-        if self.accept("-"):
-            arg = self._unary_term(env)
-            if isinstance(arg, Const) and not isinstance(arg.value, bool):
-                return Const(-arg.value, arg.ty)
-            return App("neg", (arg,))
-        if self.accept("@"):
-            return NextRef(self._unary_term(env))
-        return self._primary_term(env)
-
-    def _primary_term(self, env) -> Term:
-        t = self.peek()
-        if t.kind == "int":
-            self.next()
-            return Const(int(t.text), INT)
-        if t.kind == "real":
-            self.next()
-            return Const(Fraction(t.text), REAL)
-        if self.accept("true"):
-            return Const(True, BOOL)
-        if self.accept("false"):
-            return Const(False, BOOL)
-        if self.accept("("):
-            inner = self.term(env)
-            self.expect(")")
-            return inner
-        if t.kind == "name":
-            name = self.next().text
-            v = env.lookup(name)
-            if v is not None:
-                if self.accept("'"):
-                    return PrimedRef(v)
-                return VarRef(v)
-            ty = env.enum_of(name)
-            if ty is not None:
-                return Const(name, ty)
-            raise UnboundVariable(f"unknown variable {name!r}", t.line, t.col)
-        self.fail(f"expected a term, found {t.text!r}")
-
     def term_tuple(self, env, expected: Optional[int]) -> tuple[Term, ...]:
         if self.accept("("):
             if self.accept(")"):
@@ -534,6 +448,23 @@ class _Parser:
         if expected == 0:
             self.fail("expected an empty tuple '()'")
         return (self.term(env),)
+
+
+def _build(op: Op, *args):
+    """The node of `op` over its operands.  A negated number and a quotient
+    of two real numbers with a nonzero divisor fold into one constant, so
+    that every constant a term prints reads back as itself."""
+    node = op.node
+    if not isinstance(node, str):
+        return node(*args)
+    if node in PREDICATES:
+        return mk_atom(node, *args)
+    a = args[0]
+    if node == "neg" and isinstance(a, Const) and type(a.value) in (int, Fraction):
+        return Const(-a.value, a.ty)
+    if node == "/" and all(isinstance(x, Const) and x.ty == REAL for x in args) and args[1].value:
+        return Const(a.value / args[1].value, REAL)
+    return App(node, args)
 
 
 class _Scope:
@@ -566,14 +497,18 @@ class _Scope:
         return self.enums.get(value)
 
 
-def parse_component(text: str) -> Component:
-    """Parse a single component expression (no bindings)."""
+def _parse(text: str, read):
     p = _Parser(text)
-    c = p.component_expr()
-    t = p.peek()
+    result = read(p)
+    t = p.tok
     if t.kind != "eof":
         raise ComponentSyntaxError(f"trailing input {t.text!r}", t.line, t.col)
-    return c
+    return result
+
+
+def parse_component(text: str) -> Component:
+    """Parse a single component expression (no bindings)."""
+    return _parse(text, lambda p: p.climb(None))
 
 
 def parse_rcrs(text: str):
@@ -583,13 +518,7 @@ def parse_rcrs(text: str):
 
 
 def parse_formula(text: str, scope_sigs: list[Signature]) -> Formula:
-    p = _Parser(text)
-    env = _Scope(*scope_sigs)
-    f = p.formula(env)
-    t = p.peek()
-    if t.kind != "eof":
-        raise ComponentSyntaxError(f"trailing input {t.text!r}", t.line, t.col)
-    return f
+    return _parse(text, lambda p: p.formula(_Scope(*scope_sigs)))
 
 
 # --- printing ----------------------------------------------------------------
@@ -625,7 +554,25 @@ def _const_text(c: Const) -> str:
     raise UnknownType(f"unprintable constant {v!r}")
 
 
-_TERM_ADD, _TERM_MUL, _TERM_UNARY, _TERM_PRIM = 1, 2, 3, 4
+def _op_text(op: Op, operands, text, prec: int, head: str = "") -> str:
+    """An operator node with its operands, each printed by `text` at the
+    power the parser reads it at, in brackets when `prec` binds tighter."""
+    if op.assoc == "prefix":
+        head = head or op.token
+        s = head + " " * op.token.isalpha() + text(operands[0], op.power)
+    else:
+        left, right = operands
+        lp, rp = op.power + (op.assoc != "left"), op.power + (op.assoc != "right")
+        s = f"{text(left, lp)} {op.token} {text(right, rp)}"
+    return f"({s})" if prec > op.power else s
+
+
+def _op_of(node) -> Op:
+    op = _BY_NODE.get(node.symbol if isinstance(node, App) else type(node))
+    if op is None:
+        what = "component" if isinstance(node, Component) else "term" if isinstance(node, Term) else "formula"
+        raise UnknownType(f"unprintable {what} {node!r}")
+    return op
 
 
 def term_text(t: Term, prec: int = 0) -> str:
@@ -633,75 +580,29 @@ def term_text(t: Term, prec: int = 0) -> str:
         return t.var.name
     if isinstance(t, PrimedRef):
         return t.var.name + "'"
-    if isinstance(t, NextRef):
-        return "@" + term_text(t.arg, _TERM_UNARY)
     if isinstance(t, Const):
         text = _const_text(t)
-        if text.startswith("-") and prec > _TERM_ADD:
-            return f"({text})"
-        return text
-    if isinstance(t, App):
-        if t.symbol in ("+", "-"):
-            inner = f"{term_text(t.args[0], _TERM_ADD)} {t.symbol} {term_text(t.args[1], _TERM_MUL)}"
-            return f"({inner})" if prec > _TERM_ADD else inner
-        if t.symbol in ("*", "/"):
-            inner = f"{term_text(t.args[0], _TERM_MUL)} {t.symbol} {term_text(t.args[1], _TERM_UNARY)}"
-            return f"({inner})" if prec > _TERM_MUL else inner
-        if t.symbol == "neg":
-            return f"-{term_text(t.args[0], _TERM_UNARY)}"
-        if t.symbol == "ite":
-            raise UnknownType("if-then-else terms have no concrete syntax yet")
-    raise UnknownType(f"unprintable term {t!r}")
-
-
-_F_QUANT, _F_IFF, _F_IMPLIES, _F_OR, _F_AND, _F_UNTIL, _F_UNARY, _F_ATOM = range(8)
+        # a negative literal is bracketed where a difference would be
+        return f"({text})" if text.startswith("-") and prec > _BY_NODE["-"].power else text
+    if isinstance(t, App) and t.symbol == "ite":
+        raise UnknownType("if-then-else terms have no concrete syntax yet")
+    return _op_text(_op_of(t), children(t), term_text, prec)
 
 
 def formula_text(f: Formula, prec: int = 0) -> str:
-    def wrap(s: str, level: int) -> str:
-        return f"({s})" if prec > level else s
-
     if isinstance(f, TrueC):
         return "true"
     if isinstance(f, FalseC):
         return "false"
     if isinstance(f, Atom):
-        if (
-            f.pred == "="
-            and f.args[1] == Const(True, BOOL)
-            and not isinstance(f.args[0], Const)
-        ):
-            return term_text(f.args[0], _TERM_PRIM)
-        return f"{term_text(f.args[0], _TERM_ADD)} {f.pred} {term_text(f.args[1], _TERM_ADD)}"
+        if f.pred == "=" and f.args[1] == TRUE and not isinstance(f.args[0], Const):
+            return term_text(f.args[0], prec)
+        return _op_text(_BY_NODE[f.pred], f.args, term_text, prec)
+    op = _op_of(f)
     if isinstance(f, (Forall, Exists)):
-        kw = "forall" if isinstance(f, Forall) else "exists"
-        body = formula_text(f.body, _F_QUANT)
-        return wrap(f"{kw} {f.var.name}:{f.var.ty.short()} . {body}", _F_QUANT)
-    if isinstance(f, Iff):
-        s = f"{formula_text(f.left, _F_IMPLIES)} <-> {formula_text(f.right, _F_IFF)}"
-        return wrap(s, _F_IFF)
-    if isinstance(f, Implies):
-        s = f"{formula_text(f.left, _F_OR)} -> {formula_text(f.right, _F_IMPLIES)}"
-        return wrap(s, _F_IMPLIES)
-    if isinstance(f, Or):
-        s = f"{formula_text(f.left, _F_OR)} || {formula_text(f.right, _F_AND)}"
-        return wrap(s, _F_OR)
-    if isinstance(f, And):
-        s = f"{formula_text(f.left, _F_AND)} && {formula_text(f.right, _F_UNTIL)}"
-        return wrap(s, _F_AND)
-    if isinstance(f, Until):
-        s = f"{formula_text(f.left, _F_UNARY)} U {formula_text(f.right, _F_UNTIL)}"
-        return wrap(s, _F_UNTIL)
-    if isinstance(f, Leads):
-        s = f"{formula_text(f.left, _F_UNARY)} L {formula_text(f.right, _F_UNTIL)}"
-        return wrap(s, _F_UNTIL)
-    if isinstance(f, Not):
-        return f"!{formula_text(f.arg, _F_UNARY)}"
-    if isinstance(f, Globally):
-        return f"G {formula_text(f.arg, _F_UNARY)}"
-    if isinstance(f, Finally):
-        return f"F {formula_text(f.arg, _F_UNARY)}"
-    raise UnknownType(f"unprintable formula {f!r}")
+        head = f"{op.token} {f.var.name}:{f.var.ty.short()} ."
+        return _op_text(op, (f.body,), formula_text, prec, head)
+    return _op_text(op, children(f), formula_text, prec)
 
 
 def _field_text(value, role: str) -> str:
@@ -722,23 +623,13 @@ def atomic_text(a: AtomicComponent) -> str:
 
 
 def print_component(c) -> str:
+    return _component_text(c, 0)
+
+
+def _component_text(c, prec: int) -> str:
     c = as_component(c)
     if isinstance(c, Atomic):
         return atomic_text(c.atom)
-    if isinstance(c, Serial):
-        left = print_component(c.left)
-        right = print_component(c.right)
-        if isinstance(c.right, Serial):
-            right = f"({right})"
-        return f"{left} ; {right}"
-    if isinstance(c, Parallel):
-        left = print_component(c.left)
-        right = print_component(c.right)
-        if isinstance(c.left, Serial):
-            left = f"({left})"
-        if isinstance(c.right, (Serial, Parallel)):
-            right = f"({right})"
-        return f"{left} || {right}"
     if isinstance(c, Fdbk):
-        return f"fdbk({print_component(c.child)})"
-    raise UnknownType(f"unprintable component {c!r}")
+        return f"fdbk({_component_text(c.child, 0)})"
+    return _op_text(_op_of(c), (c.left, c.right), _component_text, prec)

@@ -293,6 +293,44 @@ class TestValidityAgainstTheOracle:
         assert labels.count("Proven") == 283 and labels.count("Refuted") == 17
 
 
+class TestValidityUnderDomainOverrides:
+    """A walk over an override's values misses the values outside it: a
+    legal lasso stands only over exact successors, outputs and quantified
+    values, a refutation only when the inputs are exact too."""
+
+    INT01 = FiniteDomain({"int": (0, 1)})
+    FIVE = "det((x:{x}), (s:int), (0), x = 5 || s = 1, (1), (x))"
+    ESCAPE = (
+        "sts((x:int[0..1]), (y:int[0..1]), (s:{s}), s = 0,"
+        " y = x && ((s = 0 && (s' = 0 || s' = 5)) || (s = 1 && s' = 1)))"
+    )
+
+    def _unknown(self, text, found):
+        res = is_valid(parse_component(text), self.INT01)
+        assert res == Unknown(f"{found}, but int ranges over a domain override")
+
+    def test_refutation_needs_own_input_values(self):
+        # x = 5 is a legal first input, and anything may follow it
+        self._unknown(self.FIVE.format(x="int"), "every input trace is illegal within horizon 4")
+
+    def test_lasso_needs_own_successor_values(self):
+        # the run through s = 5 is stuck, so no input trace is legal
+        self._unknown(self.ESCAPE.format(s="int"), "legal bounded behavior found at horizon 4")
+
+    def test_lasso_needs_own_quantified_values(self):
+        # no u differs from every x + 3, so no input is legal
+        text = "det((x:int[0..1]), (s:int[0..1]), (0), forall u:int . u != x + 3, (s), (x))"
+        self._unknown(text, "legal bounded behavior found at horizon 4")
+
+    def test_own_values_decide(self):
+        assert is_valid(parse_component(self.FIVE.format(x="int[0..5]")), self.INT01) == Proven(
+            note="legal bounded behavior found at horizon 4"
+        )
+        assert is_valid(parse_component(self.ESCAPE.format(s="int[0..5]")), self.INT01) == Refuted(
+            note="every input trace is illegal within horizon 4"
+        )
+
+
 class TestRefineVc:
     def test_worked_example_vc(self):
         a = parse_component("stateless((x:int), (y:int), x >= 0 && y >= x)")

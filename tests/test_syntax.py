@@ -1,16 +1,44 @@
 """Concrete syntax round trips and error reporting."""
 
+import random
+from fractions import Fraction
+from pathlib import Path
+
 import pytest
 
-from rcrs.components import Fdbk, Serial, alpha_equivalent
-from rcrs.errors import ComponentSyntaxError, UnboundVariable, UnknownType
+from rcrs.components import Fdbk, Qltl, Serial, Signature, alpha_equivalent, as_component
+from rcrs.compose import atomic
+from rcrs.corpus import random_det_composite, random_sts_atom
+from rcrs.errors import ComponentSyntaxError, TypeMismatch, UnboundVariable, UnknownType
+from rcrs.formulas import (
+    And,
+    Exists,
+    Finally,
+    Forall,
+    Globally,
+    Iff,
+    Implies,
+    Leads,
+    Not,
+    Or,
+    TRUEC,
+    Until,
+    atom,
+)
 from rcrs.syntax import (
+    _lex,
     formula_text,
     parse_component,
     parse_formula,
     parse_rcrs,
     print_component,
+    term_text,
 )
+from rcrs.terms import REAL, TRUE, App, Const, NextRef, VarRef, intc
+from rcrs.types import BOOL, INT, Var
+
+ROOT = Path(__file__).resolve().parent.parent
+DATA_FILES = sorted(path for d in ("tests", "perfbench") for path in (ROOT / d / "data").glob("*.rcrs"))
 
 ROUND_TRIPS = [
     "stateless_det((x:int, y:int), true, (x + y))",
@@ -30,6 +58,11 @@ ROUND_TRIPS = [
     "fdbk(stateless_det((a:int, b:int), true, (b, a + b)))",
     "stateless_det((x:int), true, (x)) ; stateless_det((x:int), true, (x, x))",
     "stateless_det((x:int), true, (x)) || stateless_det((y:bool), true, (y))",
+    "stateless((r:real), (y:real), y = r * (1.0/3.0) && y > (-1.0/3.0))",
+    "det((x:real), (s:real), (0.25), true, (s * (2.0/3.0) - x), (s - (-0.5)))",
+    "sts((x:int), (y:int), (s:int), s = -1, s' = s - (-1) * x && y = s')",
+    "qltl((x:bool, n:int), (), G (x U x) && !n = 1 && @(n + 1) > -3 && @x)",
+    "stateless((x:bool), (y:bool), (forall u:int . u = u) && (x -> y) -> x <-> y)",
 ]
 
 
@@ -165,3 +198,110 @@ def test_kind_keyword_and_variables(text, signature_fields):
     a = parse_component(text).atom
     assert print_component(a).startswith(a.kind().value + "(")
     assert a.all_vars() == {v for name in signature_fields for v in getattr(a, name)}
+
+
+# A bracket is read once, as a formula or a term by what it holds, so an
+# error inside it is reported where it is.
+@pytest.mark.parametrize(
+    "text,cls,message",
+    [
+        ("stateless((x:int), (y:int), (x > ) && y = 0)", ComponentSyntaxError,
+         "1:34: expected a term, found ')'"),
+        ("stateless((x:int), (y:bool), (y && x + true > 0))", TypeMismatch,
+         "+ needs numeric arguments"),
+        ("stateless((x:int), (y:bool), (forall u:int . u > ))", ComponentSyntaxError,
+         "1:50: expected a term, found ')'"),
+        ("stateless((x:int), (y:int), x + (y = 0) > 0)", ComponentSyntaxError,
+         "1:33: expected a term, found '('"),
+    ],
+)
+def test_errors_inside_brackets(text, cls, message):
+    with pytest.raises(cls) as err:
+        parse_component(text)
+    assert str(err.value) == message
+
+
+def test_real_quotient_constant_reads_back():
+    third = Const(Fraction(1, 3), REAL)
+    assert term_text(third) == "(1.0/3.0)"
+    r = Var("r", REAL)
+    f = atom("=", App("*", (VarRef(r), third)), Const(Fraction(-2, 3), REAL))
+    text = formula_text(f)
+    assert text == "r * (1.0/3.0) = (-2.0/3.0)"
+    again = parse_formula(text, [Signature((r,))])
+    assert again == f and formula_text(again) == text
+    # a zero divisor stays a division
+    one, zero = Const(Fraction(1), REAL), Const(Fraction(0), REAL)
+    assert parse_formula("r = 1.0 / 0.0", [Signature((r,))]).args[1] == App("/", (one, zero))
+
+
+def _operator_cases():
+    """Each formula connective with every operator at each operand position,
+    and each arithmetic operator likewise inside a comparison, as qltl
+    contracts over x, y:bool and n:int."""
+    x, y, n, u = Var("x", BOOL), Var("y", BOOL), Var("n", INT), Var("u", INT)
+    p, q, k = atom("=", VarRef(x), TRUE), atom("=", VarRef(y), TRUE), VarRef(n)
+    terms = [
+        App(s, (k, intc(1))) for s in ("+", "-", "*", "/")
+    ] + [App("neg", (k,)), NextRef(k), intc(-2), Const(Fraction(1, 3), REAL), Const(Fraction(-5, 2), REAL)]
+    compound = [App(s, (t, k)) for s in ("+", "-", "*", "/") for t in terms]
+    compound += [App(s, (k, t)) for s in ("+", "-", "*", "/") for t in terms]
+    compound += [App("neg", (t,)) for t in terms if not isinstance(t, Const)] + [NextRef(t) for t in terms]
+    formulas = [atom(pred, t, k) for pred in ("=", "<") for t in compound]
+    formulas += [atom(">=", k, t) for t in compound] + [atom("=", NextRef(VarRef(x)), TRUE)]
+    inner = [
+        *(cls(p, q) for cls in (And, Or, Implies, Iff, Until, Leads)),
+        *(cls(p) for cls in (Not, Globally, Finally)),
+        *(cls(u, atom(">", VarRef(u), k)) for cls in (Forall, Exists)),
+        atom("!=", k, intc(0)),
+        TRUEC,
+    ]
+    for f in inner:
+        formulas += [cls(f, p) for cls in (And, Or, Implies, Iff, Until, Leads)]
+        formulas += [cls(p, f) for cls in (And, Or, Implies, Iff, Until, Leads)]
+        formulas += [cls(f) for cls in (Not, Globally, Finally)] + [Forall(u, f)]
+    sig = Signature((x, y, n))
+    return [Qltl(sig, Signature(()), f) for f in formulas]
+
+
+def _round_trip_cases():
+    cases = []
+    for seed in range(50):
+        c = random_det_composite(random.Random(seed))
+        cases += [c, atomic(c), random_sts_atom(random.Random(seed))]
+    for path in DATA_FILES:
+        bindings, order = parse_rcrs(path.read_text())
+        cases += [bindings[name] for name in order]
+    return cases + _operator_cases()
+
+
+def test_round_trip_coverage():
+    cases = _round_trip_cases()
+    assert len(cases) > 500
+    for c in cases:
+        text = print_component(c)
+        again = parse_component(text)
+        assert again == as_component(c), text
+        assert print_component(again) == text
+
+
+def _token_ends(text):
+    line_starts = [0] + [i + 1 for i, ch in enumerate(text) if ch == "\n"]
+    return [line_starts[t.line - 1] + t.col - 1 + len(t.text) for t in _lex(text)[:-1]]
+
+
+@pytest.mark.parametrize("path", DATA_FILES, ids=lambda p: f"{p.parent.parent.name}/{p.name}")
+def test_truncated_files_fail_at_their_end(path):
+    """Every proper prefix of a file that ends at a token is either a file
+    of its own or an error at its end: no error comes from inside a bracket
+    read twice.  The one exception is a type name that the cut separates
+    from its enum values."""
+    text = path.read_text()
+    for end in _token_ends(text):
+        cut = text[:end]
+        try:
+            parse_rcrs(cut)
+        except ComponentSyntaxError as e:
+            if not str(e).endswith("expected a type, found 'Sw'"):
+                lines = cut.split("\n")
+                assert (e.line, e.column) == (len(lines), len(lines[-1]) + 1), (end, str(e))
