@@ -8,6 +8,7 @@ Exit codes: 0 proven/success, 1 refuted, 2 unknown, 3 usage or parse error,
 from __future__ import annotations
 
 import argparse
+import functools
 import itertools
 import json
 import sys
@@ -209,7 +210,10 @@ def _slot_value(piece: str, slot: Var):
     return value
 
 
-def main(argv=None) -> int:
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    """The argument parser, built once per process: parsing keeps no state
+    on it, and argparse looks up sys.stdout and sys.stderr when it prints."""
     parser = argparse.ArgumentParser(
         prog="rcrs", description="symbolic analysis of reactive components"
     )
@@ -265,9 +269,12 @@ def main(argv=None) -> int:
     p = sub.add_parser("selftest", help="run the randomized property corpora")
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--count", type=_natural, default=25)
+    return parser
 
+
+def main(argv=None) -> int:
     try:
-        args = parser.parse_args(argv)
+        args = _parser().parse_args(argv)
     except SystemExit as e:
         return 3 if e.code not in (0, None) else 0
 

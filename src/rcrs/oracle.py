@@ -602,6 +602,20 @@ def _stepper(c: Component, dom: FiniteDomain) -> _Stepper:
     raise KindError(f"not a component: {c!r}")
 
 
+def _table(node: _Stepper):
+    """`node.successors` for one walk: each (configuration, input) pair steps
+    once, however many prefixes reach it.  A step that raised is not kept."""
+    table: dict = {}
+
+    def successors(config, x):
+        succ = table.get((config, x))
+        if succ is None:
+            succ = table[config, x] = node.successors(config, x)
+        return succ
+
+    return successors
+
+
 # --- bounded behaviors and runs -----------------------------------------------
 
 
@@ -616,12 +630,14 @@ class Behavior:
     out_sig: Signature
     pouts: dict  # input prefix -> frozenset of output prefixes
     dead: set  # input prefixes whose last step kills some run
+    first: dict  # walked input prefix -> its first illegal step, or None
 
     def first_illegal(self, trace: Trace) -> Optional[int]:
-        for k in range(len(trace)):
-            if trace[: k + 1] in self.dead:
-                return k
-        return None
+        # the steps past the horizon or outside the domain were never walked,
+        # so none of them is dead: the longest walked prefix answers
+        while trace not in self.first:
+            trace = trace[:-1]
+        return self.first[trace]
 
     def outputs(self, trace: Trace) -> frozenset:
         return self.pouts.get(trace, frozenset())
@@ -630,7 +646,8 @@ class Behavior:
 def behavior(c, dom: FiniteDomain, horizon: int) -> Behavior:
     """Bounded behavior of a component tree, computed without symbolic
     composition: one walk over the input prefixes of the domain steps the
-    component's configurations (see _Stepper), so a shared prefix runs once.
+    component's configurations (see _Stepper), so a shared prefix runs once,
+    and so does a configuration reached on many prefixes (see _table).
     A serial stage sees the values the stage before it computed, inside the
     domain or not."""
     c = as_component(c)
@@ -638,8 +655,10 @@ def behavior(c, dom: FiniteDomain, horizon: int) -> Behavior:
     in_sig = sigma_in(c)
     inputs = dom.tuples(in_sig)
     dom.traces(in_sig, horizon)  # the walk visits every trace: the same cap holds
+    step = _table(node)
     pouts: dict = {}
     dead: set = set()
+    first: dict = {(): None}
     # (prefix, configs): each configuration reachable on the prefix -> the
     # output prefixes of the runs that reach it; a configuration steps once
     # for them all.  An explicit stack, not a recursive closure: that would
@@ -651,15 +670,17 @@ def behavior(c, dom: FiniteDomain, horizon: int) -> Behavior:
             px2 = px + (x,)
             nxt: dict = {}
             for config, pys in configs.items():
-                succ = node.successors(config, x)
+                succ = step(config, x)
                 if not succ:
                     dead.add(px2)
                 for c2, y in succ:
                     nxt.setdefault(c2, set()).update(py + (y,) for py in pys)
             pouts[px2] = frozenset().union(*nxt.values())
+            k = first[px]
+            first[px2] = len(px) if k is None and px2 in dead else k
             if len(px2) < horizon:
                 stack.append((px2, nxt))
-    return Behavior(horizon, in_sig, sigma_out(c), pouts, dead)
+    return Behavior(horizon, in_sig, sigma_out(c), pouts, dead, first)
 
 
 def legal_lasso(c, dom: FiniteDomain, horizon: int):
@@ -674,11 +695,12 @@ def legal_lasso(c, dom: FiniteDomain, horizon: int):
     node = _stepper(c, dom)
     inputs = dom.tuples(sigma_in(c))
     dom.traces(sigma_in(c), horizon)  # the walk may visit every trace: the same cap holds
+    step = _table(node)
     stack, live = [((), (frozenset(node.init),))], False
     while stack:
         px, sets = stack.pop()
         for x in inputs:
-            succ = [node.successors(config, x) for config in sets[-1]]
+            succ = [step(config, x) for config in sets[-1]]
             if not all(succ):
                 continue  # some run is stuck: x is illegal after px
             px2, reached = px + (x,), frozenset(c2 for s in succ for c2, _ in s)

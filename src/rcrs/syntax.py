@@ -421,6 +421,13 @@ class _Parser:
             return TRUE
         if self.accept("false"):
             return FALSE
+        start = self.tok
+        if isinstance(ty, RealType) and start.text == "(":
+            # a real with no decimal form prints as a bracketed quotient
+            c = self.term(_Scope())
+            if isinstance(c, Const) and c.ty == REAL:
+                return c
+            raise ComponentSyntaxError(f"expected a literal of type {ty.short()}", start.line, start.col)
         neg = self.accept("-")
         t = self.tok
         if t.kind == "int":

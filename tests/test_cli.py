@@ -428,3 +428,32 @@ class TestUncaughtErrors:
         code, _, err = run_cli(capsys, "simplify", sum_file)
         assert code == 4
         assert err == "error: internal failure: ZeroDivisionError: defect in simplify\n"
+
+
+class TestOneParserPerProcess:
+    def test_interleaved_calls_answer_as_a_first_call(self, capsys, tmp_path):
+        import rcrs.cli as cli
+
+        data = os.path.join(os.path.dirname(__file__), "data")
+        bad = tmp_path / "bad.rcrs"
+        bad.write_text("component A = stateless((x:int), (y:int), x >)\n")
+        calls = [
+            ("check", "receptive", "--no-such-option"),
+            ("--version",),
+            ("check", "valid", str(bad)),
+            ("check", "receptive", os.path.join(data, "div.rcrs")),
+        ]
+
+        def run(argv):
+            code, out, err = run_cli(capsys, *argv)
+            out = "\n".join(l for l in out.splitlines() if not l.startswith("time_ms"))
+            return code, out, err
+
+        first = {}
+        for argv in calls:
+            cli._parser.cache_clear()
+            first[argv] = run(argv)
+        assert [first[a][0] for a in calls] == [3, 0, 3, 1]
+        assert report_dict(first[calls[3]][1])["witness.y"] == "0"
+        for argv in calls + calls[::-1] + calls:
+            assert run(argv) == first[argv], argv

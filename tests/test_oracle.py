@@ -2,11 +2,16 @@
 refinement refutation, temporal evaluation on lassos and prefixes."""
 
 import itertools
+import random
+from collections import Counter
 from fractions import Fraction
 
 import pytest
 
-from rcrs.components import Atomic, Det, Fdbk, Parallel, Serial, Signature, Stateless, Sts, sig
+from rcrs import oracle
+from rcrs.components import Atomic, Det, Fdbk, Parallel, Serial, Signature, Stateless, Sts, sig, sigma_in
+from rcrs.compose import atomic
+from rcrs.corpus import random_det_composite, random_sts_atom
 from rcrs.errors import DomainNotFinite, ExplosionGuard, NonTemporalMisuse, NotDeterministic, NotLoopFree
 from rcrs.formulas import (
     And,
@@ -42,6 +47,7 @@ from rcrs.oracle import (
     eval_qltl,
     exec_det,
     lasso_count,
+    legal_lasso,
     parse_domain_file,
 )
 from rcrs.terms import FALSE, NextRef, PrimedRef, TRUE, VarRef, add, intc, ite, var
@@ -582,3 +588,122 @@ class TestComputedIntermediates:
         # Inc computes 2 on the input 1; Dec maps it back into the domain
         b, dom = staged
         assert bounded_equiv(Serial(b["Inc"], b["Dec"]), b["Id"], dom, 3)
+
+
+def _slice_first_illegal(dead, trace):
+    """`Behavior.first_illegal` as a loop over the trace's prefixes."""
+    return next((k for k in range(len(trace)) if trace[: k + 1] in dead), None)
+
+
+def _reference_walk(c, dom, horizon):
+    """pouts and dead of `behavior`, each input prefix run from the start."""
+    node = oracle._stepper(c, dom)
+    pouts, dead = {}, set()
+    for n in range(1, horizon + 1):
+        for px in dom.traces(sigma_in(c), n):
+            runs = {(s, ()) for s in node.init}
+            for x in px:
+                steps = [(node.successors(s, x), ys) for s, ys in runs]
+                runs = {(s2, ys + (y,)) for succ, ys in steps for s2, y in succ}
+            if not all(succ for succ, _ in steps):
+                dead.add(px)
+            pouts[px] = frozenset(ys for _, ys in runs)
+    return pouts, dead
+
+
+def _walked_components():
+    dom = FiniteDomain({"int": (0, 1)})
+    for seed in range(50):
+        yield random_det_composite(random.Random(seed)), dom
+        yield Atomic(random_sts_atom(random.Random(seed))), dom
+
+
+class TestSuccessorTable:
+    """A bounded walk steps each (configuration, input) pair once, and answers
+    as a walk that runs every input prefix from the start."""
+
+    @pytest.fixture
+    def calls(self, monkeypatch):
+        calls = Counter()
+        for cls in (oracle._DetAtom, oracle._StsAtom):
+
+            def counting(node, config, x, commit=True, step=cls.successors):
+                calls[config, x] += 1
+                return step(node, config, x, commit)
+
+            monkeypatch.setattr(cls, "successors", counting)
+        return calls
+
+    def test_each_pair_steps_once_per_walk(self, calls):
+        dom = FiniteDomain({"int": (0, 1)})
+        for seed in range(10):
+            roots = (
+                Atomic(atomic(random_det_composite(random.Random(seed)))),
+                Atomic(random_sts_atom(random.Random(seed))),
+            )
+            for c, walk in itertools.product(roots, (behavior, legal_lasso)):
+                walk(c, dom, 4)
+                assert calls and max(calls.values()) == 1, (seed, c, walk)
+                calls.clear()
+
+    def test_behavior_matches_the_reference_walk(self):
+        for c, dom in _walked_components():
+            for horizon in range(1, 5):
+                beh = behavior(c, dom, horizon)
+                pouts, dead = _reference_walk(c, dom, horizon)
+                assert (beh.pouts, beh.dead) == (pouts, dead), (c, horizon)
+                for n in range(horizon + 1):
+                    for trace in dom.traces(beh.in_sig, n):
+                        assert beh.first_illegal(trace) == _slice_first_illegal(dead, trace)
+
+    def test_first_illegal_off_the_walk(self):
+        # past the horizon, or through a value outside the domain, nothing
+        # was walked: the answer is the slice loop's
+        outside = 7
+        for c, dom in _walked_components():
+            beh = behavior(c, dom, 3)
+            for trace in dom.traces(beh.in_sig, 3):
+                width = len(trace[0])
+                longer = trace + trace[:2]
+                assert beh.first_illegal(longer) == _slice_first_illegal(beh.dead, longer)
+                for i in range(len(trace)):
+                    odd = trace[:i] + ((outside,) * width,) + trace[i + 1 :]
+                    assert beh.first_illegal(odd) == _slice_first_illegal(beh.dead, odd)
+
+    def test_disagreeing_feedback_passes_raise(self, monkeypatch):
+        from rcrs.errors import SoundnessError
+
+        class Disagreeing:
+            """A child whose two passes give different first outputs."""
+
+            init = [()]
+            firsts = itertools.cycle((1, 2))
+
+            def successors(self, config, x, commit):
+                return [(config, (next(self.firsts), 0))]
+
+        monkeypatch.setattr(oracle, "_stepper", lambda c, dom: oracle._FdbkEval(Disagreeing()))
+        c = Atomic(Det(sig(("x", INT)), sig(), (), TRUEC, (), (var("x", INT),)))
+        dom = FiniteDomain({"int": (0, 1)})
+        for walk in (behavior, legal_lasso):
+            with pytest.raises(SoundnessError):
+                walk(c, dom, 2)
+
+    def test_a_step_that_raised_is_not_kept(self):
+        from rcrs.errors import SoundnessError
+
+        class Flaky:
+            calls = 0
+
+            def successors(self, config, x, commit=True):
+                self.calls += 1
+                if self.calls == 1:
+                    raise SoundnessError("first step")
+                return [(config, x)]
+
+        node = Flaky()
+        step = oracle._table(node)
+        with pytest.raises(SoundnessError):
+            step((), (0,))
+        assert step((), (0,)) == step((), (0,)) == [((), (0,))]
+        assert node.calls == 2

@@ -6,7 +6,7 @@ from pathlib import Path
 
 import pytest
 
-from rcrs.components import Fdbk, Qltl, Serial, Signature, alpha_equivalent, as_component
+from rcrs.components import Atomic, Det, Fdbk, Qltl, Serial, Signature, alpha_equivalent, as_component
 from rcrs.compose import atomic
 from rcrs.corpus import random_det_composite, random_sts_atom
 from rcrs.errors import ComponentSyntaxError, TypeMismatch, UnboundVariable, UnknownType
@@ -233,6 +233,20 @@ def test_real_quotient_constant_reads_back():
     # a zero divisor stays a division
     one, zero = Const(Fraction(1), REAL), Const(Fraction(0), REAL)
     assert parse_formula("r = 1.0 / 0.0", [Signature((r,))]).args[1] == App("/", (one, zero))
+
+
+def test_real_initial_value_without_decimal_form_reads_back():
+    s = Var("s", REAL)
+    for value in (Fraction(1, 3), Fraction(-2, 7)):
+        c = Atomic(
+            Det(Signature(()), Signature((s,)), (Const(value, REAL),), TRUEC, (VarRef(s),), (VarRef(s),))
+        )
+        text = print_component(c)
+        assert parse_component(text) == c and print_component(parse_component(text)) == text
+    assert print_component(c) == "det((), (s:real), ((-2.0/7.0)), true, (s), (s))"
+    # a bracketed term that is no constant is still no literal
+    with pytest.raises(ComponentSyntaxError, match="1:20: expected a literal of type real"):
+        parse_component("det((), (s:real), ((1.0/0.0)), true, (s), (s))")
 
 
 def _operator_cases():
