@@ -13,6 +13,7 @@ import itertools
 import json
 import sys
 import time
+from fractions import Fraction
 
 from . import __version__
 from .analysis import (
@@ -61,7 +62,7 @@ from .oracle import (
     parse_literal,
 )
 from .syntax import formula_text, parse_formula, parse_rcrs, print_component
-from .types import UnitType, Var, is_value
+from .types import RealType, UnitType, Var, is_value
 from .verdicts import LassoWitness, Proven, Refuted, TraceWitness, Unknown
 
 _USAGE_ERRORS = (
@@ -207,7 +208,8 @@ def _slot_value(piece: str, slot: Var):
         return ()
     if not is_value(value, ty):
         raise TypeMismatch(f"input {slot.name}: {piece.strip()!r} is not a value of {ty.short()}")
-    return value
+    # a real written as an integer still divides as a real
+    return Fraction(value) if isinstance(ty, RealType) else value
 
 
 @functools.cache

@@ -147,7 +147,8 @@ _DOMAIN_TYPES = {"int": INT, "real": REAL}
 
 def parse_domain_file(text: str) -> FiniteDomain:
     """Override file: lines of the form `domain <typename> = {v1, v2, ...}`,
-    where the type is `int` or `real` and every value is one of it."""
+    where the type is `int` or `real` and every value is one of it.  A real
+    domain keeps its values as Fractions, so `1` divides as a real."""
     overrides = {}
     for raw in text.splitlines():
         line = raw.split("#", 1)[0].strip()
@@ -167,7 +168,7 @@ def parse_domain_file(text: str) -> FiniteDomain:
         for p, v in zip(pieces, values):
             if not is_value(v, _DOMAIN_TYPES[name]):
                 raise DomainNotFinite(f"domain {name}: {p.strip()!r} is not a value of {name}")
-        overrides[name] = values
+        overrides[name] = tuple(map(Fraction, values)) if name == "real" else values
     return FiniteDomain(overrides)
 
 
@@ -384,8 +385,9 @@ def _compile(node, sem, plain: tuple = (), primed: tuple = ()):
 
 @functools.lru_cache(maxsize=64)
 def _program(f: Formula, sem, plain: tuple, primed: tuple = ()):
-    """`_compile`, kept for the formulas compiled last: a caller evaluating
-    one formula on many words or assignments compiles it once."""
+    """`_compile`, kept for the nodes compiled last: a caller evaluating one
+    formula on many words or assignments compiles it once, and so does a
+    deterministic atom stepped by several walks (see _DetAtom)."""
     return _compile(f, sem, plain, primed)
 
 
@@ -472,15 +474,17 @@ class _Stepper:
 
 class _DetAtom(_Stepper):
     """A deterministic atom: one successor, none on an illegal input.  Its
-    terms and formula are compiled once, onto its states then its inputs."""
+    terms and formula are compiled onto its states then its inputs, through
+    `_program`, so the steppers that one query builds for it (an equivalence
+    check's side, each `exec_det` run) share one compilation."""
 
     def __init__(self, a: AtomicComponent, dom: FiniteDomain = None):
         self.head, det = (_Step(dom),), isinstance(a, Det)
         slots = (a.states.vars() if det else ()) + a.inputs.vars()
         self.init = [tuple(_compile(t, _Step)(self.head, 0) for t in a.init_vals)] if det else [()]
-        self.next = [_compile(t, _Step, slots) for t in a.next] if det else None
-        self.inpt = _compile(a.inpt, _Step, slots)
-        self.out = [_compile(t, _Step, slots) for t in a.out]
+        self.next = [_program(t, _Step, slots) for t in a.next] if det else None
+        self.inpt = _program(a.inpt, _Step, slots)
+        self.out = [_program(t, _Step, slots) for t in a.out]
 
     def successors(self, s, x, commit: bool = True):
         env = self.head + s + x
@@ -616,6 +620,18 @@ def _table(node: _Stepper):
     return successors
 
 
+def _walk(c, dom: FiniteDomain, horizon: int):
+    """The stepper of a component for a walk over the input traces of the
+    horizon, its input signature and input tuples, and its successors
+    through a table (see _table).  The walk may visit every trace, so the cap
+    on their number holds."""
+    node = _stepper(c, dom)
+    in_sig = sigma_in(c)
+    inputs = dom.tuples(in_sig)
+    dom.traces(in_sig, horizon)
+    return node, in_sig, inputs, _table(node)
+
+
 # --- bounded behaviors and runs -----------------------------------------------
 
 
@@ -651,11 +667,7 @@ def behavior(c, dom: FiniteDomain, horizon: int) -> Behavior:
     A serial stage sees the values the stage before it computed, inside the
     domain or not."""
     c = as_component(c)
-    node = _stepper(c, dom)
-    in_sig = sigma_in(c)
-    inputs = dom.tuples(in_sig)
-    dom.traces(in_sig, horizon)  # the walk visits every trace: the same cap holds
-    step = _table(node)
+    node, in_sig, inputs, step = _walk(c, dom, horizon)
     pouts: dict = {}
     dead: set = set()
     first: dict = {(): None}
@@ -691,11 +703,7 @@ def legal_lasso(c, dom: FiniteDomain, horizon: int):
     keeps every run live forever: that lasso is returned as (stem, loop), two
     tuples of input tuples.  Returns False when every input trace of the
     horizon is illegal, None when neither holds."""
-    c = as_component(c)
-    node = _stepper(c, dom)
-    inputs = dom.tuples(sigma_in(c))
-    dom.traces(sigma_in(c), horizon)  # the walk may visit every trace: the same cap holds
-    step = _table(node)
+    node, _, inputs, step = _walk(as_component(c), dom, horizon)
     stack, live = [((), (frozenset(node.init),))], False
     while stack:
         px, sets = stack.pop()
@@ -772,52 +780,166 @@ class EquivResult:
         return self.equivalent
 
 
+def _explored(c, dom: FiniteDomain, horizon: int):
+    """(initial configurations, successors, inputs) of a component, where the
+    successors come from a table (see _table) already holding every pair
+    `behavior` steps: each configuration reached in fewer than `horizon`
+    steps (the initial ones at any horizon), on every input.  They are
+    stepped in `behavior`'s order, after its cap checks, so a component that
+    raises there raises here, with the same error first.  A (configuration
+    set, steps left) pair is walked once: below it nothing is new."""
+    node, _, inputs, step = _walk(c, dom, horizon)
+    done: set = set()
+    stack = [(tuple(dict.fromkeys(node.init)), max(horizon, 1))]
+    while stack:
+        configs, left = stack.pop()
+        if (key := (frozenset(configs), left)) in done:
+            continue
+        done.add(key)
+        for x in inputs:
+            reached = tuple(dict.fromkeys(c2 for config in configs for c2, _ in step(config, x)))
+            if left > 1 and reached:
+                stack.append((reached, left - 1))
+    return node.init, step, inputs
+
+
+def _run(side, trace: Trace):
+    """The first illegal step and the output traces of one input trace, as
+    `behavior` gives them: an input the side never walked (one outside its
+    domain, when the two sides' input signatures differ) ends its runs."""
+    init, step, inputs = side
+    runs, first = {(config, ()) for config in init}, None
+    for i, x in enumerate(trace):
+        if x not in inputs:
+            return first, frozenset()
+        reached = set()
+        for config, ys in runs:
+            succ = step(config, x)
+            first = i if first is None and not succ else first
+            reached.update((c2, ys + (y,)) for c2, y in succ)
+        runs = reached
+    return first, frozenset(ys for _, ys in runs)
+
+
+_EVERY = object()  # every trace through the input fails
+
+
+def _first_failing(a, b, horizon: int, refining: bool) -> Optional[Trace]:
+    """The first input trace of length `horizon`, in the order of
+    `dom.traces`, that separates two sides (as `_explored` gives them), or
+    None.  Equivalence asks for the same first illegal step on every trace
+    and the same outputs on a legal one; `refining` asks, on a trace legal
+    for a, for no illegal step of b and no output of b that a lacks.
+
+    One depth-first walk runs both sides.  Its state is a set of pairs
+    (configurations of a, configurations of b), one per output trace so far;
+    the output traces are dropped, so input prefixes that reach one state
+    share every verdict below it, and a (state, steps left) pair with no
+    failing trace below it is walked once.  A side dies on an input when a
+    configuration it holds has no successor.  When b dies first, refinement
+    goes on with a alone (b None): a trace that a survives fails.  An input
+    outside b's own domain (the input signatures may differ when refining)
+    leaves b nothing, as `behavior`'s lookups do, and a `behavior` walk
+    gives the empty trace no outputs, so at horizon 0 nothing fails.  The
+    stack is explicit: a unit-input component has one trace at every
+    horizon, however long."""
+    (init_a, step_a, inputs), (init_b, step_b, inputs_b) = a, b
+    known_b = set(inputs_b)
+
+    def after(state, x):
+        # the state after x; None when no trace through x fails, _EVERY
+        # when each one does
+        reached: dict = {}
+        dead, alone = [False, False], False
+        for i, pair in enumerate(state):
+            for side, step in ((0, step_a), (1, step_b)):
+                configs = pair[side]
+                alone = alone or configs is None
+                if configs is None or (side and x not in known_b):
+                    continue
+                for config in configs:
+                    succ = step(config, x)
+                    dead[side] = dead[side] or not succ
+                    for c2, y in succ:
+                        reached.setdefault((i, y), (set(), set()))[side].add(c2)
+        dead_a, dead_b = dead
+        if dead_a and (dead_b or refining):
+            return None
+        if dead_a or (dead_b and not refining):
+            return _EVERY
+        if dead_b or alone:
+            return frozenset({(frozenset(c for ca, _ in reached.values() for c in ca), None)})
+        return frozenset((frozenset(ca), frozenset(cb)) for ca, cb in reached.values())
+
+    def fails(state):
+        # a complete trace: an output trace of one side only (of b, refining)
+        if refining:
+            return any(cb is None or (cb and not ca) for ca, cb in state)
+        return any((not ca) != (not cb) for ca, cb in state)
+
+    if horizon == 0:
+        return None
+    clean: set = set()
+    path, stack = [], [(frozenset({(frozenset(init_a), frozenset(init_b))}), horizon, iter(inputs))]
+    while stack:
+        state, left, xs = stack[-1]
+        x = next(xs, None)
+        if x is None:
+            clean.add((state, left))
+            stack.pop()
+            if path:
+                path.pop()
+            continue
+        nxt = after(state, x)
+        if nxt is None or (nxt, left - 1) in clean:
+            continue
+        if nxt is _EVERY or (left == 1 and fails(nxt)):
+            return tuple(path) + (x,) + (inputs[0],) * (left - 1)
+        if left > 1:
+            path.append(x)
+            stack.append((nxt, left - 1, iter(inputs)))
+    return None
+
+
 def bounded_equiv(c1, c2, dom: FiniteDomain, horizon: int) -> EquivResult:
     """Exhaustively compare two components on every input trace of the given
-    horizon: same first illegal step, same full-run output sets."""
+    horizon: same first illegal step, same full-run output sets.  The
+    counterexample is the first failing trace in the order of `dom.traces`.
+    Every pair `behavior` steps is stepped, side 1 first, even when a
+    difference shows early, so a component that raises there raises here."""
     c1, c2 = as_component(c1), as_component(c2)
     in1, in2 = sigma_in(c1), sigma_in(c2)
     if in1.types() != in2.types() or sigma_out(c1).types() != sigma_out(c2).types():
         return EquivResult(False, None, "signature mismatch")
-    b1 = behavior(c1, dom, horizon)
-    b2 = behavior(c2, dom, horizon)
-    for trace in dom.traces(in1, horizon):
-        k1, k2 = b1.first_illegal(trace), b2.first_illegal(trace)
-        if k1 != k2:
-            return EquivResult(False, trace, f"illegal at {k1} vs {k2}")
-        if k1 is None and b1.outputs(trace) != b2.outputs(trace):
-            return EquivResult(False, trace, "output sets differ")
-    return EquivResult(True)
+    side1, side2 = _explored(c1, dom, horizon), _explored(c2, dom, horizon)
+    trace = _first_failing(side1, side2, horizon, refining=False)
+    if trace is None:
+        return EquivResult(True)
+    (k1, _), (k2, _) = _run(side1, trace), _run(side2, trace)
+    return EquivResult(False, trace, f"illegal at {k1} vs {k2}" if k1 != k2 else "output sets differ")
 
 
 def bounded_refute_refinement(abstract, concrete, dom: FiniteDomain, horizon: int) -> CheckResult:
     """Search for a bounded refutation of `abstract refined-by concrete`:
     an input legal for the abstract side but illegal for the concrete one, or
-    a concrete output outside the abstract relation.  The bounded method can
-    only refute, never prove."""
+    a concrete output outside the abstract relation.  The witness is the
+    first failing trace in the order of `dom.traces`.  Every pair `behavior`
+    steps is stepped, the abstract side first, even when a refutation shows
+    early.  The bounded method can only refute, never prove."""
     abstract, concrete = as_component(abstract), as_component(concrete)
-    in_sig = sigma_in(abstract)
-    ba = behavior(abstract, dom, horizon)
-    bc = behavior(concrete, dom, horizon)
-    names = in_sig.names()
-    for trace in dom.traces(in_sig, horizon):
-        ka = ba.first_illegal(trace)
-        if ka is not None:
-            continue
-        kc = bc.first_illegal(trace)
-        if kc is not None:
-            return Refuted(
-                TraceWitness(names, trace, step=kc, note="legal input rejected by the concrete component"),
-                horizon=horizon,
-            )
-        extra = bc.outputs(trace) - ba.outputs(trace)
-        if extra:
-            out = min(extra)
-            return Refuted(
-                TraceWitness(names, trace, outputs=out, note="concrete output outside the abstract relation"),
-                horizon=horizon,
-            )
-    return Unknown("no bounded counterexample up to the horizon")
+    names = sigma_in(abstract).names()
+    sa, sc = _explored(abstract, dom, horizon), _explored(concrete, dom, horizon)
+    trace = _first_failing(sa, sc, horizon, refining=True)
+    if trace is None:
+        return Unknown("no bounded counterexample up to the horizon")
+    (_, outs_a), (kc, outs_c) = _run(sa, trace), _run(sc, trace)
+    if kc is not None:
+        witness = TraceWitness(names, trace, step=kc, note="legal input rejected by the concrete component")
+    else:
+        witness = TraceWitness(
+            names, trace, outputs=min(outs_c - outs_a), note="concrete output outside the abstract relation"
+        )
+    return Refuted(witness, horizon=horizon)
 
 
 def bounded_hoare(

@@ -117,6 +117,13 @@ class TestSimulate:
         rep = report_dict(out)
         assert rep["illegal_at"] == "1"
 
+    def test_real_inputs_written_as_integers_divide_as_reals(self, capsys, tmp_path):
+        p = tmp_path / "q.rcrs"
+        p.write_text("component Q = stateless_det((x:real, y:real), true, (x / y))\n")
+        code, out, _ = run_cli(capsys, "simulate", str(p), "--input", "x:1,3", "--input", "y:2,1.5")
+        assert code == 0
+        assert report_dict(out)["y0"] == "1/2,2"
+
     def test_component_without_inputs_exit_3(self, capsys, tmp_path):
         p = tmp_path / "z.rcrs"
         p.write_text("component Z = stateless_det((), true, (1))\n")

@@ -9,7 +9,7 @@ from fractions import Fraction
 import pytest
 
 from rcrs import oracle
-from rcrs.components import Atomic, Det, Fdbk, Parallel, Serial, Signature, Stateless, Sts, sig, sigma_in
+from rcrs.components import Atomic, Det, Fdbk, Parallel, Serial, Signature, Stateless, Sts, sig, sigma_in, sigma_out
 from rcrs.compose import atomic
 from rcrs.corpus import random_det_composite, random_sts_atom
 from rcrs.errors import DomainNotFinite, ExplosionGuard, NonTemporalMisuse, NotDeterministic, NotLoopFree
@@ -75,6 +75,22 @@ class TestFiniteDomain:
     def test_override_file_rejects_values_of_another_type(self, text):
         with pytest.raises(DomainNotFinite):
             parse_domain_file(text)
+
+    def test_real_domain_divides_as_reals(self):
+        # written as integers or not, a real domain's values are Fractions,
+        # so 1 / 2 is 1/2 and not Euclidean division
+        from rcrs.components import StatelessDet
+        from rcrs.terms import div
+        from rcrs.types import REAL
+
+        d = parse_domain_file("domain real = {1, 2}")
+        assert d.values(REAL) == (1, 2) and all(type(v) is Fraction for v in d.values(REAL))
+        x, y = var("x", REAL), var("y", REAL)
+        c = Atomic(StatelessDet(sig(("x", REAL), ("y", REAL)), TRUEC, (div(x, y),)))
+        one, two = d.values(REAL)
+        assert exec_det(c, ((one, two),), d) == ((Fraction(1, 2),),)
+        assert behavior(c, d, 1).outputs(((one, two),)) == {((Fraction(1, 2),),)}
+        assert behavior(c, d, 1).pouts == behavior(c, parse_domain_file("domain real = {1.0, 2.0}"), 1).pouts
 
     def test_explosion_guard(self):
         d = FiniteDomain({"int": tuple(range(100))}, cap=1000)
@@ -707,3 +723,202 @@ class TestSuccessorTable:
             step((), (0,))
         assert step((), (0,)) == step((), (0,)) == [((), (0,))]
         assert node.calls == 2
+
+
+def _reference_equiv(c1, c2, dom, horizon, b1, b2):
+    """bounded_equiv as a comparison of the two sides' `behavior` walks,
+    trace by trace."""
+    if sigma_in(c1).types() != sigma_in(c2).types() or sigma_out(c1).types() != sigma_out(c2).types():
+        return oracle.EquivResult(False, None, "signature mismatch")
+    for trace in dom.traces(sigma_in(c1), horizon):
+        k1, k2 = b1.first_illegal(trace), b2.first_illegal(trace)
+        if k1 != k2:
+            return oracle.EquivResult(False, trace, f"illegal at {k1} vs {k2}")
+        if k1 is None and b1.outputs(trace) != b2.outputs(trace):
+            return oracle.EquivResult(False, trace, "output sets differ")
+    return oracle.EquivResult(True)
+
+
+def _reference_refute(abstract, dom, horizon, ba, bc):
+    """bounded_refute_refinement as a comparison of the two sides' `behavior`
+    walks, trace by trace."""
+    from rcrs.verdicts import TraceWitness
+
+    in_sig = sigma_in(abstract)
+    for trace in dom.traces(in_sig, horizon):
+        if ba.first_illegal(trace) is not None:
+            continue
+        kc = bc.first_illegal(trace)
+        if kc is not None:
+            note = "legal input rejected by the concrete component"
+            return Refuted(TraceWitness(in_sig.names(), trace, step=kc, note=note), horizon=horizon)
+        extra = bc.outputs(trace) - ba.outputs(trace)
+        if extra:
+            note = "concrete output outside the abstract relation"
+            return Refuted(TraceWitness(in_sig.names(), trace, outputs=min(extra), note=note), horizon=horizon)
+    return Unknown("no bounded counterexample up to the horizon")
+
+
+def _mutant(c, top, horizon):
+    """c beside a watcher of its inputs that rejects the last input of the
+    trace that is `top` on every input at every step: the last trace in the
+    order of `dom.traces` over 0..top, and the only one on which it can
+    differ from c (for a horizon of at least 2)."""
+    from rcrs.components import StatelessDet
+    from rcrs.terms import div, mul, sub
+
+    ins = [Var(f"x{i}", INT) for i in range(len(sigma_in(c)))]
+    dup = StatelessDet(Signature(tuple(ins)), TRUEC, tuple(map(VarRef, ins)) * 2)
+    # over 0..top with top 1 or 2, x * (x - (top - 1)) is top at x = top and
+    # 0 elsewhere, so `hit` is 1 when every input is top and 0 otherwise
+    e = intc(1)
+    for x in ins:
+        e = mul(e, mul(VarRef(x), sub(VarRef(x), intc(top - 1))))
+    hit, s = div(e, intc(top ** len(ins))), var("s0", INT)
+    watcher = Det(
+        Signature(tuple(ins)), sig(("s0", INT)), (intc(0),),
+        atom("!=", mul(s, hit), intc(horizon - 1)), (mul(add(s, intc(1)), hit),), (),
+    )
+    return Serial(Atomic(dup), Parallel(c, Atomic(watcher)))
+
+
+class TestJointWalk:
+    """bounded_equiv and bounded_refute_refinement walk both sides at once and
+    answer as a trace-by-trace comparison of their `behavior` walks."""
+
+    @staticmethod
+    def assert_same(c1, c2, dom, horizon, walks=None):
+        # walks: a cache of `behavior` walks shared by the calls on one corpus
+        walks = {} if walks is None else walks
+        for c in (c1, c2):
+            if (c, horizon) not in walks:
+                walks[c, horizon] = behavior(c, dom, horizon)
+        b1, b2 = walks[c1, horizon], walks[c2, horizon]
+        assert bounded_equiv(c1, c2, dom, horizon) == _reference_equiv(c1, c2, dom, horizon, b1, b2), (c1, c2, horizon)
+        got, want = bounded_refute_refinement(c1, c2, dom, horizon), _reference_refute(c1, dom, horizon, b1, b2)
+        assert repr(got) == repr(want), (c1, c2, horizon)
+
+    def test_composites_and_mutants(self):
+        for seed in range(100):
+            c = random_det_composite(random.Random(seed))
+            a = Atomic(atomic(c))
+            for values in ((0, 1), (0, 1, 2)):
+                dom, m, walks = FiniteDomain({"int": values}), _mutant(c, values[-1], 3), {}
+                for c1, c2 in ((a, c), (a, m), (m, a)):
+                    self.assert_same(c1, c2, dom, 3, walks)
+
+    def test_the_mutant_differs_on_the_last_trace_only(self):
+        c = random_det_composite(random.Random(3))
+        dom = FiniteDomain({"int": (0, 1)})
+        r = bounded_equiv(Atomic(atomic(c)), _mutant(c, 1, 3), dom, 3)
+        assert not r and r.counterexample == ((1,) * len(sigma_in(c)),) * 3
+
+    def test_nondeterministic_transition_systems(self):
+        dom = FiniteDomain()
+        for seed in range(300):
+            s1 = Atomic(random_sts_atom(random.Random(seed)))
+            s2 = Atomic(random_sts_atom(random.Random(seed + 1000)))
+            walks: dict = {}
+            for horizon in range(4):
+                for c1, c2 in ((s1, s2), (s2, s1), (s1, s1)):
+                    self.assert_same(c1, c2, dom, horizon, walks)
+
+    def test_refinement_tables(self):
+        from rcrs.corpus import refinement_table_pair
+
+        for seed in range(60):
+            ty = (IntRange(0, 1), IntRange(0, 2), BOOL)[seed % 3]
+            a, b = refinement_table_pair(random.Random(seed), [Var("x", ty)], [Var("y", ty)])
+            walks: dict = {}
+            for horizon in (1, 2, 4):
+                self.assert_same(Atomic(a), Atomic(b), FiniteDomain(), horizon, walks)
+                self.assert_same(Atomic(b), Atomic(a), FiniteDomain(), horizon, walks)
+
+    def test_input_signatures_that_differ(self):
+        # refinement takes no signature check: a trace of the abstract side
+        # through an input the concrete side never walked answers as before
+        from rcrs.corpus import refinement_table_pair
+
+        comps = [Atomic(random_sts_atom(random.Random(0))), random_det_composite(random.Random(1))]
+        for seed, ty in enumerate((IntRange(0, 2), BOOL, IntRange(1, 2))):
+            comps.extend(map(Atomic, refinement_table_pair(random.Random(seed), [Var("x", ty)], [Var("y", ty)])))
+        dom = FiniteDomain({"int": (0, 1)})
+        walks: dict = {}
+        for c1, c2 in itertools.product(comps, repeat=2):
+            for horizon in (1, 2):
+                self.assert_same(c1, c2, dom, horizon, walks)
+
+    def test_disagreeing_feedback_raises_from_both_checks(self, monkeypatch):
+        from rcrs.errors import SoundnessError
+
+        class Disagreeing:
+            init = [()]
+            firsts = itertools.cycle((1, 2))
+
+            def successors(self, config, x, commit):
+                return [(config, (next(self.firsts), 0))]
+
+        monkeypatch.setattr(oracle, "_stepper", lambda c, dom: oracle._FdbkEval(Disagreeing()))
+        c = Atomic(Det(sig(("x", INT)), sig(), (), TRUEC, (), (var("x", INT),)))
+        dom = FiniteDomain({"int": (0, 1)})
+        for check in (bounded_equiv, bounded_refute_refinement):
+            with pytest.raises(SoundnessError):
+                check(c, c, dom, 2)
+
+    def test_a_step_that_raises_below_an_early_difference_still_raises(self, monkeypatch):
+        from rcrs.errors import SoundnessError
+
+        class Counting:
+            """Outputs `out` at every step; its third step raises."""
+
+            init = [0]
+
+            def __init__(self, out):
+                self.out = out
+
+            def successors(self, n, x, commit=True):
+                if n == 2:
+                    raise SoundnessError("third step")
+                return [(n + 1, (self.out,))]
+
+        c1, c2 = (Atomic(Det(sig(("x", INT)), sig(), (), TRUEC, (), (intc(k),))) for k in (0, 1))
+        monkeypatch.setattr(oracle, "_stepper", lambda c, dom: Counting(c.atom.out[0].value))
+        dom = FiniteDomain({"int": (0, 1)})
+        # the output sets differ on the first trace, and the walk goes on
+        for check in (bounded_equiv, bounded_refute_refinement):
+            with pytest.raises(SoundnessError):
+                check(c1, c2, dom, 3)
+
+    def test_each_pair_steps_once_per_side(self, monkeypatch):
+        calls = Counter()
+        for cls in (oracle._DetAtom, oracle._StsAtom):
+
+            def counting(node, config, x, commit=True, step=cls.successors):
+                calls[node, config, x] += 1
+                return step(node, config, x, commit)
+
+            monkeypatch.setattr(cls, "successors", counting)
+        dom = FiniteDomain({"int": (0, 1)})
+        for seed in range(10):
+            # atomic forms: an atom nested in a composite steps once per
+            # configuration of the composite that holds it
+            c = random_det_composite(random.Random(seed))
+            a, m = Atomic(atomic(c)), Atomic(atomic(_mutant(c, 1, 4)))
+            s1, s2 = (Atomic(random_sts_atom(random.Random(seed + k))) for k in (0, 1))
+            for c1, c2 in ((a, m), (s1, s2)):
+                for check in (bounded_equiv, bounded_refute_refinement):
+                    check(c1, c2, dom, 4)
+                    assert calls and max(calls.values()) == 1, (seed, c1, c2, check)
+                    calls.clear()
+
+    def test_a_unit_input_component_at_a_long_horizon(self):
+        # one trace at any horizon: the cap does not bound the walk's depth
+        count = Atomic(Det(sig(), sig(("s", INT)), (intc(0),), TRUEC, (add(var("s", INT), intc(1)),), (var("s", INT),)))
+        still = Atomic(Det(sig(), sig(("s", INT)), (intc(0),), TRUEC, (var("s", INT),), (var("s", INT),)))
+        dom = FiniteDomain()
+        assert bounded_equiv(count, count, dom, 5000)
+        r = bounded_equiv(count, still, dom, 5000)
+        assert not r and r.counterexample == ((),) * 5000 and r.detail == "output sets differ"
+        assert isinstance(bounded_refute_refinement(count, count, dom, 5000), Unknown)
+        res = bounded_refute_refinement(still, count, dom, 5000)
+        assert isinstance(res, Refuted) and res.witness.outputs == tuple((k,) for k in range(5000))
