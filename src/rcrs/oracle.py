@@ -59,6 +59,7 @@ from .formulas import (
     TrueC,
     Until,
     first_free,
+    free_refs,
     free_vars,
 )
 from .lattice import stateless2sts
@@ -227,6 +228,9 @@ def _raiser(error: type, *args):
     return fail
 
 
+_LABELLED = (Until, Finally, Globally, Leads, Forall, Exists)
+
+
 def _compile(node, sem, plain: tuple = (), primed: tuple = ()):
     """A term or formula as a closure `(env, i) -> value` over a slot layout:
     `env` is a tuple holding the evaluation's semantics object, the values
@@ -242,10 +246,23 @@ def _compile(node, sem, plain: tuple = (), primed: tuple = ()):
     And, Or and Implies, and the right one is then not evaluated.  A POISON
     operand makes a term or an atom POISON, except for the branches of an
     `ite` whose condition is known.  A node the semantics refuses, or a
-    variable with no slot, raises only when the evaluation reaches it."""
+    variable with no slot, raises only when the evaluation reaches it.
+
+    Where the class says which slots a node's value depends on
+    (`label_slots`: _Prefix and _Lasso), a temporal operator or quantifier
+    is labelled when its evaluation is certain to repeat: it lies under two
+    or more scans, or some enclosing quantifier's slot is not among its own,
+    so each candidate of that quantifier evaluates it alike.  A label keeps
+    the node's value per position and slot values in `labels` of the
+    instance in slot 0, so it lives for one evaluation, as in Markey and
+    Schnoebelen's path checking ("Model Checking a Path", CONCUR 2003).  It
+    also keeps the visits the first evaluation made, and a hit spends them
+    again: the budget counts every visit the plain evaluation makes."""
     T, F = sem.true, sem.false
     NOT, AND, OR, read = sem.not_, sem.and_, sem.or_, sem.read
     primes = {v: k for k, v in enumerate(primed, 1 + len(plain))}
+    quantified = 1 + len(plain) + len(primed)  # the outermost quantifier's slot
+    slots_of, tags = getattr(sem, "label_slots", None), itertools.count()
 
     def term(t, scope):
         if isinstance(t, (VarRef, PrimedRef)):
@@ -288,18 +305,42 @@ def _compile(node, sem, plain: tuple = (), primed: tuple = ()):
 
         return apply
 
-    def formula(f, scope, depth):
-        node = connective(f, scope, depth)
-        if sem.visit is None:
-            return node
+    def formula(f, scope, depth, scans):
+        node = connective(f, scope, depth, scans)
+        if sem.visit is not None:
+            node = visited(node)
+        if slots_of is not None and isinstance(f, _LABELLED):
+            slots = slots_of(f, scope)
+            if scans >= 2 or not set(range(quantified, depth)) <= set(slots):
+                node = labelled(node, slots)
+        return node
 
-        def visited(env, i):
+    def visited(node):
+        def visit(env, i):
             env[0].visit()
             return node(env, i)
 
-        return visited
+        return visit
 
-    def connective(f, scope, depth):
+    def labelled(node, slots):
+        tag, get = next(tags), operator.itemgetter(*slots) if slots else (lambda env: None)
+
+        def label(env, i):
+            s, key = env[0], (tag, i, get(env))
+            hit = s.labels.get(key)
+            if hit is None:
+                ops = s.ops
+                value = node(env, i)
+                s.labels[key] = value, s.ops - ops
+                return value
+            value, visits = hit
+            if visits:  # none where there is no budget
+                s.visit(visits)
+            return value
+
+        return label
+
+    def connective(f, scope, depth, scans):
         if isinstance(f, Atom):
             op = _PREDICATES.get(f.pred) or _raiser(KindError, f"unknown predicate {f.pred}")
             compare, atom = strict(op, *(term(t, scope) for t in f.args)), sem.atom
@@ -307,7 +348,7 @@ def _compile(node, sem, plain: tuple = (), primed: tuple = ()):
         if isinstance(f, (And, Or, Implies)):
             # true is the unit of And and false absorbs it; Or is the dual, and
             # a -> b is (not a) or b
-            a, b = formula(f.left, scope, depth), formula(f.right, scope, depth)
+            a, b = formula(f.left, scope, depth, scans), formula(f.right, scope, depth, scans)
             stop, pass_, join = (F, T, AND) if isinstance(f, And) else (T, F, OR)
             negate = isinstance(f, Implies)
 
@@ -320,30 +361,30 @@ def _compile(node, sem, plain: tuple = (), primed: tuple = ()):
 
             return binary
         if isinstance(f, Not):
-            arg = formula(f.arg, scope, depth)
+            arg = formula(f.arg, scope, depth, scans)
             return lambda env, i: NOT(arg(env, i))
         if isinstance(f, (TrueC, FalseC)):
             v = T if isinstance(f, TrueC) else F
             return lambda env, i: v
         if isinstance(f, Iff):
-            a, b, iff = formula(f.left, scope, depth), formula(f.right, scope, depth), sem.iff
+            a, b, iff = formula(f.left, scope, depth, scans), formula(f.right, scope, depth, scans), sem.iff
             return lambda env, i: iff(a(env, i), b(env, i))
         # F a = true U a;  G a = not (true U not a);  a W b = not (a U not b)
         if isinstance(f, Until):
-            return until(f.left, f.right, False, scope, depth)
+            return until(f.left, f.right, False, scope, depth, scans + 1)
         if isinstance(f, Finally):
-            return until(TRUEC, f.arg, False, scope, depth)
+            return until(TRUEC, f.arg, False, scope, depth, scans + 1)
         if isinstance(f, Globally):
-            return until(TRUEC, Not(f.arg), True, scope, depth)
+            return until(TRUEC, Not(f.arg), True, scope, depth, scans + 1)
         if isinstance(f, Leads):
-            return until(f.left, Not(f.right), True, scope, depth)
+            return until(f.left, Not(f.right), True, scope, depth, scans + 1)
         if not isinstance(f, (Forall, Exists)):
             return _raiser(KindError, f"not a formula: {f!r}")
         # an instance that is definitely false (Forall) or true (Exists)
         # settles the quantifier; `sem.unsettled` combines the other ones
         universal, ty, unsettled = isinstance(f, Forall), f.var.ty, sem.unsettled
         decisive = F if universal else T
-        body = formula(f.body, {**scope, f.var: depth}, depth + 1)
+        body = formula(f.body, {**scope, f.var: depth}, depth + 1, scans)
 
         def quantifier(env, i):
             results = []
@@ -356,11 +397,11 @@ def _compile(node, sem, plain: tuple = (), primed: tuple = ()):
 
         return quantifier
 
-    def until(left, right, negate, scope, depth):
+    def until(left, right, negate, scope, depth, scans):
         # left U right at i (negated for G and W), scanned over the window of
         # the words in scope; a scan ending with left holding all along and
         # right never is open on a prefix, and definite past a lasso window
-        a, b, visible = formula(left, scope, depth), formula(right, scope, depth), tuple(scope.values())
+        a, b, visible = formula(left, scope, depth, scans), formula(right, scope, depth, scans), tuple(scope.values())
         open_ended = sem.open_ended
 
         def scan(env, i):
@@ -380,7 +421,7 @@ def _compile(node, sem, plain: tuple = (), primed: tuple = ()):
     scope = {v: k for k, v in enumerate(plain, 1)}
     if isinstance(node, Term):
         return term(node, scope)
-    return formula(node, scope, 1 + len(plain) + len(primed))
+    return formula(node, scope, quantified, 0)
 
 
 @functools.lru_cache(maxsize=64)
@@ -407,8 +448,24 @@ def _iff3(a, b):
     return None if (a is None or b is None) else (a == b)
 
 
-def _pairwise(op):
-    return staticmethod(lambda *values: tuple(map(op, *values)))
+# (family, definite) pairs of _Lasso: the family value is two-valued, the
+# definite one Kleene's
+
+
+def _not2(a):
+    return not a[0], _not3(a[1])
+
+
+def _and2(a, b):
+    return a[0] and b[0], _and3(a[1], b[1])
+
+
+def _or2(a, b):
+    return a[0] or b[0], _or3(a[1], b[1])
+
+
+def _iff2(a, b):
+    return a[0] == b[0], _iff3(a[1], b[1])
 
 
 class _Step:
@@ -1050,27 +1107,29 @@ class QltlVerdict:
 class _Lasso:
     """(family, definite) pairs on lasso words, as in QltlVerdict.  The cap
     of `expand` bounds each quantifier's lasso family (distinct words) and
-    the number of formula nodes one evaluation visits.  The families are
-    built once per domain (`FiniteDomain.families`)."""
+    the number of formula nodes one evaluation visits; `visit` spends
+    visits of it.  The families are built once per domain
+    (`FiniteDomain.families`), the labels (see _compile) once per
+    evaluation."""
 
     true, false = (True, True), (False, False)
     read = staticmethod(LassoWord.at)
     primed_refusal = "primed reference in temporal evaluation"
     open_ended = False
-    # the family value is two-valued, the definite one Kleene: the Kleene
-    # connectives serve both
-    not_ = _pairwise(_not3)
-    and_ = _pairwise(_and3)
-    or_ = _pairwise(_or3)
-    iff = _pairwise(_iff3)
+    not_, and_, or_, iff = map(staticmethod, (_not2, _and2, _or2, _iff2))
 
     def __init__(self, expand: Expansion, dom: FiniteDomain):
-        self.expand, self.dom, self.ops = expand, dom, 0
+        self.expand, self.dom, self.ops, self.labels = expand, dom, 0, {}
 
-    def visit(self):
-        self.ops += 1
+    def visit(self, visits: int = 1):
+        self.ops += visits
         if self.ops > self.expand.cap:
             raise ExplosionGuard("temporal evaluation exceeds the work budget")
+
+    @staticmethod
+    def label_slots(f, scope) -> tuple:
+        # a window spans the stems and periods of every word in scope
+        return tuple(sorted(scope.values()))
 
     @staticmethod
     def atom(v):
@@ -1079,9 +1138,10 @@ class _Lasso:
     def window(self, env, visible, i: int):
         # past the longest stem plus two common periods every position
         # repeats one already scanned, so the scan's value is definite
-        words = [env[k] for k in visible]
-        s = max([len(w.stem) for w in words] or [0])
-        p = math.lcm(*(len(w.loop) for w in words))
+        s, p = 0, 1
+        for k in visible:
+            w = env[k]
+            s, p = max(s, len(w.stem)), math.lcm(p, len(w.loop))
         return range(i, i + s + 2 * p + 3)
 
     def candidates(self, ty):
@@ -1128,15 +1188,22 @@ def eval_qltl(
 
 class _Prefix(_Step):
     """Kleene logic on finite prefixes: None where the infinite extensions
-    disagree."""
+    disagree.  No work budget; labels (see _compile) live for one
+    evaluation."""
 
     open_ended = True
     read = staticmethod(lambda w, i: w[i] if i < len(w) else POISON)
     primed_refusal = "prefix evaluation does not handle primed terms"
+    ops = 0
 
     def __init__(self, dom: FiniteDomain, length: int):
         super().__init__(dom)
-        self.length = length
+        self.length, self.labels = length, {}
+
+    @staticmethod
+    def label_slots(f, scope) -> tuple:
+        # a window is the rest of the prefix, whatever the words
+        return tuple(sorted({scope[v] for v in free_refs(f)[0] if v in scope}))
 
     def window(self, env, visible, i: int):
         return range(i, self.length)
