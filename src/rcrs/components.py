@@ -13,10 +13,12 @@ from .formulas import (
     Exists,
     Forall,
     Formula,
+    bound_vars,
     first_free,
     free_refs,
     rewrite,
     substitute,
+    substitution,
     uses_primed,
 )
 from .terms import Const, PrimedRef, Term, VarRef, type_of
@@ -424,18 +426,35 @@ class NameGen:
 
 def rename_atomic(c: AtomicComponent, mapping: dict[Var, Var]) -> AtomicComponent:
     """Rename slots and free plain and primed occurrences per the variable
-    mapping."""
-    sigma = {v: VarRef(w) for v, w in mapping.items()}
-    primed = {v: PrimedRef(w) for v, w in mapping.items()}
+    mapping.  A mapping of identities returns c itself, unless a binder of c
+    is among its targets: substitution renames such a binder apart."""
+    if all(v == w for v, w in mapping.items()) and binders(c).isdisjoint(mapping.values()):
+        return c
+    apply = substitution(
+        {v: VarRef(w) for v, w in mapping.items()}, {v: PrimedRef(w) for v, w in mapping.items()}
+    )
 
     def rename(value, role):
         if role == "signature":
             return Signature(tuple(mapping.get(v, v) for v in value))
         if role == "formula":
-            return substitute(value, sigma, primed)
-        return tuple(substitute(t, sigma, primed) for t in value)
+            return apply(value)
+        return tuple(map(apply, value))
 
     return type(c)(*(rename(getattr(c, name), role) for name, role in LAYOUT[type(c)]))
+
+
+def binders(c: AtomicComponent) -> frozenset[Var]:
+    """The variables bound by a quantifier in any formula or term of c."""
+    out = frozenset()
+    for name, role in LAYOUT[type(c)]:
+        value = getattr(c, name)
+        if role == "formula":
+            out |= bound_vars(value)
+        elif role == "terms":
+            for t in value:
+                out |= bound_vars(t)
+    return out
 
 
 def numbered(prefix: str, start: int = 0) -> Iterator[str]:

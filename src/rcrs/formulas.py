@@ -270,7 +270,7 @@ def free_refs(node) -> tuple[frozenset[Var], frozenset[Var], bool]:
     return d["_free"]
 
 
-def _binders(node) -> frozenset[Var]:
+def bound_vars(node) -> frozenset[Var]:
     """The variables bound by a quantifier anywhere in a term or formula."""
     d = node.__dict__
     if "_binders" not in d:
@@ -398,10 +398,16 @@ def substitute(f, sigma: Mapping[Var, Term], primed_sigma: Mapping[Var, Term] = 
     Bound variables are renamed when a replacement term would otherwise
     capture them.
     """
-    return _substitute(f, sigma, primed_sigma or {}, None)
+    return substitution(sigma, primed_sigma)(f)
 
 
-def _substitute(f, sigma: Mapping, primed_sigma: Mapping, range_vars: Optional[set]):
+def substitution(sigma: Mapping[Var, Term], primed_sigma: Mapping[Var, Term] = None):
+    """`substitute(_, sigma, primed_sigma)` as a function, prepared once for
+    the many terms and formulas of one component."""
+    return _substitution(sigma, primed_sigma or {}, None)
+
+
+def _substitution(sigma: Mapping, primed_sigma: Mapping, range_vars: Optional[set]):
     def ranges() -> set:  # the variables of the replacements
         nonlocal range_vars
         if range_vars is None:
@@ -411,21 +417,24 @@ def _substitute(f, sigma: Mapping, primed_sigma: Mapping, range_vars: Optional[s
                 range_vars |= plain | primed
         return range_vars
 
-    keys, primed_keys = sigma.keys(), primed_sigma.keys()
+    # an entry that maps a variable to a reference to itself replaces
+    # nothing; it still counts among the ranges, so binders are renamed alike
+    keys = {v for v, t in sigma.items() if type(t) is not VarRef or t.var != v}
+    primed_keys = {v for v, t in primed_sigma.items() if type(t) is not PrimedRef or t.var != v}
 
     def step(g, bound):
         plain, primed, _ = free_refs(g)
         if keys.isdisjoint(plain) and primed_keys.isdisjoint(primed):
             # nothing to replace; unchanged unless a binder must be renamed
-            binders = _binders(g)
+            binders = bound_vars(g)
             if not binders or binders.isdisjoint(ranges()):
                 return g
         if isinstance(g, VarRef):
-            if g.var in sigma and g.var not in bound:
+            if g.var in keys and g.var not in bound:
                 return _checked(sigma[g.var], g.var)
             return g
         if isinstance(g, PrimedRef):
-            if g.var in primed_sigma and g.var not in bound:
+            if g.var in primed_keys and g.var not in bound:
                 return _checked(primed_sigma[g.var], g.var)
             return g
         if isinstance(g, (Forall, Exists)) and g.var in ranges():
@@ -435,11 +444,11 @@ def _substitute(f, sigma: Mapping, primed_sigma: Mapping, range_vars: Optional[s
             if live or live_primed:
                 v2 = fresh_var(g.var, free_vars(g.body).vars | range_vars)
                 live[g.var] = VarRef(v2)
-                body = _substitute(g.body, live, live_primed, range_vars | {v2})
+                body = _substitution(live, live_primed, range_vars | {v2})(g.body)
                 return type(g)(v2, body)
         return None
 
-    return rewrite(f, step)
+    return lambda f: rewrite(f, step)
 
 
 def _checked(replacement: Term, v: Var) -> Term:
@@ -479,38 +488,49 @@ def simplify(f: Formula) -> Formula:
     no solver calls."""
     for _ in range(_MAX_PASSES):
         g = _pass(f)
-        if g == f:
+        if g is f or g == f:
             return g
         f = g
     return f
 
 
 def _pass(f: Formula) -> Formula:
+    """One bottom-up rewrite pass.  A node the pass leaves equal is returned
+    as itself and keeps the mark `_fixed`, so a later pass returns it at
+    once; atoms and constants get no mark."""
     if isinstance(f, (TrueC, FalseC, Atom)):
         return _ground_atom(f) if isinstance(f, Atom) else f
+    d = f.__dict__
+    if "_fixed" in d:
+        return f
     if isinstance(f, Not):
-        return _simp_not(_pass(f.arg))
-    if isinstance(f, And):
-        return _simp_and(_pass(f.left), _pass(f.right))
-    if isinstance(f, Or):
-        return _simp_or(_pass(f.left), _pass(f.right))
-    if isinstance(f, Implies):
-        return _simp_implies(_pass(f.left), _pass(f.right))
-    if isinstance(f, Iff):
-        return _simp_iff(_pass(f.left), _pass(f.right))
-    if isinstance(f, Forall):
-        return _simp_forall(f.var, _pass(f.body))
-    if isinstance(f, Exists):
-        return _simp_exists(f.var, _pass(f.body))
-    if isinstance(f, Until):
-        return _simp_until(_pass(f.left), _pass(f.right))
-    if isinstance(f, Leads):
-        return _simp_leads(_pass(f.left), _pass(f.right))
-    if isinstance(f, Globally):
-        return _simp_globally(_pass(f.arg))
-    if isinstance(f, Finally):
-        return _simp_finally(_pass(f.arg))
-    raise TypeError(f"not a formula: {f!r}")
+        g = _simp_not(_pass(f.arg))
+    elif isinstance(f, And):
+        g = _simp_and(_pass(f.left), _pass(f.right))
+    elif isinstance(f, Or):
+        g = _simp_or(_pass(f.left), _pass(f.right))
+    elif isinstance(f, Implies):
+        g = _simp_implies(_pass(f.left), _pass(f.right))
+    elif isinstance(f, Iff):
+        g = _simp_iff(_pass(f.left), _pass(f.right))
+    elif isinstance(f, Forall):
+        g = _simp_forall(f.var, _pass(f.body))
+    elif isinstance(f, Exists):
+        g = _simp_exists(f.var, _pass(f.body))
+    elif isinstance(f, Until):
+        g = _simp_until(_pass(f.left), _pass(f.right))
+    elif isinstance(f, Leads):
+        g = _simp_leads(_pass(f.left), _pass(f.right))
+    elif isinstance(f, Globally):
+        g = _simp_globally(_pass(f.arg))
+    elif isinstance(f, Finally):
+        g = _simp_finally(_pass(f.arg))
+    else:
+        raise TypeError(f"not a formula: {f!r}")
+    if g == f:
+        d["_fixed"] = True
+        return f
+    return g
 
 
 def _ground_atom(f: Atom) -> Formula:
@@ -556,14 +576,37 @@ def _simp_and(a: Formula, b: Formula) -> Formula:
         return a
     if a == b:
         return a
-    if set(conjuncts(b)) <= set(conjuncts(a)):
+    (ca, free_a), (cb, free_b) = _conjunct_set(a), _conjunct_set(b)
+    if cb <= ca:
         return a
-    parts = conjuncts(a) + conjuncts(b)
-    seen = set(parts)
-    for p in parts:
-        if complement_atom(p) in seen:
-            return FALSEC
-    return And(a, b)
+    if not (free_a and free_b) or _clash(ca, cb):
+        return FALSEC
+    out = And(a, b)
+    out.__dict__["_conjuncts"] = ca | cb, True
+    return out
+
+
+def _conjunct_set(f: Formula) -> tuple[frozenset, bool]:
+    """The set of f's conjuncts, and whether no two of them clash (one is
+    the other's `complement_atom`).  An And keeps the pair once computed;
+    other formulas are one conjunct and keep nothing."""
+    if not isinstance(f, And):
+        return frozenset((f,)), True
+    d = f.__dict__
+    kept = d.get("_conjuncts")
+    if kept is None:
+        (ca, free_a), (cb, free_b) = _conjunct_set(f.left), _conjunct_set(f.right)
+        kept = d["_conjuncts"] = ca | cb, free_a and free_b and not _clash(ca, cb)
+    return kept
+
+
+def _clash(a: frozenset, b: frozenset) -> bool:
+    """Whether a conjunct of a clashes with one of b.  complement_atom is not
+    an involution (Not(Not(q)) -> Not(q) -> q), so each conjunct q of the
+    smaller set is tested both ways: q's complement in the other, or Not(q),
+    whose complement is q."""
+    small, large = (a, b) if len(a) <= len(b) else (b, a)
+    return any(complement_atom(q) in large or Not(q) in large for q in small)
 
 
 _COMPLEMENT = {"=": "!=", "!=": "=", "<": ">=", ">=": "<", ">": "<=", "<=": ">"}
@@ -615,7 +658,7 @@ def _simp_implies(a: Formula, b: Formula) -> Formula:
         return b
     if isinstance(b, FalseC):
         return _simp_not(a)
-    if a == b or set(conjuncts(b)) <= set(conjuncts(a)):
+    if a == b or _conjunct_set(b)[0] <= _conjunct_set(a)[0]:
         return TRUEC
     return Implies(a, b)
 

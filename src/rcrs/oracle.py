@@ -419,9 +419,11 @@ def _compile(node, sem, plain: tuple = (), primed: tuple = ()):
         return (lambda env, i: NOT(scan(env, i))) if negate else scan
 
     scope = {v: k for k, v in enumerate(plain, 1)}
-    if isinstance(node, Term):
-        return term(node, scope)
-    return formula(node, scope, quantified, 0)
+    root = term(node, scope) if isinstance(node, Term) else formula(node, scope, quantified, 0)
+    # the helpers reach each other through closure cells, which the returned
+    # closures do not read; emptying them leaves no cycle for the collector
+    del term, strict, formula, visited, labelled, connective, until
+    return root
 
 
 @functools.lru_cache(maxsize=64)

@@ -110,10 +110,12 @@ def is_value(value, ty: SemType) -> bool:
 class Memo:
     """Base of the immutable values that keep facts derived from their fields
     on themselves: variables, terms and formulas their hash, terms and
-    formulas their free references, terms their type, component terms their
-    atomic form.  Each fact is computed at most once per value and stored in
-    the instance dict under a name that starts with an underscore; it is not
-    a field, so repr, ==, fields() and replace() do not see it.
+    formulas their free references, terms their type, simplified formulas
+    their fixed-point mark, an And its conjunct set and clash flag, component
+    terms their atomic form.  Each fact is computed at most once per value
+    and stored in the instance dict under a name that starts with an
+    underscore; it is not a field, so repr, ==, fields() and replace() do not
+    see it.
 
     Facts never leave the process.  A hash depends on the process's hash
     seed, so pickling and copying drop every fact."""

@@ -1,6 +1,7 @@
 """The bounded finite-domain oracle: relations, execution, equivalence,
 refinement refutation, temporal evaluation on lassos and prefixes."""
 
+import gc
 import itertools
 import random
 from collections import Counter
@@ -22,6 +23,8 @@ from rcrs.formulas import (
     Globally,
     Iff,
     Implies,
+    Leads,
+    Not,
     Or,
     TRUEC,
     Until,
@@ -50,7 +53,7 @@ from rcrs.oracle import (
     legal_lasso,
     parse_domain_file,
 )
-from rcrs.terms import FALSE, NextRef, PrimedRef, TRUE, VarRef, add, intc, ite, var
+from rcrs.terms import FALSE, App, NextRef, PrimedRef, TRUE, VarRef, add, intc, ite, var
 from rcrs.types import BOOL, INT, IntRange, Var
 from rcrs.verdicts import Refuted, Unknown
 
@@ -922,3 +925,25 @@ class TestJointWalk:
         assert isinstance(bounded_refute_refinement(count, count, dom, 5000), Unknown)
         res = bounded_refute_refinement(still, count, dom, 5000)
         assert isinstance(res, Refuted) and res.witness.outputs == tuple((k,) for k in range(5000))
+
+
+class TestCompileLeavesNoGarbage:
+    def test_no_reference_cycles(self):
+        # compiling must leave nothing that only the cyclic collector frees
+        x, y = Var("x", INT), Var("y", INT)
+        X = VarRef(x)
+        terms = (X, PrimedRef(x), NextRef(X), intc(2), App("neg", (X,)), add(X, intc(1)), ite(TRUE, X, intc(0)))
+        a = atom("<", X, intc(1))
+        body = atom("=", VarRef(y), X)
+        formulas = [TRUEC, FALSEC, a, Not(a), And(a, a), Or(a, a), Implies(a, a), Iff(a, a),
+                    Forall(y, body), Exists(y, body), Until(a, a), Leads(a, a), Globally(a), Finally(a)]
+        formulas += [atom("=", t, X) for t in terms]
+        gc.collect()
+        gc.disable()
+        try:
+            for sem in (oracle._Step, oracle._Prefix, oracle._Lasso):
+                for node in (*terms, *formulas):
+                    oracle._compile(node, sem, (x,), (x,))
+            assert gc.collect() == 0
+        finally:
+            gc.enable()
