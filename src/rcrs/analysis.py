@@ -869,8 +869,13 @@ def is_input_receptive(c, dom: FiniteDomain = None, expand: Expansion = Expansio
 
 def _canonical_pair(a: AtomicComponent, b: AtomicComponent, k: Kind):
     """Lift both components to kind k and rename them onto shared canonical
-    input, output and state variables x0.., y0.. and s0..."""
-    return tuple(rename_slots(lift_to(c, k), numbered("x"), numbered("y"), numbered("s")) for c in (a, b))
+    input, output and state variables x0.., y0.. and s0..; one object on
+    both sides is lifted and renamed once."""
+    def canonical(c):
+        return rename_slots(lift_to(c, k), numbered("x"), numbered("y"), numbered("s"))
+
+    first = canonical(a)
+    return first, (first if b is a else canonical(b))
 
 
 def refine_vc(abstract, concrete) -> list[Vc]:

@@ -74,6 +74,11 @@ def serial(l: AtomicComponent, r: AtomicComponent) -> AtomicComponent:
     res = wf(Serial(Atomic(l), Atomic(r)))
     if not res:
         raise WfError(res.reason)
+    return _serial(l, r)
+
+
+def _serial(l: AtomicComponent, r: AtomicComponent) -> AtomicComponent:
+    # `serial` on operands known to fit together
     k = join_kind(l.kind(), r.kind())
     return _SERIAL[k](lift_to(l, k), lift_to(r, k))
 
@@ -294,7 +299,7 @@ def _atomic(c, path: tuple) -> AtomicComponent:
     if kept is not None:
         return kept
     if isinstance(c, Serial):
-        return serial(_atomic(c.left, path + ("left",)), _atomic(c.right, path + ("right",)))
+        return _serial(_atomic(c.left, path + ("left",)), _atomic(c.right, path + ("right",)))
     if isinstance(c, Parallel):
         return parallel(_atomic(c.left, path + ("left",)), _atomic(c.right, path + ("right",)))
     if isinstance(c, Fdbk):

@@ -39,6 +39,7 @@ from .errors import (
     NonTemporalMisuse,
     NotDeterministic,
     NotLoopFree,
+    SignatureMismatch,
     SoundnessError,
 )
 from .formulas import (
@@ -557,9 +558,8 @@ class _DetAtom(_Stepper):
 
 class _StsAtom(_Stepper):
     """A transition system: the successors of a (state, input) pair range
-    over the domain's states and outputs, and are computed once.  The
-    relation is compiled once, onto the states, inputs and outputs, then the
-    primed states."""
+    over the domain's states and outputs.  The relation is compiled once,
+    onto the states, inputs and outputs, then the primed states."""
 
     def __init__(self, c: Sts, dom: FiniteDomain):
         svars = c.states.vars()
@@ -572,14 +572,10 @@ class _StsAtom(_Stepper):
         init = _compile(c.init, _Step, svars)
         self.init = [s for s in self.states if init(self.head + s, 0)]
         self.trs = _compile(c.trs, _Step, svars + c.inputs.vars() + c.outputs.vars(), svars)
-        self.memo: dict = {}
 
     def successors(self, s, x, commit: bool = True):
-        key = (s, x)
-        if key not in self.memo:
-            env, trs = self.head + s + x, self.trs
-            self.memo[key] = [(s2, y) for s2 in self.states for y in self.outputs if trs(env + y + s2, 0)]
-        return self.memo[key]
+        env, trs = self.head + s + x, self.trs
+        return [(s2, y) for s2 in self.states for y in self.outputs if trs(env + y + s2, 0)]
 
 
 class _Serial(_Stepper):
@@ -665,30 +661,39 @@ def _stepper(c: Component, dom: FiniteDomain) -> _Stepper:
     raise KindError(f"not a component: {c!r}")
 
 
-def _table(node: _Stepper):
-    """`node.successors` for one walk: each (configuration, input) pair steps
-    once, however many prefixes reach it.  A step that raised is not kept."""
-    table: dict = {}
-
-    def successors(config, x):
-        succ = table.get((config, x))
-        if succ is None:
-            succ = table[config, x] = node.successors(config, x)
-        return succ
-
-    return successors
-
-
-def _walk(c, dom: FiniteDomain, horizon: int):
-    """The stepper of a component for a walk over the input traces of the
-    horizon, its input signature and input tuples, and its successors
-    through a table (see _table).  The walk may visit every trace, so the cap
-    on their number holds."""
+def explore(c, dom: FiniteDomain, horizon: int):
+    """The configuration graph of a component over the input traces of the
+    horizon: (initial configurations, input tuples, graph), where the graph
+    maps each (configuration, input) pair that `behavior` steps to its
+    successors (see _Stepper).  Those are the configurations reached in
+    fewer than `horizon` steps (the initial ones at any horizon), on every
+    input.  Each pair is stepped once, in `behavior`'s order and after the
+    cap on the number of traces, so the first error is the one `behavior`
+    would raise; a (configuration set, steps left) pair is walked once, as
+    below it nothing is new."""
+    c = as_component(c)
     node = _stepper(c, dom)
     in_sig = sigma_in(c)
     inputs = dom.tuples(in_sig)
     dom.traces(in_sig, horizon)
-    return node, in_sig, inputs, _table(node)
+    graph: dict = {}
+    done: set = set()
+    stack = [(tuple(dict.fromkeys(node.init)), max(horizon, 1))]
+    while stack:
+        configs, left = stack.pop()
+        if (key := (frozenset(configs), left)) in done:
+            continue
+        done.add(key)
+        for x in inputs:
+            reached: dict = {}
+            for config in configs:
+                succ = graph.get((config, x))
+                if succ is None:
+                    succ = graph[config, x] = node.successors(config, x)
+                reached.update((c2, None) for c2, _ in succ)
+            if left > 1 and reached:
+                stack.append((tuple(reached), left - 1))
+    return node.init, inputs, graph
 
 
 # --- bounded behaviors and runs -----------------------------------------------
@@ -720,13 +725,13 @@ class Behavior:
 
 def behavior(c, dom: FiniteDomain, horizon: int) -> Behavior:
     """Bounded behavior of a component tree, computed without symbolic
-    composition: one walk over the input prefixes of the domain steps the
-    component's configurations (see _Stepper), so a shared prefix runs once,
-    and so does a configuration reached on many prefixes (see _table).
-    A serial stage sees the values the stage before it computed, inside the
-    domain or not."""
+    composition: one walk over the input prefixes of the domain reads the
+    component's configuration graph (see explore), so a shared prefix runs
+    once, and so does a configuration reached on many prefixes.  A serial
+    stage sees the values the stage before it computed, inside the domain
+    or not."""
     c = as_component(c)
-    node, in_sig, inputs, step = _walk(c, dom, horizon)
+    init, inputs, graph = explore(c, dom, horizon)
     pouts: dict = {}
     dead: set = set()
     first: dict = {(): None}
@@ -734,14 +739,14 @@ def behavior(c, dom: FiniteDomain, horizon: int) -> Behavior:
     # output prefixes of the runs that reach it; a configuration steps once
     # for them all.  An explicit stack, not a recursive closure: that would
     # be a reference cycle keeping pouts alive until the next full collection.
-    stack = [((), {s: {()} for s in node.init})]
+    stack = [((), {s: {()} for s in init})]
     while stack:
         px, configs = stack.pop()
         for x in inputs:
             px2 = px + (x,)
             nxt: dict = {}
             for config, pys in configs.items():
-                succ = step(config, x)
+                succ = graph[config, x]
                 if not succ:
                     dead.add(px2)
                 for c2, y in succ:
@@ -751,23 +756,23 @@ def behavior(c, dom: FiniteDomain, horizon: int) -> Behavior:
             first[px2] = len(px) if k is None and px2 in dead else k
             if len(px2) < horizon:
                 stack.append((px2, nxt))
-    return Behavior(horizon, in_sig, sigma_out(c), pouts, dead, first)
+    return Behavior(horizon, sigma_in(c), sigma_out(c), pouts, dead, first)
 
 
 def legal_lasso(c, dom: FiniteDomain, horizon: int):
     """A legal input lasso, searched over the input prefixes of the domain up
     to the horizon.  Each prefix carries the sequence of configuration sets
-    it reaches (see _Stepper) and ends at its first illegal input.  When a
+    it reaches (see explore) and ends at its first illegal input.  When a
     set repeats along a prefix, repeating the inputs between its two visits
     keeps every run live forever: that lasso is returned as (stem, loop), two
     tuples of input tuples.  Returns False when every input trace of the
     horizon is illegal, None when neither holds."""
-    node, _, inputs, step = _walk(as_component(c), dom, horizon)
-    stack, live = [((), (frozenset(node.init),))], False
+    init, inputs, graph = explore(c, dom, horizon)
+    stack, live = [((), (frozenset(init),))], False
     while stack:
         px, sets = stack.pop()
         for x in inputs:
-            succ = [step(config, x) for config in sets[-1]]
+            succ = [graph[config, x] for config in sets[-1]]
             if not all(succ):
                 continue  # some run is stuck: x is illegal after px
             px2, reached = px + (x,), frozenset(c2 for s in succ for c2, _ in s)
@@ -839,41 +844,15 @@ class EquivResult:
         return self.equivalent
 
 
-def _explored(c, dom: FiniteDomain, horizon: int):
-    """(initial configurations, successors, inputs) of a component, where the
-    successors come from a table (see _table) already holding every pair
-    `behavior` steps: each configuration reached in fewer than `horizon`
-    steps (the initial ones at any horizon), on every input.  They are
-    stepped in `behavior`'s order, after its cap checks, so a component that
-    raises there raises here, with the same error first.  A (configuration
-    set, steps left) pair is walked once: below it nothing is new."""
-    node, _, inputs, step = _walk(c, dom, horizon)
-    done: set = set()
-    stack = [(tuple(dict.fromkeys(node.init)), max(horizon, 1))]
-    while stack:
-        configs, left = stack.pop()
-        if (key := (frozenset(configs), left)) in done:
-            continue
-        done.add(key)
-        for x in inputs:
-            reached = tuple(dict.fromkeys(c2 for config in configs for c2, _ in step(config, x)))
-            if left > 1 and reached:
-                stack.append((reached, left - 1))
-    return node.init, step, inputs
-
-
 def _run(side, trace: Trace):
     """The first illegal step and the output traces of one input trace, as
-    `behavior` gives them: an input the side never walked (one outside its
-    domain, when the two sides' input signatures differ) ends its runs."""
-    init, step, inputs = side
+    `behavior` gives them, read from a side's graph (see explore)."""
+    init, _, graph = side
     runs, first = {(config, ()) for config in init}, None
     for i, x in enumerate(trace):
-        if x not in inputs:
-            return first, frozenset()
         reached = set()
         for config, ys in runs:
-            succ = step(config, x)
+            succ = graph[config, x]
             first = i if first is None and not succ else first
             reached.update((c2, ys + (y,)) for c2, y in succ)
         runs = reached
@@ -885,7 +864,7 @@ _EVERY = object()  # every trace through the input fails
 
 def _first_failing(a, b, horizon: int, refining: bool) -> Optional[Trace]:
     """The first input trace of length `horizon`, in the order of
-    `dom.traces`, that separates two sides (as `_explored` gives them), or
+    `dom.traces`, that separates two sides (as `explore` gives them), or
     None.  Equivalence asks for the same first illegal step on every trace
     and the same outputs on a legal one; `refining` asks, on a trace legal
     for a, for no illegal step of b and no output of b that a lacks.
@@ -896,14 +875,11 @@ def _first_failing(a, b, horizon: int, refining: bool) -> Optional[Trace]:
     share every verdict below it, and a (state, steps left) pair with no
     failing trace below it is walked once.  A side dies on an input when a
     configuration it holds has no successor.  When b dies first, refinement
-    goes on with a alone (b None): a trace that a survives fails.  An input
-    outside b's own domain (the input signatures may differ when refining)
-    leaves b nothing, as `behavior`'s lookups do, and a `behavior` walk
-    gives the empty trace no outputs, so at horizon 0 nothing fails.  The
-    stack is explicit: a unit-input component has one trace at every
-    horizon, however long."""
-    (init_a, step_a, inputs), (init_b, step_b, inputs_b) = a, b
-    known_b = set(inputs_b)
+    goes on with a alone (b None): a trace that a survives fails.  A
+    `behavior` walk gives the empty trace no outputs, so at horizon 0
+    nothing fails.  The stack is explicit: a unit-input component has one
+    trace at every horizon, however long."""
+    (init_a, inputs, graph_a), (init_b, _, graph_b) = a, b
 
     def after(state, x):
         # the state after x; None when no trace through x fails, _EVERY
@@ -911,13 +887,13 @@ def _first_failing(a, b, horizon: int, refining: bool) -> Optional[Trace]:
         reached: dict = {}
         dead, alone = [False, False], False
         for i, pair in enumerate(state):
-            for side, step in ((0, step_a), (1, step_b)):
+            for side, graph in ((0, graph_a), (1, graph_b)):
                 configs = pair[side]
                 alone = alone or configs is None
-                if configs is None or (side and x not in known_b):
+                if configs is None:
                     continue
                 for config in configs:
-                    succ = step(config, x)
+                    succ = graph[config, x]
                     dead[side] = dead[side] or not succ
                     for c2, y in succ:
                         reached.setdefault((i, y), (set(), set()))[side].add(c2)
@@ -964,13 +940,14 @@ def bounded_equiv(c1, c2, dom: FiniteDomain, horizon: int) -> EquivResult:
     """Exhaustively compare two components on every input trace of the given
     horizon: same first illegal step, same full-run output sets.  The
     counterexample is the first failing trace in the order of `dom.traces`.
-    Every pair `behavior` steps is stepped, side 1 first, even when a
-    difference shows early, so a component that raises there raises here."""
+    Each side's graph (see explore) is built whole, side 1 first, so a
+    component that raises in `behavior` raises here, even when a difference
+    shows early."""
     c1, c2 = as_component(c1), as_component(c2)
     in1, in2 = sigma_in(c1), sigma_in(c2)
     if in1.types() != in2.types() or sigma_out(c1).types() != sigma_out(c2).types():
         return EquivResult(False, None, "signature mismatch")
-    side1, side2 = _explored(c1, dom, horizon), _explored(c2, dom, horizon)
+    side1, side2 = explore(c1, dom, horizon), explore(c2, dom, horizon)
     trace = _first_failing(side1, side2, horizon, refining=False)
     if trace is None:
         return EquivResult(True)
@@ -981,13 +958,20 @@ def bounded_equiv(c1, c2, dom: FiniteDomain, horizon: int) -> EquivResult:
 def bounded_refute_refinement(abstract, concrete, dom: FiniteDomain, horizon: int) -> CheckResult:
     """Search for a bounded refutation of `abstract refined-by concrete`:
     an input legal for the abstract side but illegal for the concrete one, or
-    a concrete output outside the abstract relation.  The witness is the
-    first failing trace in the order of `dom.traces`.  Every pair `behavior`
-    steps is stepped, the abstract side first, even when a refutation shows
-    early.  The bounded method can only refute, never prove."""
+    a concrete output outside the abstract relation.  The two sides' input
+    and output types must agree (SignatureMismatch otherwise, as for
+    `refine_vc`).  The witness is the first failing trace in the order of
+    `dom.traces`.  Each side's graph (see explore) is built whole, the
+    abstract side first, even when a refutation shows early.  The bounded
+    method can only refute, never prove."""
     abstract, concrete = as_component(abstract), as_component(concrete)
-    names = sigma_in(abstract).names()
-    sa, sc = _explored(abstract, dom, horizon), _explored(concrete, dom, horizon)
+    in_sig = sigma_in(abstract)
+    if in_sig.types() != sigma_in(concrete).types():
+        raise SignatureMismatch("input signatures differ")
+    if sigma_out(abstract).types() != sigma_out(concrete).types():
+        raise SignatureMismatch("output signatures differ")
+    names = in_sig.names()
+    sa, sc = explore(abstract, dom, horizon), explore(concrete, dom, horizon)
     trace = _first_failing(sa, sc, horizon, refining=True)
     if trace is None:
         return Unknown("no bounded counterexample up to the horizon")

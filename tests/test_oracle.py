@@ -13,7 +13,14 @@ from rcrs import oracle
 from rcrs.components import Atomic, Det, Fdbk, Parallel, Serial, Signature, Stateless, Sts, sig, sigma_in, sigma_out
 from rcrs.compose import atomic
 from rcrs.corpus import random_det_composite, random_sts_atom
-from rcrs.errors import DomainNotFinite, ExplosionGuard, NonTemporalMisuse, NotDeterministic, NotLoopFree
+from rcrs.errors import (
+    DomainNotFinite,
+    ExplosionGuard,
+    NonTemporalMisuse,
+    NotDeterministic,
+    NotLoopFree,
+    SignatureMismatch,
+)
 from rcrs.formulas import (
     And,
     Exists,
@@ -269,6 +276,17 @@ class TestRefuteRefinement:
         res = bounded_refute_refinement(Atomic(ne), Atomic(anything), FiniteDomain(), 1)
         assert isinstance(res, Refuted)
         assert res.witness.outputs is not None
+
+    def test_signatures_that_differ_raise(self):
+        # b takes no input 2, which a does: no bounded answer compares them
+        from rcrs.syntax import parse_component
+
+        a = parse_component("stateless((x:int[0..2]), (y:int[0..2]), y = x)")
+        b = parse_component("stateless((x:int[0..1]), (y:int[0..2]), y = x)")
+        c = parse_component("stateless((x:int[0..2]), (y:int[0..1]), y = x)")
+        for abstract, concrete, side in ((a, b, "input"), (b, a, "input"), (a, c, "output")):
+            with pytest.raises(SignatureMismatch, match=f"{side} signatures differ"):
+                bounded_refute_refinement(abstract, concrete, FiniteDomain(), 1)
 
 
 class TestEvalQltl:
@@ -653,6 +671,10 @@ class TestSuccessorTable:
             monkeypatch.setattr(cls, "successors", counting)
         return calls
 
+    @staticmethod
+    def hoare(c, dom, horizon):
+        return bounded_hoare(lambda t: True, c, lambda o: True, dom, horizon)
+
     def test_each_pair_steps_once_per_walk(self, calls):
         dom = FiniteDomain({"int": (0, 1)})
         for seed in range(10):
@@ -660,7 +682,7 @@ class TestSuccessorTable:
                 Atomic(atomic(random_det_composite(random.Random(seed)))),
                 Atomic(random_sts_atom(random.Random(seed))),
             )
-            for c, walk in itertools.product(roots, (behavior, legal_lasso)):
+            for c, walk in itertools.product(roots, (behavior, legal_lasso, bounded_rel, self.hoare)):
                 walk(c, dom, 4)
                 assert calls and max(calls.values()) == 1, (seed, c, walk)
                 calls.clear()
@@ -708,10 +730,12 @@ class TestSuccessorTable:
             with pytest.raises(SoundnessError):
                 walk(c, dom, 2)
 
-    def test_a_step_that_raised_is_not_kept(self):
+    def test_a_step_that_raised_is_not_kept(self, monkeypatch):
+        # a step that raises leaves no graph: the next call steps it again
         from rcrs.errors import SoundnessError
 
         class Flaky:
+            init = [()]
             calls = 0
 
             def successors(self, config, x, commit=True):
@@ -721,10 +745,12 @@ class TestSuccessorTable:
                 return [(config, x)]
 
         node = Flaky()
-        step = oracle._table(node)
+        monkeypatch.setattr(oracle, "_stepper", lambda c, dom: node)
+        c = Atomic(Det(sig(("x", INT)), sig(), (), TRUEC, (), (var("x", INT),)))
+        dom = FiniteDomain({"int": (0,)})
         with pytest.raises(SoundnessError):
-            step((), (0,))
-        assert step((), (0,)) == step((), (0,)) == [((), (0,))]
+            oracle.explore(c, dom, 1)
+        assert oracle.explore(c, dom, 1) == ([()], [(0,)], {((), (0,)): [((), (0,))]})
         assert node.calls == 2
 
 
@@ -838,8 +864,8 @@ class TestJointWalk:
                 self.assert_same(Atomic(b), Atomic(a), FiniteDomain(), horizon, walks)
 
     def test_input_signatures_that_differ(self):
-        # refinement takes no signature check: a trace of the abstract side
-        # through an input the concrete side never walked answers as before
+        # refinement raises where the input or output types differ, as
+        # refine_vc does, and equivalence answers "signature mismatch"
         from rcrs.corpus import refinement_table_pair
 
         comps = [Atomic(random_sts_atom(random.Random(0))), random_det_composite(random.Random(1))]
@@ -848,8 +874,14 @@ class TestJointWalk:
         dom = FiniteDomain({"int": (0, 1)})
         walks: dict = {}
         for c1, c2 in itertools.product(comps, repeat=2):
+            same = (sigma_in(c1).types(), sigma_out(c1).types()) == (sigma_in(c2).types(), sigma_out(c2).types())
             for horizon in (1, 2):
-                self.assert_same(c1, c2, dom, horizon, walks)
+                if same:
+                    self.assert_same(c1, c2, dom, horizon, walks)
+                    continue
+                assert bounded_equiv(c1, c2, dom, horizon) == oracle.EquivResult(False, None, "signature mismatch")
+                with pytest.raises(SignatureMismatch):
+                    bounded_refute_refinement(c1, c2, dom, horizon)
 
     def test_disagreeing_feedback_raises_from_both_checks(self, monkeypatch):
         from rcrs.errors import SoundnessError
