@@ -5,12 +5,19 @@ Reads SMT-LIB on standard input and prints `sat`, `unsat`, or `unknown` for
 each `(check-sat)` as soon as it is read; `(reset)` starts a fresh context, so
 one process can answer one goal after another.
 
-It decides boolean combinations (with quantifiers) of difference constraints
-x - y <= c, bounds +-x <= c, boolean/enum literals, and if-then-else; every
-atom outside that fragment degrades the answer to `unknown` rather than a
-guess.  Quantifier elimination over integers and rationals is exact for
-difference constraints, and boolean/enum quantifiers expand over their
-finite domains.
+It reads the commands `declare-const`, `declare-datatypes` (enumerations),
+`assert`, `check-sat` and `reset`, and skips every other command.  In a
+formula it reads `and`, `or`, `not`, `=>`, `forall`, `exists`, `=` (over
+numbers, over values of a finite sort, and over formulas as an iff), `<=`,
+`<`, `>=`, `>`, and in terms `+`, `-`, `*` by a constant, `to_real` and
+`ite`.  `Bool` is a finite sort like an enumeration, with the values `true`
+and `false`.  It decides boolean combinations (with quantifiers) of
+difference constraints x - y <= c, bounds +-x <= c and literals of finite
+sorts; every other form (`let`, `distinct`, `ite` over formulas, ...) and
+every atom outside that fragment degrades the answer to `unknown` rather
+than a guess.  Quantifier elimination over integers and rationals is exact
+for difference constraints, and quantifiers over finite sorts expand over
+their values.
 
 Usage: python3 -m rcrs.dlsolver < script.smt2
 """
@@ -21,7 +28,7 @@ import codecs
 import re
 import sys
 from fractions import Fraction
-from math import floor
+from math import ceil, floor
 
 ZERO = "$zero"
 _DNF_CAP = 50000
@@ -29,30 +36,15 @@ _DNF_CAP = 50000
 
 # --- s-expression reader -----------------------------------------------------
 
+# a comment, or a token: a quoted symbol, a parenthesis, a plain symbol, or an
+# unclosed `|`
+_TOKEN = re.compile(r";[^\n]*|(\|[^|]*\||[()]|[^\s();|][^\s();]*|\|)")
+
 
 def tokenize(text: str):
-    out = []
-    i, n = 0, len(text)
-    while i < n:
-        c = text[i]
-        if c == ";":
-            while i < n and text[i] != "\n":
-                i += 1
-        elif c in "()":
-            out.append(c)
-            i += 1
-        elif c.isspace():
-            i += 1
-        elif c == "|":
-            j = text.index("|", i + 1)
-            out.append(text[i : j + 1])
-            i = j + 1
-        else:
-            j = i
-            while j < n and not text[j].isspace() and text[j] not in "();":
-                j += 1
-            out.append(text[i:j])
-            i = j
+    out = [t for t in _TOKEN.findall(text) if t]
+    if "|" in out:
+        raise ValueError("unclosed quoted symbol")
     return out
 
 
@@ -83,48 +75,31 @@ def read_sexprs(text: str):
 # --- formulas ----------------------------------------------------------------
 # ("and", [fs]) | ("or", [fs]) | ("true",) | ("false",) | ("unk",)
 # ("diff", u, v, c, strict)  meaning u - v <= c (strictly if strict)
-# ("lit", var, value, positive)  boolean/enum literal var == value
+# ("lit", var, value, positive)  var == value, a variable of a finite sort
 
 
 TRUE = ("true",)
 FALSE = ("false",)
 UNK = ("unk",)
+AND = (TRUE, FALSE)  # the unit and the zero of a conjunction
+OR = (FALSE, TRUE)
 
 
-def f_and(fs):
+def junction(fs, unit, zero):
+    """The flattened conjunction (unit TRUE, zero FALSE) or disjunction (unit
+    FALSE, zero TRUE) of fs."""
+    op = "and" if unit == TRUE else "or"
     flat = []
     for f in fs:
-        if f == FALSE:
-            return FALSE
-        if f == TRUE:
-            continue
-        if f[0] == "and":
+        if f == zero:
+            return zero
+        if f[0] == op:
             flat.extend(f[1])
-        else:
+        elif f != unit:
             flat.append(f)
-    if not flat:
-        return TRUE
     if len(flat) == 1:
         return flat[0]
-    return ("and", flat)
-
-
-def f_or(fs):
-    flat = []
-    for f in fs:
-        if f == TRUE:
-            return TRUE
-        if f == FALSE:
-            continue
-        if f[0] == "or":
-            flat.extend(f[1])
-        else:
-            flat.append(f)
-    if not flat:
-        return FALSE
-    if len(flat) == 1:
-        return flat[0]
-    return ("or", flat)
+    return (op, flat) if flat else unit
 
 
 def f_not(f):
@@ -132,42 +107,47 @@ def f_not(f):
         return FALSE
     if f == FALSE:
         return TRUE
-    if f == UNK:
-        return UNK
     if f[0] == "and":
-        return f_or([f_not(g) for g in f[1]])
+        return junction([f_not(g) for g in f[1]], *OR)
     if f[0] == "or":
-        return f_and([f_not(g) for g in f[1]])
+        return junction([f_not(g) for g in f[1]], *AND)
     if f[0] == "diff":
         _, u, v, c, strict = f
         return ("diff", v, u, -c, not strict)
     if f[0] == "lit":
         _, var, value, positive = f
         return ("lit", var, value, not positive)
-    raise ValueError(f"cannot negate {f!r}")
+    return UNK
+
+
+# comparison -> (sign, strict) per difference atom: sign * (a - b) <= 0
+_COMPARISONS = {
+    "=": ((1, False), (-1, False)),
+    "<=": ((1, False),),
+    "<": ((1, True),),
+    ">=": ((-1, False),),
+    ">": ((-1, True),),
+}
+_FORMULA_HEADS = {"and", "or", "not", "=>", "forall", "exists", *_COMPARISONS}
 
 
 class Solver:
     def __init__(self):
-        self.sorts: dict[str, tuple[str, ...]] = {}  # enum name -> values
-        self.value_sort: dict[str, str] = {}  # enum value -> enum name
+        self.sorts: dict[str, tuple[str, ...]] = {}  # finite sort -> values
+        self.values: set[str] = set()  # every value of a finite sort
         self.var_sort: dict[str, str] = {}
         self.assertions: list = []
         self.fresh = 0
+        self.declare_enum("Bool", ("true", "false"))
 
     # --- declarations ---
 
     def declare_enum(self, name: str, values):
         self.sorts[name] = tuple(values)
-        for v in values:
-            self.value_sort[v] = name
+        self.values.update(values)
 
     def declare_const(self, name: str, sort: str):
         self.var_sort[name] = sort
-
-    def fresh_name(self, base: str) -> str:
-        self.fresh += 1
-        return f"{base}!{self.fresh}"
 
     # --- term linearization ---
 
@@ -175,252 +155,131 @@ class Solver:
         """Return (coeffs: dict, const: Fraction) or None outside the linear
         fragment."""
         if isinstance(e, str):
-            if e in env:
-                return self.linear(env[e], env)
+            e = env.get(e, e)
             if e in self.var_sort:
-                if self.var_sort[e] in ("Int", "Real"):
-                    return ({e: Fraction(1)}, Fraction(0))
-                return None
+                return ({e: Fraction(1)}, Fraction(0)) if self.var_sort[e] in ("Int", "Real") else None
             try:
                 return ({}, Fraction(e))
             except ValueError:
                 return None
-        if not e:
+        op = _op(e)
+        if op not in ("+", "-", "*", "to_real"):
             return None
-        op = e[0]
-        if op == "to_real" and len(e) == 2:
-            return self.linear(e[1], env)
+        args = [self.linear(a, env) for a in e[1:]]
+        if None in args:
+            return None
+        if op == "-":  # the sum of the first argument and the negated rest
+            first = args[:1] if len(args) > 1 else []
+            op, args = "+", first + [_lin_scale(a, -1) for a in args[len(first) :]]
         if op == "+":
             acc = ({}, Fraction(0))
-            for arg in e[1:]:
-                nxt = self.linear(arg, env)
-                if nxt is None:
-                    return None
-                acc = _lin_add(acc, nxt)
+            for a in args:
+                acc = _lin_add(acc, a)
             return acc
-        if op == "-":
-            if len(e) == 2:
-                inner = self.linear(e[1], env)
-                return None if inner is None else _lin_scale(inner, Fraction(-1))
-            acc = self.linear(e[1], env)
-            if acc is None:
-                return None
-            for arg in e[2:]:
-                nxt = self.linear(arg, env)
-                if nxt is None:
-                    return None
-                acc = _lin_add(acc, _lin_scale(nxt, Fraction(-1)))
-            return acc
-        if op == "*":
-            if len(e) != 3:
-                return None
-            a = self.linear(e[1], env)
-            b = self.linear(e[2], env)
-            if a is None or b is None:
-                return None
-            if not a[0]:
-                return _lin_scale(b, a[1])
-            if not b[0]:
-                return _lin_scale(a, b[1])
-            return None
+        if op == "to_real" and len(args) == 1:
+            return args[0]
+        if op == "*" and len(args) == 2:
+            (ca, ka), (cb, kb) = args
+            if not ca:
+                return _lin_scale(args[1], ka)
+            if not cb:
+                return _lin_scale(args[0], kb)
         return None
 
     # --- conversion with quantifier elimination ---
 
     def convert(self, e, env) -> tuple:
         if isinstance(e, str):
-            if e in env:
-                return self.convert(env[e], env)
-            if e == "true":
-                return TRUE
-            if e == "false":
-                return FALSE
-            if e in self.var_sort and self.var_sort[e] == "Bool":
-                return ("lit", e, True, True)
-            return UNK
-        if not e:
-            return UNK
-        op = e[0]
-        if op == "and":
-            return f_and([self.convert(a, env) for a in e[1:]])
-        if op == "or":
-            return f_or([self.convert(a, env) for a in e[1:]])
+            return self.atom("=", [e, "true"], env)
+        op = _op(e)
+        if op in ("and", "or"):
+            return junction([self.convert(a, env) for a in e[1:]], *(AND if op == "and" else OR))
         if op == "not":
-            return self.negate(self.convert(e[1], env))
+            return f_not(self.convert(e[1], env))
         if op == "=>":
             parts = [self.convert(a, env) for a in e[1:]]
-            out = parts[-1]
-            for p in reversed(parts[:-1]):
-                out = f_or([self.negate(p), out])
-            return out
-        if op in ("=", "distinct", "<=", "<", ">=", ">"):
+            return junction([f_not(p) for p in parts[:-1]] + [parts[-1]], *OR)
+        if op in _COMPARISONS:
             return self.atom(op, e[1:], env)
-        if op == "ite":
-            c = self.convert(e[1], env)
-            a = self.convert(e[2], env)
-            b = self.convert(e[3], env)
-            return f_or([f_and([c, a]), f_and([self.negate(c), b])])
         if op in ("forall", "exists"):
             return self.quantified(op, e[1], e[2], env)
-        if op == "let":
-            env2 = dict(env)
-            for name, value in e[1]:
-                env2[name] = _subst_env(value, env)
-            return self.convert(e[2], env2)
         return UNK
-
-    def negate(self, f):
-        try:
-            return f_not(f)
-        except ValueError:
-            return UNK
 
     def quantified(self, op, binders, body, env) -> tuple:
         # innermost first: bind one variable, recur on the rest
         if not binders:
             return self.convert(body, env)
         (name, sort), rest = binders[0], binders[1:]
-        sort = sort if isinstance(sort, str) else None
-        if sort is None:
+        if not isinstance(sort, str):
             return UNK
-        if sort == "Bool":
-            cases = []
-            for value in ("true", "false"):
-                env2 = dict(env)
-                env2[name] = value
-                cases.append(self.quantified(op, rest, body, env2))
-            return f_and(cases) if op == "forall" else f_or(cases)
         if sort in self.sorts:
-            cases = []
-            for value in self.sorts[sort]:
-                env2 = dict(env)
-                env2[name] = value
-                cases.append(self.quantified(op, rest, body, env2))
-            return f_and(cases) if op == "forall" else f_or(cases)
+            cases = [self.quantified(op, rest, body, {**env, name: v}) for v in self.sorts[sort]]
+            return junction(cases, *(AND if op == "forall" else OR))
         if sort in ("Int", "Real"):
-            fresh = self.fresh_name(name)
+            self.fresh += 1
+            fresh = f"{name}!{self.fresh}"
             self.var_sort[fresh] = sort
-            env2 = dict(env)
-            env2[name] = fresh
-            inner = self.quantified(op, rest, body, env2)
+            inner = self.quantified(op, rest, body, {**env, name: fresh})
             if op == "exists":
                 return self.eliminate(fresh, inner)
-            return self.negate(self.eliminate(fresh, self.negate(inner)))
+            return f_not(self.eliminate(fresh, f_not(inner)))
         return UNK
 
     def atom(self, op, args, env) -> tuple:
         if len(args) != 2:
             return UNK
         a, b = args
+        if op == "=":
+            ca, cb = self.cases(a, env), self.cases(b, env)
+            if ca is not None and cb is not None:
+                return junction([junction([ga, gb], *AND) for ga, va in ca for gb, vb in cb if va == vb], *OR)
         ite = _find_ite(a) or _find_ite(b)
         if ite is not None:
             cond, then_e, else_e = ite[1], ite[2], ite[3]
             c = self.convert(cond, env)
             then_atom = self.atom(op, [_replace(a, ite, then_e), _replace(b, ite, then_e)], env)
             else_atom = self.atom(op, [_replace(a, ite, else_e), _replace(b, ite, else_e)], env)
-            return f_or([f_and([c, then_atom]), f_and([self.negate(c), else_atom])])
-        kind_a = self.term_kind(a, env)
-        kind_b = self.term_kind(b, env)
-        if op in ("=", "distinct") and (kind_a in ("bool", "enum") or kind_b in ("bool", "enum")):
-            base = self.flat_eq(a, b, env)
-            return self.negate(base) if op == "distinct" else base
+            return junction([junction([c, then_atom], *AND), junction([f_not(c), else_atom], *AND)], *OR)
         la = self.linear(a, env)
         lb = self.linear(b, env)
         if la is None or lb is None:
             return UNK
-        diff = _lin_add(la, _lin_scale(lb, Fraction(-1)))
-        if op == "=":
-            return f_and([self.le(diff, False), self.le(_lin_scale(diff, Fraction(-1)), False)])
-        if op == "distinct":
-            return f_or([self.lt(diff), self.lt(_lin_scale(diff, Fraction(-1)))])
-        if op == "<=":
-            return self.le(diff, False)
-        if op == "<":
-            return self.le(diff, True)
-        if op == ">=":
-            return self.le(_lin_scale(diff, Fraction(-1)), False)
-        if op == ">":
-            return self.le(_lin_scale(diff, Fraction(-1)), True)
-        return UNK
-
-    def lt(self, diff):
-        return self.le(diff, True)
+        diff = _lin_add(la, _lin_scale(lb, -1))
+        return junction([self.le(_lin_scale(diff, s), strict) for s, strict in _COMPARISONS[op]], *AND)
 
     def le(self, diff, strict: bool) -> tuple:
-        """diff (a linear form) <= 0 (or < 0) as a difference atom."""
+        """diff (a linear form) <= 0 (or < 0) as a difference atom; a bound on
+        one variable is a difference against ZERO."""
         coeffs = {k: v for k, v in diff[0].items() if v != 0}
         const = diff[1]
         if not coeffs:
             hold = const < 0 if strict else const <= 0
             return TRUE if hold else FALSE
         if len(coeffs) == 1:
-            ((x, c),) = coeffs.items()
-            if c == 1:
-                return ("diff", x, ZERO, -const, strict)
-            if c == -1:
-                return ("diff", ZERO, x, -const, strict)
-            return UNK
+            (c,) = coeffs.values()
+            coeffs[ZERO] = -c
         if len(coeffs) == 2:
-            (x, cx), (y, cy) = sorted(coeffs.items())
+            (x, cx), (y, cy) = coeffs.items()
             if cx == 1 and cy == -1:
                 return ("diff", x, y, -const, strict)
             if cx == -1 and cy == 1:
                 return ("diff", y, x, -const, strict)
         return UNK
 
-    def term_kind(self, e, env) -> str:
+    def cases(self, e, env):
+        """The (guard, value) pairs of a value of a finite sort or of a
+        formula, as the value `true` or `false`; None for any other term, or
+        for a formula outside the fragment."""
         if isinstance(e, str):
-            if e in env:
-                return self.term_kind(env[e], env)
-            if e in ("true", "false"):
-                return "bool"
-            if e in self.value_sort:
-                return "enum"
-            if e in self.var_sort:
-                s = self.var_sort[e]
-                if s == "Bool":
-                    return "bool"
-                if s in self.sorts:
-                    return "enum"
-                return "num"
-            return "num"
-        if e and e[0] == "ite":
-            return self.term_kind(e[2], env)
-        return "num"
-
-    def flat_eq(self, a, b, env) -> tuple:
-        """Equality over booleans or enum values/variables."""
-
-        def cases(x):
-            # returns list of (guard-formula, value-string) or None
-            if isinstance(x, str) and x in env:
-                return cases(env[x])
-            if x == "true" or x == "false":
-                return [(TRUE, x)]
-            if isinstance(x, str) and x in self.value_sort:
-                return [(TRUE, x)]
-            if isinstance(x, str) and x in self.var_sort:
-                s = self.var_sort[x]
-                if s == "Bool":
-                    return [(("lit", x, True, True), "true"), (("lit", x, True, False), "false")]
-                if s in self.sorts:
-                    return [((("lit", x, v, True)), v) for v in self.sorts[s]]
+            e = env.get(e, e)
+            if e in self.values:
+                return [(TRUE, e)]
+            values = self.sorts.get(self.var_sort.get(e))
+            return None if values is None else [(("lit", e, v, True), v) for v in values]
+        if _op(e) not in _FORMULA_HEADS:
             return None
-
-        ca, cb = cases(a), cases(b)
-        if ca is None or cb is None:
-            # fall back: boolean equality of arbitrary subformulas (iff)
-            fa = self.convert(a, env)
-            fb = self.convert(b, env)
-            if UNK in (fa, fb):
-                return UNK
-            return f_or([f_and([fa, fb]), f_and([self.negate(fa), self.negate(fb)])])
-        out = []
-        for ga, va in ca:
-            for gb, vb in cb:
-                if va == vb:
-                    out.append(f_and([ga, gb]))
-        return f_or(out)
+        f = self.convert(e, env)
+        return None if f == UNK else [(f, "true"), (f_not(f), "false")]
 
     # --- quantifier elimination over a numeric variable ---
 
@@ -431,7 +290,7 @@ class Solver:
         out = []
         for conj in disjuncts:
             out.append(self.eliminate_conj(x, conj))
-        return f_or(out)
+        return junction(out, *OR)
 
     def eliminate_conj(self, x: str, atoms) -> tuple:
         keep, lowers, uppers = [], [], []
@@ -461,7 +320,7 @@ class Solver:
             for (v, c2, s2) in uppers:
                 # u - x <= c1 and x - v <= c2  ==>  u - v <= c1 + c2
                 keep.append(("diff", u, v, c1 + c2, s1 or s2))
-        return f_and(keep) if keep else TRUE
+        return junction(keep, *AND)
 
     def is_int_atom(self, a) -> bool:
         _, u, v, c, _ = a
@@ -473,7 +332,7 @@ class Solver:
     # --- satisfiability ---
 
     def check(self) -> str:
-        f = f_and([self.convert(a, {}) for a in self.assertions])
+        f = junction([self.convert(a, {}) for a in self.assertions], *AND)
         disjuncts = dnf(f)
         if disjuncts is None:
             return "unknown"
@@ -497,7 +356,6 @@ class Solver:
                 unknown = True
             elif a[0] == "lit":
                 _, var, value, positive = a
-                value = {True: "true", False: "false"}.get(value, value)
                 (lits if positive else neglits).setdefault(var, set()).add(value)
             elif a[0] == "diff":
                 diffs.append(a)
@@ -507,8 +365,7 @@ class Solver:
             if var in neglits and vals & neglits[var]:
                 return False
         for var, vals in neglits.items():
-            domain = self.domain_of(var)
-            if domain is not None and domain <= vals:
+            if vals.issuperset(self.sorts[self.var_sort[var]]):
                 return False
         numeric = self.diff_consistent(diffs)
         if numeric is False:
@@ -516,14 +373,6 @@ class Solver:
         if unknown or numeric is None:
             return None
         return True
-
-    def domain_of(self, var):
-        s = self.var_sort.get(var)
-        if s == "Bool":
-            return {"true", "false"}
-        if s in self.sorts:
-            return set(self.sorts[s])
-        return None
 
     def diff_consistent(self, diffs):
         if not diffs:
@@ -542,16 +391,12 @@ class Solver:
         is_int = sorts == {"Int"}
         edges = []
         for (_, u, v, c, strict) in diffs:
-            if is_int:
-                if c.denominator != 1:
-                    c = Fraction(floor(c) if not strict or c != floor(c) else c - 1)
-                    strict = False
-                elif strict:
-                    c, strict = c - 1, False
+            if is_int:  # u - v < c is u - v <= ceil(c) - 1 over the integers
+                c, strict = (ceil(c) - 1 if strict else floor(c)), False
             # strictness as an infinitesimal: weight (c, -1) for strict edges
             edges.append((u, v, (c, -1 if strict else 0)))
         # constraint u - v <= c gives dist(u) <= dist(v) + c
-        dist = {w: (Fraction(0), 0) for w in vars_}
+        dist = {w: (0, 0) for w in vars_}
         for _ in range(len(vars_)):
             changed = False
             for (u, v, w) in edges:
@@ -576,14 +421,13 @@ def _lin_add(a, b):
     return (coeffs, a[1] + b[1])
 
 
-def _lin_scale(a, k: Fraction):
+def _lin_scale(a, k: int | Fraction):
     return ({n: v * k for n, v in a[0].items()}, a[1] * k)
 
 
-def _subst_env(e, env):
-    if isinstance(e, str):
-        return env.get(e, e)
-    return [_subst_env(x, env) for x in e]
+def _op(e):
+    """The operator of an application, or None."""
+    return e[0] if e and isinstance(e[0], str) else None
 
 
 def _find_ite(e):
@@ -619,11 +463,9 @@ def dnf(f):
         out = [[]]
         for g in f[1]:
             sub = dnf(g)
-            if sub is None:
+            if sub is None or len(out) * len(sub) > _DNF_CAP:
                 return None
             out = [a + b for a in out for b in sub]
-            if len(out) > _DNF_CAP:
-                return None
         return out
     if f[0] == "or":
         out = []
@@ -647,8 +489,6 @@ def run(script: str) -> list[str]:
         head = cmd[0]
         if head == "declare-const":
             solver.declare_const(cmd[1], cmd[2] if isinstance(cmd[2], str) else "?")
-        elif head == "declare-fun" and cmd[2] == []:
-            solver.declare_const(cmd[1], cmd[3] if isinstance(cmd[3], str) else "?")
         elif head == "declare-datatypes":
             # (declare-datatypes ((Name 0)) (((v1) (v2) ...)))
             names = [d[0] for d in cmd[1]]

@@ -83,20 +83,6 @@ from .verdicts import CheckResult, Refuted, TraceWitness, Unknown
 Trace = tuple  # steps x slots
 
 
-@dataclass(frozen=True)
-class TraceAssignment:
-    names: tuple[str, ...]
-    steps: tuple[tuple, ...]
-
-    @property
-    def horizon(self) -> int:
-        return len(self.steps)
-
-    def slot(self, name: str) -> tuple:
-        i = self.names.index(name)
-        return tuple(s[i] for s in self.steps)
-
-
 class FiniteDomain:
     """Explicit finite value lists per type.  Bool, ranges, and enums
     enumerate themselves; unbounded ints and reals need an override entry

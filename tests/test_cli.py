@@ -219,6 +219,41 @@ class TestChecks:
         code, out, _ = run_cli(capsys, "check", "valid", sum_file, "--target", "Add")
         assert code == 0
 
+    def test_refine_iff_contracts_proven_by_solver(self, capsys, tmp_path, with_solver):
+        p = tmp_path / "iff.rcrs"
+        p.write_text(
+            "component A = stateless((x:int), (y:bool), y <-> x < 3)\n"
+            "component B = stateless((x:int), (y:bool), y <-> x <= 2)\n"
+        )
+        code, out, _ = run_cli(capsys, "check", "refine", str(p), "--abstract", "A", "--concrete", "B")
+        assert code == 0
+        rep = report_dict(out)
+        assert rep["verdict"] == "Proven"
+        assert rep["note"] == "stateless refinement (sound and complete) via solver"
+
+
+class TestWitnessLines:
+    """The report lines of a lasso witness and of a trace witness's outputs."""
+
+    def test_receptive_lasso_lines(self, capsys, tmp_path):
+        p = tmp_path / "f.rcrs"
+        p.write_text("component Eventually = qltl((x:bool), (), F x = true)\n")
+        code, out, _ = run_cli(capsys, "check", "receptive", str(p))
+        assert code == 1
+        rep = report_dict(out)
+        assert rep["lasso.x"] == "|False"
+        assert rep["lasso.note"] == "lasso assignment falsifying the goal"
+
+    def test_refine_witness_outputs(self, capsys, tmp_path):
+        p = tmp_path / "same.rcrs"
+        p.write_text(
+            "component Same = stateless((x:int[0..1]), (y:int[0..1]), y = x)\n"
+            "component Other = stateless((x:int[0..1]), (y:int[0..1]), y != x)\n"
+        )
+        code, out, _ = run_cli(capsys, "check", "refine", str(p), "--abstract", "Same", "--concrete", "Other")
+        assert code == 1
+        assert report_dict(out)["witness.outputs"] == "1;1;1;1"
+
 
 class TestWitnessReplay:
     def test_refuted_witness_reproduces_via_simulate(

@@ -278,3 +278,96 @@ class TestStreaming:
             [sys.executable, "-m", "rcrs.dlsolver"], input=b"(assert true)", stdout=subprocess.PIPE, check=True
         )
         assert proc.stdout == b"unknown\n"
+
+
+class TestFiniteSorts:
+    """`Bool` is a finite sort like an enumeration: equality of formulas is
+    an iff, and every form `rcrs` never emits reads `unknown`."""
+
+    def test_iff_of_formulas(self):
+        s = """
+        (declare-const x Int)(declare-const y Bool)
+        (assert (not (= (= (= y true) (< x 3)) (= (= y true) (<= x 2)))))
+        (check-sat)
+        """
+        assert verdicts(s) == ["unsat"]
+        assert verdicts("(declare-const x Int)(assert (= (< x 3) (> x 5)))(check-sat)") == ["sat"]
+        assert verdicts("(declare-const x Int)(assert (= (< x 3) (>= x 3)))(check-sat)") == ["unsat"]
+
+    def test_ite_under_a_quantifier_stays_under_it(self):
+        # the formula side is read whole: its ite is not lifted out of the
+        # forall, where z would name the free constant
+        s = """
+        (declare-const z Int)(declare-const y Bool)
+        (assert (= y (forall ((z Int)) (< 0 (ite (< z 0) 1 (- 1))))))
+        (assert y)(assert (< z 0))
+        (check-sat)
+        """
+        assert verdicts(s) == ["unsat"]
+
+    def test_bool_and_enum_constants(self):
+        s = TestEnums.SCRIPT + "(declare-const b Bool)(assert (= b (= m busy)))(assert (= m idle))(assert b)(check-sat)"
+        assert verdicts(s) == ["unsat"]
+        assert verdicts("(declare-const b Bool)(assert (not (= b false)))(assert (not b))(check-sat)") == ["unsat"]
+
+    @pytest.mark.parametrize(
+        "form",
+        [
+            "(let ((z x)) (< z 0))",
+            "(distinct x 0)",
+            "(ite (< x 0) (< x 1) (> x 1))",
+            "(< y 0)",  # declared by declare-fun
+        ],
+    )
+    def test_unemitted_forms_read_unknown(self, form):
+        s = f"(declare-const x Int)(declare-fun y () Int)(assert {form})(check-sat)"
+        assert verdicts(s) == ["unknown"]
+
+    def test_unclosed_quoted_symbol_is_rejected(self):
+        with pytest.raises(ValueError):
+            dlsolver.tokenize("(assert |open")
+
+
+class TestDnfCap:
+    def test_cap_is_checked_before_the_product_is_built(self):
+        import tracemalloc
+
+        def side(tag):
+            ors = " ".join(f"(or (< {tag}{i} 0) (> {tag}{i} 5))" for i in range(10))
+            return f"(or (and {ors}) (< {tag} 0))"
+
+        names = [f"{t}{i}" for t in "ab" for i in range(10)] + ["a", "b"]
+        decls = "".join(f"(declare-const {n} Int)" for n in names)
+        script = f"{decls}(assert (and {side('a')} {side('b')}))(check-sat)"
+        tracemalloc.start()
+        try:
+            assert verdicts(script) == ["unknown"]  # 1025 x 1025 conjunctions exceed the cap
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 20 * 2**20
+
+
+class TestAgainstFiniteEvaluation:
+    """The solver on the emitted refinement condition of finite stateless
+    tables agrees with exhaustive evaluation of the same goal."""
+
+    def test_refinement_tables(self):
+        import random
+
+        from rcrs.analysis import check_fo_validity, emit_smtlib, refine_vc
+        from rcrs.corpus import refinement_table_pair
+        from rcrs.types import BOOL, EnumType, IntRange, Var
+
+        types = (BOOL, EnumType("Mode", ("idle", "busy", "done")), IntRange(0, 2))
+        answers = {"valid": 0, "invalid": 0}
+        for seed in range(200):
+            rng = random.Random(seed)
+            x, y = Var("x", types[seed % 3]), Var("y", types[seed // 3 % 3])
+            abstract, concrete = refinement_table_pair(rng, [x], [y])
+            for a, b in ((abstract, concrete), (concrete, abstract)):
+                (vc,) = refine_vc(a, b)
+                valid = check_fo_validity(vc.goal).valid
+                assert run(emit_smtlib(vc)) == ["unsat" if valid else "sat"], (seed, a, b)
+                answers["valid" if valid else "invalid"] += 1
+        assert min(answers.values()) > 50

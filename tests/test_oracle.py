@@ -45,7 +45,6 @@ from rcrs.oracle import (
     IllegalAt,
     LassoWord,
     QltlVerdict,
-    TraceAssignment,
     all_lassos,
     behavior,
     bounded_hoare,
@@ -560,13 +559,6 @@ class TestBoundedHoare:
         dom = FiniteDomain({"int": (0, 1)})
         res = bounded_hoare(lambda t: False, Atomic(add_block), lambda o: False, dom, 2)
         assert isinstance(res, Unknown)
-
-
-def test_trace_assignment_accessors():
-    t = TraceAssignment(("x", "y"), ((1, 2), (3, 4)))
-    assert t.horizon == 2
-    assert t.slot("x") == (1, 3)
-    assert t.slot("y") == (2, 4)
 
 
 class TestFeedbackSoundnessChecks:
