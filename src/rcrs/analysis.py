@@ -76,7 +76,7 @@ from .formulas import (
     simplify,
     substitute,
 )
-from .lattice import join_kind, lift_to, quantify_primed
+from .lattice import join_kind, lift_to, quantify_primed, sts_legality
 from .oracle import (
     Expansion,
     FiniteDomain,
@@ -140,11 +140,7 @@ def legal_formula(c: AtomicComponent) -> Formula:
     if isinstance(c, Qltl):
         return simplify(exists_many(c.outputs.vars(), c.phi))
     if isinstance(c, Sts):
-        svars = list(c.states.vars())
-        yvars = list(c.outputs.vars())
-        phi = substitute(c.trs, {}, {v: NextRef(VarRef(v)) for v in svars})
-        live = quantify_primed(svars, c.trs, gen, extra=yvars, exists=True)
-        return simplify(forall_many(svars + yvars, Implies(c.init, Leads(phi, live))))
+        return simplify(sts_legality(c, gen)[1])
     if isinstance(c, Stateless):
         return simplify(Globally(exists_many(c.outputs.vars(), c.io)))
     if isinstance(c, Det):

@@ -144,8 +144,8 @@ class Stateless(AtomicComponent):
 def _derived_outputs(c: Det | StatelessDet) -> Signature:
     """The output signature of a deterministic kind: one slot per output
     term, named y0, y1, ... apart from the component's own slots."""
-    names = _fresh_output_names(len(c.out), c.all_vars())
-    return Signature(tuple(Var(n, type_of(t)) for n, t in zip(names, c.out)))
+    gen = NameGen(v.name for v in c.all_vars())
+    return Signature(tuple(gen.fresh("y", type_of(t)) for t in c.out))
 
 
 @dataclass(frozen=True)
@@ -247,19 +247,6 @@ def _check_term_scope(t: Term, scope: set[Var]):
     if stray:
         raise TypeMismatch(f"term variable {first_free(t, stray).name} is not declared")
     type_of(t)
-
-
-def _fresh_output_names(n: int, avoid: set[Var]) -> list[str]:
-    names = {v.name for v in avoid}
-    out = []
-    i = 0
-    while len(out) < n:
-        cand = f"y{i}"
-        if cand not in names:
-            out.append(cand)
-            names.add(cand)
-        i += 1
-    return out
 
 
 # --- composite terms ------------------------------------------------------
@@ -417,11 +404,11 @@ class NameGen:
 
     def fresh(self, prefix: str, ty: SemType) -> Var:
         i = self._counters.get(prefix, 0)
-        while f"{prefix}{i}" in self._avoid:
+        while (name := f"{prefix}{i}") in self._avoid:
             i += 1
         self._counters[prefix] = i + 1
-        self._avoid.add(f"{prefix}{i}")
-        return Var(f"{prefix}{i}", ty)
+        self._avoid.add(name)
+        return Var(name, ty)
 
 
 def rename_atomic(c: AtomicComponent, mapping: dict[Var, Var]) -> AtomicComponent:

@@ -5,7 +5,9 @@ with synthesized routing components, and feedback-last loop closure."""
 from __future__ import annotations
 
 import json
+from collections import Counter
 from dataclasses import dataclass, field
+from functools import partial, reduce
 from fractions import Fraction
 from typing import Optional, Union
 
@@ -21,21 +23,21 @@ from .components import (
     StatelessDet,
     sig,
 )
+from .compose import oi
 from .errors import AlgebraicLoop, BadParams, PortMismatch, UnknownBlock
 from .formulas import TRUEC, atom
 from .terms import App, Const, VarRef, add, mul, sub, type_of, var
 from .types import BOOL, INT, REAL, SemType, Var
 
 
+_TYPES = {"int": INT, "real": REAL, "bool": BOOL}
+
+
 def _numeric(name: str, params: dict) -> SemType:
     ty = params.get("ty", "real")
-    if ty == "int":
-        return INT
-    if ty == "real":
-        return REAL
-    if ty == "bool":
-        return BOOL
-    raise BadParams(f"{name}: unknown type parameter {ty!r}")
+    if not isinstance(ty, str) or ty not in _TYPES:
+        raise BadParams(f"{name}: unknown type parameter {ty!r}")
+    return _TYPES[ty]
 
 
 def _value_const(value, ty: SemType) -> Const:
@@ -44,7 +46,10 @@ def _value_const(value, ty: SemType) -> Const:
             raise BadParams(f"expected an int literal, got {value!r}")
         return Const(value, INT)
     if ty == REAL:
-        return Const(Fraction(str(value)), REAL)
+        try:
+            return Const(Fraction(str(value)), REAL)
+        except ValueError:
+            raise BadParams(f"expected a real literal, got {value!r}") from None
     if ty == BOOL:
         if not isinstance(value, bool):
             raise BadParams(f"expected a bool literal, got {value!r}")
@@ -52,14 +57,28 @@ def _value_const(value, ty: SemType) -> Const:
     raise BadParams(f"no literal of type {ty.short()}")
 
 
-def _lib_add(params):
-    ty = _numeric("Add", params)
-    return StatelessDet(sig(("x", ty), ("y", ty)), TRUEC, (add(var("x", ty), var("y", ty)),))
+def _required(params: dict, block: str, key: str, what: str, ty: SemType) -> Const:
+    if key not in params:
+        raise BadParams(f"{block} needs {what} parameter {key}")
+    return _value_const(params[key], ty)
 
 
-def _lib_sub(params):
-    ty = _numeric("Sub", params)
-    return StatelessDet(sig(("x", ty), ("y", ty)), TRUEC, (sub(var("x", ty), var("y", ty)),))
+# the blocks without state over inputs x (and y) of the `ty` parameter's type:
+# their number of inputs and their output terms
+_STATELESS = {
+    "Add": (2, lambda x, y: (add(x, y),)),
+    "Sub": (2, lambda x, y: (sub(x, y),)),
+    "Split": (1, lambda x: (x, x)),
+    "Swap": (2, lambda x, y: (y, x)),
+    "Id": (1, lambda x: (x,)),
+}
+
+
+def _lib_stateless(name: str, params: dict) -> StatelessDet:
+    ty = _numeric(name, params)
+    arity, outputs = _STATELESS[name]
+    xs = [var(n, ty) for n in "xy"[:arity]]
+    return StatelessDet(Signature(tuple(x.var for x in xs)), TRUEC, outputs(*xs))
 
 
 def _lib_unit_delay(params):
@@ -68,66 +87,33 @@ def _lib_unit_delay(params):
     return Det(sig(("x", ty)), sig(("s", ty)), (init,), TRUEC, (var("x", ty),), (var("s", ty),))
 
 
-def _lib_split(params):
-    ty = _numeric("Split", params)
-    x = var("x", ty)
-    return StatelessDet(sig(("x", ty)), TRUEC, (x, x))
-
-
-def _lib_swap(params):
-    ty = _numeric("Swap", params)
-    x, y = var("x", ty), var("y", ty)
-    return StatelessDet(sig(("x", ty), ("y", ty)), TRUEC, (y, x))
-
-
 def _lib_const(params):
-    ty = _numeric("Const", params)
-    if "c" not in params:
-        raise BadParams("Const needs a value parameter c")
-    return StatelessDet(Signature(()), TRUEC, (_value_const(params["c"], ty),))
-
-
-def _lib_id(params):
-    ty = _numeric("Id", params)
-    return StatelessDet(sig(("x", ty)), TRUEC, (var("x", ty),))
+    c = _required(params, "Const", "c", "a value", _numeric("Const", params))
+    return StatelessDet(Signature(()), TRUEC, (c,))
 
 
 def _lib_div(params):
     ty = _numeric("Div", params)
     x, y = var("x", ty), var("y", ty)
     zero = Const(0, INT) if ty is INT else Const(Fraction(0), REAL)
-    return StatelessDet(
-        sig(("x", ty), ("y", ty)), atom("!=", y, zero), (App("/", (x, y)),)
-    )
+    return StatelessDet(sig(("x", ty), ("y", ty)), atom("!=", y, zero), (App("/", (x, y)),))
 
 
 def _lib_gain(params):
     ty = _numeric("Gain", params)
-    if "k" not in params:
-        raise BadParams("Gain needs a factor parameter k")
-    k = _value_const(params["k"], ty)
+    k = _required(params, "Gain", "k", "a factor", ty)
     return StatelessDet(sig(("x", ty)), TRUEC, (mul(k, var("x", ty)),))
 
 
 def _lib_integrator(params):
-    if "dt" not in params:
-        raise BadParams("Integrator needs a step parameter dt")
-    dt = _value_const(params["dt"], REAL)
+    dt = _required(params, "Integrator", "dt", "a step", REAL)
     x, s = var("x", REAL), var("s", REAL)
-    return Det(
-        sig(("x", REAL)),
-        sig(("s", REAL)),
-        (Const(Fraction(0), REAL),),
-        TRUEC,
-        (add(s, mul(x, dt)),),
-        (s,),
-    )
+    zero = Const(Fraction(0), REAL)
+    return Det(sig(("x", REAL)), sig(("s", REAL)), (zero,), TRUEC, (add(s, mul(x, dt)),), (s,))
 
 
 def _lib_transfer_fcn(params):
-    if "dt" not in params:
-        raise BadParams("TransferFcn needs a step parameter dt")
-    dt = _value_const(params["dt"], REAL)
+    dt = _required(params, "TransferFcn", "dt", "a step", REAL)
     x = var("x", REAL)
     s1, s2 = var("s1", REAL), var("s2", REAL)
 
@@ -137,24 +123,14 @@ def _lib_transfer_fcn(params):
     next1 = add(s1, mul(add(add(mul(r(-4), s1), mul(r(-2), s2)), x), dt))
     next2 = add(s2, mul(s1, dt))
     out = add(mul(r(-8), s1), mul(r(2), x))
-    return Det(
-        sig(("x", REAL)),
-        sig(("s1", REAL), ("s2", REAL)),
-        (r(0), r(0)),
-        TRUEC,
-        (next1, next2),
-        (out,),
-    )
+    states = sig(("s1", REAL), ("s2", REAL))
+    return Det(sig(("x", REAL)), states, (r(0), r(0)), TRUEC, (next1, next2), (out,))
 
 
 LIBRARY = {
-    "Add": _lib_add,
-    "Sub": _lib_sub,
+    **{name: partial(_lib_stateless, name) for name in _STATELESS},
     "UnitDelay": _lib_unit_delay,
-    "Split": _lib_split,
-    "Swap": _lib_swap,
     "Const": _lib_const,
-    "Id": _lib_id,
     "Div": _lib_div,
     "Gain": _lib_gain,
     "Integrator": _lib_integrator,
@@ -163,7 +139,7 @@ LIBRARY = {
 
 
 def library_block(name: str, params: dict = None) -> AtomicComponent:
-    if name not in LIBRARY:
+    if not isinstance(name, str) or name not in LIBRARY:
         raise UnknownBlock(f"unknown library block {name!r}")
     return LIBRARY[name](dict(params or {}))
 
@@ -195,79 +171,101 @@ class BlockDiagram:
 
 
 def load_diagram(text: str) -> BlockDiagram:
-    """JSON with keys blocks, wires, inputs, outputs; ports are 0-based."""
-    data = json.loads(text)
+    """JSON with keys blocks, wires, inputs, outputs; ports are 0-based.  A
+    block is an object with a string id and either a library kind (with an
+    object of params) or a subsystem; a port is a [block id, port] pair."""
+    return _diagram(json.loads(text))
 
-    def block_of(entry) -> Block:
-        if "subsystem" in entry:
-            return Block(entry["id"], subsystem=load_diagram_data(entry["subsystem"]))
-        return Block(entry["id"], kind=entry["kind"], params=entry.get("params", {}))
 
-    def load_diagram_data(d) -> BlockDiagram:
-        return BlockDiagram(
-            tuple(block_of(b) for b in d.get("blocks", [])),
-            tuple(Wire(tuple(w["src"]), tuple(w["dst"])) for w in d.get("wires", [])),
-            tuple(tuple(p) for p in d.get("inputs", [])),
-            tuple(tuple(p) for p in d.get("outputs", [])),
-        )
+def _json(data, kind: type, what: str):
+    if not isinstance(data, kind):
+        raise BadParams(f"{what} must be a JSON {'object' if kind is dict else 'list'}")
+    return data
 
-    return load_diagram_data(data)
+
+def _port(ref) -> tuple[str, int]:
+    if isinstance(ref, list) and len(ref) == 2 and isinstance(ref[0], str):
+        if type(ref[1]) is int and ref[1] >= 0:
+            return tuple(ref)
+    raise PortMismatch(f"port {ref!r} is not a [block id, port >= 0] pair")
+
+
+def _block(entry) -> Block:
+    bid = _json(entry, dict, "a block").get("id")
+    if not isinstance(bid, str):
+        raise BadParams(f"a block needs a string id, not {bid!r}")
+    if "subsystem" in entry:
+        return Block(bid, subsystem=_diagram(entry["subsystem"]))
+    params = _json(entry.get("params", {}), dict, f"block {bid}: params")
+    return Block(bid, kind=entry.get("kind"), params=params)
+
+
+def _diagram(data) -> BlockDiagram:
+    data = _json(data, dict, "a diagram")
+    blocks, wires, inputs, outputs = (
+        _json(data.get(key, []), list, key) for key in ("blocks", "wires", "inputs", "outputs")
+    )
+    return BlockDiagram(
+        tuple(map(_block, blocks)),
+        tuple(Wire(_port(_json(w, dict, "a wire").get("src")), _port(w.get("dst"))) for w in wires),
+        tuple(map(_port, inputs)),
+        tuple(map(_port, outputs)),
+    )
 
 
 def flatten(d: BlockDiagram) -> BlockDiagram:
-    """Inline subsystems bottom-up, prefixing inner block ids."""
-    blocks: list[Block] = []
-    wires: list[Wire] = list(d.wires)
-    inputs = list(d.inputs)
-    outputs = list(d.outputs)
+    """Inline subsystems bottom-up, prefixing inner block ids: each subsystem
+    has one port map, and the outer wires, inputs and outputs are mapped
+    through it once.  A reference to a missing subsystem port is reported
+    after that subsystem's own flattening, before any later subsystem's."""
+    sizes = {
+        b.id: {"input": len(b.subsystem.inputs), "output": len(b.subsystem.outputs)}
+        for b in d.blocks
+        if b.subsystem is not None
+    }
+    refs = [r for w in d.wires for r in ((w.dst, "input"), (w.src, "output"))]
+    refs += [(r, "input") for r in d.inputs] + [(r, "output") for r in d.outputs]
+    missing: dict[str, str] = {}
+    for (bid, port), side in refs:
+        if bid in sizes and port >= sizes[bid][side]:
+            missing.setdefault(bid, f"subsystem {bid} has no {side} port {port}")
+    blocks, inner_wires, ports = [], [], {}
     for b in d.blocks:
         if b.subsystem is None:
             blocks.append(b)
             continue
         inner = flatten(b.subsystem)
-        rename = {ib.id: f"{b.id}/{ib.id}" for ib in inner.blocks}
-        blocks.extend(
-            Block(rename[ib.id], kind=ib.kind, params=ib.params) for ib in inner.blocks
+        if b.id in missing:
+            raise PortMismatch(missing[b.id])
+        prefix = f"{b.id}/"
+        blocks += (Block(prefix + ib.id, kind=ib.kind, params=ib.params) for ib in inner.blocks)
+        inner_wires += (
+            Wire((prefix + w.src[0], w.src[1]), (prefix + w.dst[0], w.dst[1])) for w in inner.wires
         )
-        wires.extend(
-            Wire((rename[w.src[0]], w.src[1]), (rename[w.dst[0]], w.dst[1]))
-            for w in inner.wires
-        )
-        in_map = {
-            i: (rename[bid], port) for i, (bid, port) in enumerate(inner.inputs)
+        ports[b.id] = {
+            side: tuple((prefix + bid, port) for bid, port in inner_refs)
+            for side, inner_refs in (("input", inner.inputs), ("output", inner.outputs))
         }
-        out_map = {
-            i: (rename[bid], port) for i, (bid, port) in enumerate(inner.outputs)
-        }
-        new_wires = []
-        for w in wires:
-            src, dst = w.src, w.dst
-            if dst[0] == b.id:
-                if dst[1] not in in_map:
-                    raise PortMismatch(f"subsystem {b.id} has no input port {dst[1]}")
-                dst = in_map[dst[1]]
-            if src[0] == b.id:
-                if src[1] not in out_map:
-                    raise PortMismatch(f"subsystem {b.id} has no output port {src[1]}")
-                src = out_map[src[1]]
-            new_wires.append(Wire(src, dst))
-        wires = new_wires
-        inputs = [in_map[p] if bid == b.id else (bid, p) for (bid, p) in inputs]
-        outputs = [out_map[p] if bid == b.id else (bid, p) for (bid, p) in outputs]
-    return BlockDiagram(tuple(blocks), tuple(wires), tuple(inputs), tuple(outputs))
 
+    def mapped(ref, side):
+        return ports[ref[0]][side][ref[1]] if ref[0] in ports else ref
 
-def _identity_block(types: tuple[SemType, ...]) -> StatelessDet:
-    vs = tuple(Var(f"v{i}", t) for i, t in enumerate(types))
-    return StatelessDet(Signature(vs), TRUEC, tuple(VarRef(v) for v in vs))
-
-
-def _router(in_types, out_of_in: list[int]) -> StatelessDet:
-    """Permutation/duplication component: output j carries input out_of_in[j]."""
-    vs = tuple(Var(f"v{i}", t) for i, t in enumerate(in_types))
-    return StatelessDet(
-        Signature(vs), TRUEC, tuple(VarRef(vs[i]) for i in out_of_in)
+    return BlockDiagram(
+        tuple(blocks),
+        tuple(Wire(mapped(w.src, "output"), mapped(w.dst, "input")) for w in d.wires)
+        + tuple(inner_wires),
+        tuple(mapped(r, "input") for r in d.inputs),
+        tuple(mapped(r, "output") for r in d.outputs),
     )
+
+
+def _router(bus: list, route: list, types: dict) -> Atomic:
+    """The routing component from the signals on `bus` to those of `route`:
+    output j carries the bus signal route[j].  Routing a bus to itself gives
+    the identity layer."""
+    vs = {s: Var(f"v{i}", types[s]) for i, s in enumerate(bus)}
+    out = tuple(VarRef(vs[s]) for s in route)
+    return Atomic(StatelessDet(Signature(tuple(vs.values())), TRUEC, out))
 
 
 def translate(d: BlockDiagram) -> Component:
@@ -275,144 +273,93 @@ def translate(d: BlockDiagram) -> Component:
     layers glued with routing components, closing each feedback wire with one
     outermost feedback application."""
     d = flatten(d)
+    duplicates = sorted(bid for bid, n in Counter(b.id for b in d.blocks).items() if n > 1)
+    if duplicates:
+        raise BadParams(f"duplicate block ids {duplicates}")
     atoms = {b.id: library_block(b.kind, b.params) for b in d.blocks}
-    from .compose import oi as oi_of
-
-    arity_in = {bid: len(a.inputs) for bid, a in atoms.items()}
-    arity_out = {bid: len(a.out) for bid, a in atoms.items()}
-    in_types = {bid: a.inputs.types() for bid, a in atoms.items()}
-    out_types = {bid: tuple(type_of(t) for t in a.out) for bid, a in atoms.items()}
+    ins = {bid: a.inputs.types() for bid, a in atoms.items()}
+    outs = {bid: tuple(type_of(t) for t in a.out) for bid, a in atoms.items()}
 
     # every input port: exactly one driver (a wire or an external input)
     driver: dict[tuple[str, int], Union[Wire, int]] = {}
     for w in d.wires:
-        sb, sp = w.src
-        db, dp = w.dst
+        (sb, sp), (db, dp) = w.src, w.dst
         if sb not in atoms or db not in atoms:
             raise PortMismatch(f"wire {w} references an unknown block")
-        if sp >= arity_out[sb] or dp >= arity_in[db]:
+        if sp >= len(outs[sb]) or dp >= len(ins[db]):
             raise PortMismatch(f"wire {w} is out of port range")
-        if out_types[sb][sp] != in_types[db][dp]:
+        if outs[sb][sp] != ins[db][dp]:
             raise PortMismatch(f"wire {w} connects incompatible types")
         if (db, dp) in driver:
             raise PortMismatch(f"input port {(db, dp)} is driven twice")
         driver[(db, dp)] = w
     for i, (bid, port) in enumerate(d.inputs):
-        if bid not in atoms or port >= arity_in[bid]:
+        if bid not in atoms or port >= len(ins[bid]):
             raise PortMismatch(f"external input {i} targets an unknown port")
         if (bid, port) in driver:
             raise PortMismatch(f"input port {(bid, port)} is driven twice")
         driver[(bid, port)] = i
     for bid in atoms:
-        for port in range(arity_in[bid]):
+        for port in range(len(ins[bid])):
             if (bid, port) not in driver:
                 raise PortMismatch(f"input port {(bid, port)} is undriven")
     for bid, port in d.outputs:
-        if bid not in atoms or port >= arity_out[bid]:
+        if bid not in atoms or port >= len(outs[bid]):
             raise PortMismatch("external output references an unknown port")
-
     if not d.blocks:
         return Atomic(StatelessDet(Signature(()), TRUEC, ()))
 
     # same-step dependency graph per each block's output-input relation
-    oi_map = {bid: oi_of(Atomic(a)) for bid, a in atoms.items()}
-    combi_in = {
-        bid: {j for (_, j) in oi_map[bid]} for bid in atoms
-    }  # 1-based input ports with same-step influence
+    combinational = {bid: {j - 1 for _, j in oi(Atomic(a))} for bid, a in atoms.items()}
     deps: dict[str, set[str]] = {bid: set() for bid in atoms}
     for w in d.wires:
-        db, dp = w.dst
-        if (dp + 1) in combi_in[db]:
-            deps[db].add(w.src[0])
-
-    order: list[str] = []
-    placed: set[str] = set()
-    remaining = sorted(atoms)
+        if w.dst[1] in combinational[w.dst[0]]:
+            deps[w.dst[0]].add(w.src[0])
+    order, placed, remaining = [], set(), sorted(atoms)
     while remaining:
-        ready = [bid for bid in remaining if deps[bid] <= placed]
-        if not ready:
-            cycle = sorted(remaining)
-            raise AlgebraicLoop(
-                f"same-step dependency cycle among {cycle}", cycle=cycle
-            )
-        nxt = ready[0]  # ascending id tie-break
+        # ascending id tie-break
+        nxt = next((bid for bid in remaining if deps[bid] <= placed), None)
+        if nxt is None:
+            raise AlgebraicLoop(f"same-step dependency cycle among {remaining}", cycle=remaining)
         order.append(nxt)
         placed.add(nxt)
         remaining.remove(nxt)
     position = {bid: i for i, bid in enumerate(order)}
 
     # wires arriving from later (or equal) positions loop back through fdbk
-    loop_wires = [
-        w for w in d.wires if position[w.src[0]] >= position[w.dst[0]]
-    ]
+    loop_wires = [w for w in d.wires if position[w.src[0]] >= position[w.dst[0]]]
     loop_index = {w: i for i, w in enumerate(loop_wires)}
-
     # signals: ("loop", i) | ("ext", i) | ("out", block, port)
-    def source_of(bid: str, port: int):
+    types = {("loop", i): outs[w.src[0]][w.src[1]] for i, w in enumerate(loop_wires)}
+    types.update((("ext", i), ins[bid][port]) for i, (bid, port) in enumerate(d.inputs))
+    types.update((("out", bid, p), t) for bid, ts in outs.items() for p, t in enumerate(ts))
+
+    def source(bid: str, port: int):
         drv = driver[(bid, port)]
         if isinstance(drv, int):
             return ("ext", drv)
         if drv in loop_index:
             return ("loop", loop_index[drv])
-        return ("out", drv.src[0], drv.src[1])
+        return ("out", *drv.src)
 
-    def type_of_signal(s):
-        if s[0] == "loop":
-            w = loop_wires[s[1]]
-            return out_types[w.src[0]][w.src[1]]
-        if s[0] == "ext":
-            bid, port = d.inputs[s[1]]
-            return in_types[bid][port]
-        return out_types[s[1]][s[2]]
+    # stage k reads reads[k]; the final collection, stage len(order), reads
+    # every loop wire's source and every external output
+    reads = [[source(bid, p) for p in range(len(ins[bid]))] for bid in order]
+    reads.append([("out", *w.src) for w in loop_wires] + [("out", *r) for r in d.outputs])
+    last = {s: stage for stage, signals in enumerate(reads) for s in signals}
 
-    # liveness: a signal is needed by every not-yet-placed consumer and by the
-    # final collection stage
-    final_needs: list = [
-        ("out", w.src[0], w.src[1]) for w in loop_wires
-    ] + [("out", bid, port) for (bid, port) in d.outputs]
-
-    def needed_after(stage: int) -> list:
-        needs = []
-        for bid in order[stage + 1 :]:
-            for port in range(arity_in[bid]):
-                needs.append(source_of(bid, port))
-        needs.extend(final_needs)
-        return needs
-
-    bus: list = [("loop", i) for i in range(len(loop_wires))] + [
-        ("ext", i) for i in range(len(d.inputs))
-    ]
-
-    term: Optional[Component] = None
-
-    def append_stage(stage_comp: Component):
-        nonlocal term
-        term = stage_comp if term is None else Serial(term, stage_comp)
-
+    bus = [("loop", i) for i in range(len(loop_wires))] + [("ext", i) for i in range(len(d.inputs))]
+    stages: list[Component] = []
     for stage, bid in enumerate(order):
-        wanted = [source_of(bid, p) for p in range(arity_in[bid])]
-        live = []
-        after = needed_after(stage)
-        for s in bus:
-            if s in after and s not in live:
-                live.append(s)
-        route = wanted + live
-        if route != bus:
-            idx = [bus.index(s) for s in route]
-            append_stage(Atomic(_router([type_of_signal(s) for s in bus], idx)))
+        live = [s for s in bus if last.get(s, -1) > stage]
+        if reads[stage] + live != bus:
+            stages.append(_router(bus, reads[stage] + live, types))
         block = Atomic(atoms[bid])
-        if live:
-            layer = Parallel(block, Atomic(_identity_block(tuple(type_of_signal(s) for s in live))))
-        else:
-            layer = block
-        append_stage(layer)
-        bus = [("out", bid, p) for p in range(arity_out[bid])] + live
-
-    final = final_needs
-    if final != bus:
-        idx = [bus.index(s) for s in final]
-        append_stage(Atomic(_router([type_of_signal(s) for s in bus], idx)))
-
+        stages.append(Parallel(block, _router(live, live, types)) if live else block)
+        bus = [("out", bid, p) for p in range(len(outs[bid]))] + live
+    if reads[-1] != bus:
+        stages.append(_router(bus, reads[-1], types))
+    term = reduce(Serial, stages)
     for _ in loop_wires:
         term = Fdbk(term)
     return term

@@ -49,27 +49,22 @@ def tokenize(text: str):
 
 
 def read_sexprs(text: str):
-    toks = tokenize(text)
-    pos = 0
-
-    def read():
-        nonlocal pos
-        tok = toks[pos]
-        pos += 1
+    """The s-expressions of the text, as nested lists of tokens; ValueError
+    when a parenthesis is unbalanced or unclosed."""
+    stack = [[]]
+    for tok in tokenize(text):
         if tok == "(":
-            items = []
-            while toks[pos] != ")":
-                items.append(read())
-            pos += 1
-            return items
-        if tok == ")":
+            stack.append([])
+        elif tok != ")":
+            stack[-1].append(tok)
+        elif len(stack) > 1:
+            items = stack.pop()
+            stack[-1].append(items)
+        else:
             raise ValueError("unbalanced parenthesis")
-        return tok
-
-    out = []
-    while pos < len(toks):
-        out.append(read())
-    return out
+    if len(stack) > 1:
+        raise ValueError("unclosed parenthesis")
+    return stack[0]
 
 
 # --- formulas ----------------------------------------------------------------
@@ -480,14 +475,28 @@ def dnf(f):
     return None
 
 
+# the number of items of each command that is read, its name included
+_ARITY = {"declare-const": 3, "declare-datatypes": 3, "assert": 2}
+
+
 def run(script: str) -> list[str]:
+    """The answer to each `(check-sat)` of the script.  A script that the
+    reader rejects answers `unknown`, and so does every `(check-sat)` after a
+    command with the wrong number of arguments."""
     solver = Solver()
     out = []
-    for cmd in read_sexprs(script):
+    try:
+        cmds = read_sexprs(script)
+    except ValueError:
+        return ["unknown"]
+    malformed = False
+    for cmd in cmds:
         if not isinstance(cmd, list) or not cmd:
             continue
         head = cmd[0]
-        if head == "declare-const":
+        if len(cmd) != _ARITY.get(head, len(cmd)):
+            malformed = True
+        elif head == "declare-const":
             solver.declare_const(cmd[1], cmd[2] if isinstance(cmd[2], str) else "?")
         elif head == "declare-datatypes":
             # (declare-datatypes ((Name 0)) (((v1) (v2) ...)))
@@ -498,7 +507,7 @@ def run(script: str) -> list[str]:
             solver.assertions.append(cmd[1])
         elif head == "check-sat":
             try:
-                out.append(solver.check())
+                out.append("unknown" if malformed else solver.check())
             except (ValueError, RecursionError):
                 # the reader and negation reject what they cannot represent;
                 # any other exception is a defect and propagates
@@ -546,10 +555,15 @@ def main() -> int:
     """Answer each `(check-sat)` as soon as it is read, on its own flushed
     line, as `run` answers it on the commands before it; `(reset)` starts a
     fresh context.  A script without `(reset)` gets the answers of `run` on
-    the whole script, or `unknown` when it has no `(check-sat)`."""
+    the whole script, or `unknown` when it has no `(check-sat)`.  A command
+    that the reader rejects stays in the context, so every `(check-sat)`
+    after it answers `unknown`."""
     context, answered = [], False
     for text in commands(_text_chunks(sys.stdin.buffer)):
-        heads = [c[0] for c in read_sexprs(text) if isinstance(c, list) and c]
+        try:
+            heads = [c[0] for c in read_sexprs(text) if isinstance(c, list) and c]
+        except ValueError:
+            heads = []
         if heads == ["check-sat"]:
             # `run` is looked up here, so that a wrapper installed on it sees
             # every goal

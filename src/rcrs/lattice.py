@@ -98,17 +98,22 @@ def eq_primed(v: Var, t):
     return eq(PrimedRef(v), t)
 
 
-def sts2qltl(c: Sts, gen: NameGen = None) -> Qltl:
-    """Temporal contract equivalent to the transition system: the legality
-    chain (init implies the step formulas lead to a live precondition) and an
-    existentially chosen run."""
-    gen = gen or NameGen(v.name for v in c.all_vars())
+def sts_legality(c: Sts, gen: NameGen) -> tuple[Formula, Formula]:
+    """The step formula trs[s' := @s] and the legality chain of the
+    transition system: init implies that the steps lead to a live
+    precondition, forall s, y. init -> (step L exists q, y. trs[s' := q])."""
     svars = list(c.states.vars())
     yvars = list(c.outputs.vars())
-    phi = substitute_primed(c.trs, {v: NextRef(VarRef(v)) for v in svars})
-    phi_live = quantify_primed(svars, c.trs, gen, extra=yvars, exists=True)
-    legality = forall_many(svars + yvars, Implies(c.init, Leads(phi, phi_live)))
-    run = exists_many(svars, And(c.init, Globally(phi)))
+    step = substitute_primed(c.trs, {v: NextRef(VarRef(v)) for v in svars})
+    live = quantify_primed(svars, c.trs, gen, extra=yvars, exists=True)
+    return step, forall_many(svars + yvars, Implies(c.init, Leads(step, live)))
+
+
+def sts2qltl(c: Sts, gen: NameGen = None) -> Qltl:
+    """Temporal contract equivalent to the transition system: the legality
+    chain and an existentially chosen run."""
+    step, legality = sts_legality(c, gen or NameGen(v.name for v in c.all_vars()))
+    run = exists_many(list(c.states.vars()), And(c.init, Globally(step)))
     return Qltl(c.inputs, c.outputs, simplify(And(legality, run)))
 
 

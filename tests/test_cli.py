@@ -431,6 +431,19 @@ class TestFileErrors:
         code, _, err = run_cli(capsys, "translate", str(p))
         assert code == 3
 
+    def test_malformed_diagram_exit_3(self, capsys, tmp_path):
+        # a block without an id, and a duplicate block id
+        for blocks in (
+            [{"kind": "Gain", "params": {"ty": "int", "k": 1}}],
+            [{"id": "g", "kind": "Gain", "params": {"ty": "int", "k": k}} for k in (2, 3)],
+        ):
+            p = tmp_path / "malformed.json"
+            p.write_text(json.dumps({"blocks": blocks, "inputs": [["g", 0]], "outputs": [["g", 0]]}))
+            code, out, err = run_cli(capsys, "translate", str(p))
+            assert code == 3
+            assert err.count("\n") == 1 and err.startswith("error: ")
+            assert "component" not in out
+
     @pytest.mark.parametrize("text", ["domain int = {a, b}\n", "domain int = {1, 2\n"])
     def test_bad_domain_file_exit_3(self, capsys, refine_file, tmp_path, text):
         dom = tmp_path / "bad.dom"

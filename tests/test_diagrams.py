@@ -3,6 +3,8 @@ handling, and dataflow adequacy against direct simulation."""
 
 import json
 import random
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -16,9 +18,9 @@ from rcrs.diagrams import (
     load_diagram,
     translate,
 )
-from rcrs.errors import AlgebraicLoop, BadParams, PortMismatch, UnknownBlock
+from rcrs.errors import AlgebraicLoop, BadParams, PortMismatch, RcrsError, UnknownBlock
 from rcrs.oracle import FiniteDomain, exec_det
-from rcrs.syntax import parse_component
+from rcrs.syntax import parse_component, print_component
 
 
 SUM_JSON = json.dumps(
@@ -225,6 +227,119 @@ class TestTranslate:
         assert reordered == original
 
 
+def _gain(bid, k=1, ty="int"):
+    return {"id": bid, "kind": "Gain", "params": {"ty": ty, "k": k}}
+
+
+def _one_gain(**changes):
+    """A one-Gain diagram with some of its keys replaced."""
+    return dict({"blocks": [_gain("g")], "wires": [], "inputs": [["g", 0]], "outputs": [["g", 0]]}, **changes)
+
+
+def _inner_gain(**changes):
+    """A one-Gain subsystem s with one input and one output."""
+    return {"id": "s", "subsystem": _one_gain(**changes)}
+
+
+MALFORMED = {
+    "block without id": (_one_gain(blocks=[{"kind": "Gain", "params": {"ty": "int", "k": 1}}]), BadParams),
+    "block id not a string": (_one_gain(blocks=[dict(_gain("g"), id=7)]), BadParams),
+    "block neither kind nor subsystem": (_one_gain(blocks=[{"id": "g"}]), BadParams),
+    "kind not a string": (_one_gain(blocks=[dict(_gain("g"), kind=["Gain"])]), UnknownBlock),
+    "params not an object": (_one_gain(blocks=[dict(_gain("g"), params="x")]), BadParams),
+    "real parameter not a number": (_one_gain(blocks=[_gain("g", k="x", ty="real")]), BadParams),
+    "top-level list": ([_gain("g")], BadParams),
+    "blocks not a list": (_one_gain(blocks=5), BadParams),
+    "wire not an object": (_one_gain(wires=[["g", 0]]), BadParams),
+    "wire without dst": (
+        {"blocks": [_gain("a"), _gain("b")], "wires": [{"src": ["a", 0]}], "inputs": [["a", 0]],
+         "outputs": [["b", 0]]},
+        PortMismatch,
+    ),
+    "port without number": (_one_gain(inputs=[["g"]]), PortMismatch),
+    "port number a bool": (_one_gain(inputs=[["g", False]]), PortMismatch),
+    "negative output port": (_one_gain(outputs=[["g", -1]]), PortMismatch),
+    "negative wire source": (
+        {"blocks": [_gain("a"), _gain("b")], "wires": [{"src": ["a", -1], "dst": ["b", 0]}],
+         "inputs": [["a", 0]], "outputs": [["b", 0]]},
+        PortMismatch,
+    ),
+    "external input past a subsystem's ports": (
+        {"blocks": [_inner_gain()], "inputs": [["s", 3]], "outputs": [["s", 0]]},
+        PortMismatch,
+    ),
+    "external output past a subsystem's ports": (
+        {"blocks": [_inner_gain()], "inputs": [["s", 0]], "outputs": [["s", 1]]},
+        PortMismatch,
+    ),
+    "inner wire from an unknown block": (
+        {
+            "blocks": [_inner_gain(inputs=[], wires=[{"src": ["nope", 0], "dst": ["g", 0]}])],
+            "inputs": [],
+            "outputs": [["s", 0]],
+        },
+        PortMismatch,
+    ),
+}
+
+
+class TestMalformedDiagrams:
+    """Each malformed diagram raises a usage error (exit 3), not an internal
+    failure."""
+
+    @pytest.mark.parametrize("name", sorted(MALFORMED))
+    def test_rejected(self, name):
+        data, error = MALFORMED[name]
+        with pytest.raises(error):
+            translate(load_diagram(json.dumps(data)))
+
+    def test_messages(self):
+        def message(name):
+            with pytest.raises(RcrsError) as err:
+                translate(load_diagram(json.dumps(MALFORMED[name][0])))
+            return str(err.value)
+
+        assert message("negative output port") == "port ['g', -1] is not a [block id, port >= 0] pair"
+        assert message("external input past a subsystem's ports") == "subsystem s has no input port 3"
+        assert message("external output past a subsystem's ports") == "subsystem s has no output port 1"
+        assert message("inner wire from an unknown block") == (
+            "wire Wire(src=('s/nope', 0), dst=('s/g', 0)) references an unknown block"
+        )
+        assert message("top-level list") == "a diagram must be a JSON object"
+
+
+class TestDuplicateIds:
+    def test_two_blocks_one_id(self):
+        data = {
+            "blocks": [_gain("g", 2), _gain("g", 3)],
+            "wires": [],
+            "inputs": [["g", 0]],
+            "outputs": [["g", 0]],
+        }
+        with pytest.raises(BadParams, match=r"duplicate block ids \['g'\]"):
+            translate(load_diagram(json.dumps(data)))
+
+    def test_outer_block_named_like_an_inner_one(self):
+        data = {
+            "blocks": [_inner_gain(), _gain("s/g")],
+            "wires": [{"src": ["s", 0], "dst": ["s/g", 0]}],
+            "inputs": [["s", 0]],
+            "outputs": [["s/g", 0]],
+        }
+        with pytest.raises(BadParams, match=r"duplicate block ids \['s/g'\]"):
+            translate(load_diagram(json.dumps(data)))
+
+    def test_same_inner_ids_in_two_subsystems(self):
+        data = {
+            "blocks": [_inner_gain(), dict(_inner_gain(), id="t")],
+            "wires": [{"src": ["s", 0], "dst": ["t", 0]}],
+            "inputs": [["s", 0]],
+            "outputs": [["t", 0]],
+        }
+        term = translate(load_diagram(json.dumps(data)))
+        assert exec_det(term, ((2,),)) == ((2,),)
+
+
 class TestDataflowAdequacy:
     """Random diagrams over deterministic library blocks: the translated term
     behaves exactly like direct per-step dataflow simulation."""
@@ -292,3 +407,174 @@ class TestDataflowAdequacy:
                 trng = random.Random(trace_seed)
                 trace = tuple((trng.randint(-2, 2),) for _ in range(4))
                 assert exec_det(term, trace) == self._simulate_dataflow(text, trace)
+
+
+# --- translation golden -------------------------------------------------------
+#
+# `tests/data/translate_golden.json` pins the printed term, or the error class
+# and message, of TRANSLATE_SEEDS seeded diagrams: flat ones with feedback
+# wires, ones with one- and two-level subsystems, and port-shift mutants.  It
+# was computed before `translate` read each signal's type and last use once.
+# Regenerate it only for a deliberate change of translation, with
+# `python tests/test_diagrams.py --write`.
+
+GOLDEN = Path(__file__).parent / "data" / "translate_golden.json"
+TRANSLATE_SEEDS = range(200)
+
+_ARITY = {
+    "Add": (2, 1),
+    "Const": (0, 1),
+    "Gain": (1, 1),
+    "Id": (1, 1),
+    "Split": (1, 2),
+    "Sub": (2, 1),
+    "Swap": (2, 2),
+    "UnitDelay": (1, 1),
+}
+
+
+def flat_spec(rng: random.Random, n_blocks: int) -> dict:
+    """Int blocks whose input ports are driven by earlier outputs or external
+    inputs.  Some external inputs are then fed back from a later output:
+    mostly a unit delay's, otherwise any, which may close a same-step cycle.
+    Blocks and wires are listed in a random order."""
+    blocks, wires, inputs, produced = [], [], [], []
+    for j in range(n_blocks):
+        kind = rng.choice(sorted(_ARITY))
+        params = {"ty": "int"}
+        if kind == "Gain":
+            params["k"] = rng.randint(-2, 3)
+        elif kind == "Const":
+            params["c"] = rng.randint(-2, 2)
+        elif kind == "UnitDelay":
+            params["init"] = rng.randint(-1, 1)
+        blocks.append({"id": f"b{j}", "kind": kind, "params": params})
+        n_in, n_out = _ARITY[kind]
+        for p in range(n_in):
+            if produced and rng.random() < 0.6:
+                _, bid, q = rng.choice(produced)
+                wires.append({"src": [bid, q], "dst": [f"b{j}", p]})
+            else:
+                inputs.append([f"b{j}", p])
+        produced += [(j, f"b{j}", p) for p in range(n_out)]
+    delays = {b["id"] for b in blocks if b["kind"] == "UnitDelay"}
+    for port in list(inputs):
+        later = [(bid, p) for j, bid, p in produced if j > int(port[0][1:])]
+        if later and rng.random() < 0.4:
+            preferred = [s for s in later if s[0] in delays]
+            src = rng.choice(preferred if preferred and rng.random() < 0.75 else later)
+            inputs.remove(port)
+            wires.append({"src": list(src), "dst": port})
+    outputs = [[bid, p] for _, bid, p in rng.sample(produced, min(len(produced), rng.randint(1, 2)))]
+    rng.shuffle(blocks)
+    rng.shuffle(wires)
+    return {"blocks": blocks, "wires": wires, "inputs": inputs, "outputs": outputs}
+
+
+def wrap(rng: random.Random, spec: dict, name: str) -> dict:
+    """Move a run of `spec`'s blocks into a subsystem `name`.  Each port that
+    a wire or an external port crosses the boundary at becomes one subsystem
+    port, numbered in the order the crossings are listed."""
+    ids = [b["id"] for b in spec["blocks"]]
+    i = rng.randrange(len(ids))
+    inside = set(ids[i : rng.randint(i + 1, len(ids))])
+    inner = {"blocks": [b for b in spec["blocks"] if b["id"] in inside], "wires": [], "inputs": [], "outputs": []}
+    ports = {"inputs": {}, "outputs": {}}
+
+    def cross(side, ref):
+        key = tuple(ref)
+        if key not in ports[side]:
+            ports[side][key] = len(inner[side])
+            inner[side].append(ref)
+        return [name, ports[side][key]]
+
+    wires = []
+    for w in spec["wires"]:
+        src_in, dst_in = w["src"][0] in inside, w["dst"][0] in inside
+        if src_in and dst_in:
+            inner["wires"].append(w)
+            continue
+        src = cross("outputs", w["src"]) if src_in else w["src"]
+        dst = cross("inputs", w["dst"]) if dst_in else w["dst"]
+        wires.append({"src": src, "dst": dst})
+    return {
+        "blocks": [b for b in spec["blocks"] if b["id"] not in inside] + [{"id": name, "subsystem": inner}],
+        "wires": wires,
+        "inputs": [cross("inputs", p) if p[0] in inside else p for p in spec["inputs"]],
+        "outputs": [cross("outputs", p) if p[0] in inside else p for p in spec["outputs"]],
+    }
+
+
+def _port_refs(spec: dict) -> list:
+    refs = [w[end] for w in spec["wires"] for end in ("src", "dst")]
+    refs += spec["inputs"] + spec["outputs"]
+    for b in spec["blocks"]:
+        if "subsystem" in b:
+            refs += _port_refs(b["subsystem"])
+    return refs
+
+
+def golden_spec(seed: int) -> tuple[str, dict]:
+    """The seed's diagram: flat, one-level, two-level or port-shifted."""
+    rng = random.Random(seed)
+    spec = flat_spec(rng, rng.randint(1, 8))
+    shape = ("flat", "one-level", "two-level", "shifted")[seed % 4]
+    levels = {"flat": 0, "one-level": 1, "two-level": 2}.get(shape, seed // 4 % 3)
+    if levels:
+        spec = wrap(rng, spec, "s")
+    if levels == 2:
+        sub = next(b for b in spec["blocks"] if b["id"] == "s")
+        sub["subsystem"] = wrap(rng, sub["subsystem"], "t")
+    if shape == "shifted":
+        refs = _port_refs(spec)
+        if refs:
+            ref = rng.choice(refs)
+            ref[1] += 1 if ref[1] == 0 or rng.random() < 0.5 else -1
+    return f"{shape} {seed}", spec
+
+
+def translation_text(text: str) -> str:
+    try:
+        return print_component(translate(load_diagram(text)))
+    except RcrsError as e:
+        return f"error {type(e).__name__}: {e}"
+
+
+def golden_entries():
+    return [[label, translation_text(json.dumps(spec))] for label, spec in map(golden_spec, TRANSLATE_SEEDS)]
+
+
+def dumps(entries) -> str:
+    return "[\n" + ",\n".join(json.dumps(e) for e in entries) + "\n]\n"
+
+
+class TestTranslationGolden:
+    @pytest.fixture(scope="class")
+    def pinned(self):
+        return json.loads(GOLDEN.read_text())
+
+    def test_terms_are_pinned(self, pinned):
+        got = golden_entries()
+        assert [label for label, _ in got] == [label for label, _ in pinned]
+        for (label, text), (_, want) in zip(got, pinned):
+            assert text == want, label
+
+    def test_pinned_set_reaches_each_path(self, pinned):
+        texts = [text for _, text in pinned]
+        assert any(t.startswith("fdbk(fdbk(") for t in texts)
+        for message in (
+            "AlgebraicLoop: same-step dependency cycle",
+            "PortMismatch: subsystem s",
+            "is out of port range",
+            "is driven twice",
+            "targets an unknown port",
+            "external output references an unknown port",
+        ):
+            assert any(message in t for t in texts), message
+        assert sum(not t.startswith("error") for t in texts) >= 100
+
+
+if __name__ == "__main__":
+    if sys.argv[1:] != ["--write"]:
+        raise SystemExit("usage: python tests/test_diagrams.py --write")
+    GOLDEN.write_text(dumps(golden_entries()))

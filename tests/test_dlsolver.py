@@ -280,6 +280,48 @@ class TestStreaming:
         assert proc.stdout == b"unknown\n"
 
 
+class TestMalformedScripts:
+    """A script that the bundled solver cannot read answers `unknown`, with
+    no traceback."""
+
+    @pytest.mark.parametrize("text", ["(assert true", "(assert true))", ")"])
+    def test_reader_rejects_unbalanced_parentheses(self, text):
+        with pytest.raises(ValueError):
+            dlsolver.read_sexprs(text)
+
+    def test_run_reads_the_script_inside_its_try(self):
+        assert run("(assert true") == ["unknown"]
+        assert run("(assert |x)(check-sat)") == ["unknown"]
+
+    def test_wrong_arity_reads_unknown(self):
+        assert run("(declare-const x)(check-sat)") == ["unknown"]
+        assert run("(assert true)(check-sat)(assert)(check-sat)") == ["sat", "unknown"]
+
+    @pytest.mark.parametrize(
+        "stream, want",
+        [
+            ("(assert true))(check-sat)", "unknown\n"),
+            ("(assert true)\n(check-sat)\n(assert (", "sat\n"),
+            ("(assert true))(check-sat)(reset)(assert false)(check-sat)", "unknown\nunsat\n"),
+        ],
+    )
+    def test_stream_keeps_a_rejected_command_as_context(self, monkeypatch, capsys, stream, want):
+        import io
+
+        monkeypatch.setattr(sys, "stdin", io.TextIOWrapper(io.BytesIO(stream.encode())))
+        assert dlsolver.main() == 0
+        assert capsys.readouterr() == (want, "")
+
+    def test_unbalanced_script_through_the_executable(self):
+        proc = subprocess.run(
+            [sys.executable, "-m", "rcrs.dlsolver"],
+            input=b"(assert true))(check-sat)",
+            stdout=subprocess.PIPE,
+            stderr=subprocess.PIPE,
+        )
+        assert (proc.returncode, proc.stdout, proc.stderr) == (0, b"unknown\n", b"")
+
+
 class TestFiniteSorts:
     """`Bool` is a finite sort like an enumeration: equality of formulas is
     an iff, and every form `rcrs` never emits reads `unknown`."""
