@@ -31,6 +31,7 @@ from .components import (
     StatelessDet,
     Sts,
     as_component,
+    binders,
     field_values,
     numbered,
     rename_slots,
@@ -66,6 +67,7 @@ from .formulas import (
     TrueC,
     Until,
     conj,
+    conjuncts,
     eq,
     exists_many,
     forall_many,
@@ -97,6 +99,7 @@ from .types import (
     SemType,
     UnitType,
     Var,
+    base_type,
 )
 from .verdicts import (
     CheckResult,
@@ -874,6 +877,34 @@ def _canonical_pair(a: AtomicComponent, b: AtomicComponent, k: Kind):
     return first, (first if b is a else canonical(b))
 
 
+def _step_legality(c: AtomicComponent, step: Formula, svars, ys, gen: NameGen = None) -> Formula:
+    """`exists s', y. step`: the legality of one step of a canonical side
+    whose atomic form is c, with svars its states and ys its outputs.
+
+    A deterministic c steps by its legal-input predicate and one equation
+    per primed state and output that defines it, so its legality is the
+    step's other conjuncts, with no quantifier built for the simplifier's
+    one-point rule to eliminate.  The quantified route stays for a c that
+    binds a variable (a binder can meet that route's fresh names) or whose
+    next-state term differs from its state in base type (the one-point rule
+    keeps that quantifier).  Either route draws the same fresh names, so
+    the other side's stay as they are."""
+    moves = zip(c.states, c.next) if isinstance(c, Det) else ()
+    if (
+        not isinstance(c, (Det, StatelessDet))
+        or not (svars or ys)
+        or binders(c)
+        or any(base_type(type_of(t)) != base_type(v.ty) for v, t in moves)
+    ):
+        return quantify_primed(svars, step, gen, extra=ys, exists=True)
+    for v in svars:
+        gen.fresh("q", v.ty)
+    defined = {PrimedRef(v) for v in svars} | {VarRef(v) for v in ys}
+    return conj(
+        p for p in conjuncts(step) if not (isinstance(p, Atom) and p.pred == "=" and p.args[0] in defined)
+    )
+
+
 def refine_vc(abstract, concrete) -> list[Vc]:
     """Verification conditions for `abstract refined-by concrete`, after
     reducing both sides to atomic components of the join kind."""
@@ -887,8 +918,8 @@ def refine_vc(abstract, concrete) -> list[Vc]:
     if k in (Kind.STATELESS_DET, Kind.STATELESS):
         a, b = _canonical_pair(aa, ac, Kind.STATELESS)
         ys = list(a.outputs.vars())
-        ex_a = exists_many(ys, a.io)
-        ex_b = exists_many(ys, b.io)
+        ex_a = _step_legality(aa, a.io, (), ys)
+        ex_b = _step_legality(ac, b.io, (), ys)
         goal = simplify(And(Implies(ex_a, ex_b), Implies(And(ex_a, b.io), a.io)))
         return [make_vc(goal, "stateless refinement (sound and complete)")]
     if k in (Kind.DET, Kind.STS):
@@ -897,8 +928,8 @@ def refine_vc(abstract, concrete) -> list[Vc]:
             gen = NameGen([v.name for v in a.all_vars()] + [v.name for v in b.all_vars()])
             ys = list(a.outputs.vars())
             svars = list(a.states.vars())
-            ex_a = quantify_primed(svars, a.trs, gen, extra=ys, exists=True)
-            ex_b = quantify_primed(svars, b.trs, gen, extra=ys, exists=True)
+            ex_a = _step_legality(aa, a.trs, svars, ys, gen)
+            ex_b = _step_legality(ac, b.trs, svars, ys, gen)
             goal = simplify(
                 conj([Implies(b.init, a.init), Implies(ex_a, ex_b), Implies(And(ex_a, b.trs), a.trs)])
             )

@@ -74,6 +74,7 @@ _USAGE_ERRORS = (
     PortMismatch,
     UnknownBlock,
     TemporalFragment,
+    AlgebraicLoop,
 )
 _INTERNAL_ERRORS = (
     FeedbackOnNonDecomposable,
@@ -83,7 +84,6 @@ _INTERNAL_ERRORS = (
     KindError,
     DomainNotFinite,
     ExplosionGuard,
-    AlgebraicLoop,
     SolverFailure,
 )
 

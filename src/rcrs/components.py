@@ -73,7 +73,7 @@ class Kind(enum.Enum):
     QLTL = "qltl"
 
 
-class AtomicComponent:
+class AtomicComponent(Memo):
     """Base class of the five syntactic component kinds.
 
     A kind's dataclass fields, in declaration order, are its layout: the
@@ -143,9 +143,14 @@ class Stateless(AtomicComponent):
 
 def _derived_outputs(c: Det | StatelessDet) -> Signature:
     """The output signature of a deterministic kind: one slot per output
-    term, named y0, y1, ... apart from the component's own slots."""
-    gen = NameGen(v.name for v in c.all_vars())
-    return Signature(tuple(gen.fresh("y", type_of(t)) for t in c.out))
+    term, named y0, y1, ... apart from the component's own slots.  The
+    component keeps it once derived."""
+    d = c.__dict__
+    outputs = d.get("_outputs")
+    if outputs is None:
+        gen = NameGen(v.name for v in c.all_vars())
+        outputs = d["_outputs"] = Signature(tuple(gen.fresh("y", type_of(t)) for t in c.out))
+    return outputs
 
 
 @dataclass(frozen=True)

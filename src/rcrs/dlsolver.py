@@ -158,7 +158,7 @@ class Solver:
             except ValueError:
                 return None
         op = _op(e)
-        if op not in ("+", "-", "*", "to_real"):
+        if op not in ("+", "-", "*", "/", "to_real"):
             return None
         args = [self.linear(a, env) for a in e[1:]]
         if None in args:
@@ -179,6 +179,11 @@ class Solver:
                 return _lin_scale(args[1], ka)
             if not cb:
                 return _lin_scale(args[0], kb)
+        if op == "/" and len(args) == 2:
+            # a quotient of two constants, such as `(/ 1.0 2.0)` for 1/2
+            (ca, ka), (cb, kb) = args
+            if not ca and not cb and kb:
+                return ({}, ka / kb)
         return None
 
     # --- conversion with quantifier elimination ---
@@ -205,7 +210,7 @@ class Solver:
         if not binders:
             return self.convert(body, env)
         (name, sort), rest = binders[0], binders[1:]
-        if not isinstance(sort, str):
+        if not isinstance(name, str) or not isinstance(sort, str):
             return UNK
         if sort in self.sorts:
             cases = [self.quantified(op, rest, body, {**env, name: v}) for v in self.sorts[sort]]
@@ -297,9 +302,9 @@ class Solver:
                 keep.append(a)
                 continue
             _, u, v, c, strict = a
-            if is_int and strict and self.is_int_atom(a):
-                a = ("diff", u, v, c - 1, False)
-                _, u, v, c, strict = a
+            if is_int and self.integral(u) and self.integral(v):  # as in diff_consistent
+                c, strict = (ceil(c) - 1 if strict else floor(c)), False
+                a = ("diff", u, v, c, False)
             if u == x and v == x:
                 hold = c > 0 if strict else c >= 0
                 if not hold:
@@ -311,18 +316,16 @@ class Solver:
                 lowers.append((u, c, strict))  # u - x <= c
             else:
                 keep.append(a)
+        if is_int and lowers and uppers and not all(self.integral(w) for w, _, _ in lowers + uppers):
+            return UNK  # an integer between real bounds is no difference constraint
         for (u, c1, s1) in lowers:
             for (v, c2, s2) in uppers:
                 # u - x <= c1 and x - v <= c2  ==>  u - v <= c1 + c2
                 keep.append(("diff", u, v, c1 + c2, s1 or s2))
         return junction(keep, *AND)
 
-    def is_int_atom(self, a) -> bool:
-        _, u, v, c, _ = a
-        for w in (u, v):
-            if w != ZERO and self.var_sort.get(w) != "Int":
-                return False
-        return c.denominator == 1
+    def integral(self, w: str) -> bool:
+        return w == ZERO or self.var_sort.get(w) == "Int"
 
     # --- satisfiability ---
 
@@ -479,10 +482,28 @@ def dnf(f):
 _ARITY = {"declare-const": 3, "declare-datatypes": 3, "assert": 2}
 
 
+def _datatypes(heads, bodies):
+    """The (sort name, value names) of each enumeration that
+    `(declare-datatypes ((Name 0) ...) (((v1) (v2) ...) ...))` declares, or
+    None when one of those names is not a symbol."""
+    if not isinstance(heads, list) or not isinstance(bodies, list):
+        return None
+    out = []
+    for head, ctors in zip(heads, bodies):
+        if not isinstance(head, list) or not head or not isinstance(ctors, list):
+            return None
+        names = [head[0]] + [c[0] if isinstance(c, list) and c else c for c in ctors]
+        if not all(isinstance(n, str) for n in names):
+            return None
+        out.append((names[0], names[1:]))
+    return out
+
+
 def run(script: str) -> list[str]:
     """The answer to each `(check-sat)` of the script.  A script that the
     reader rejects answers `unknown`, and so does every `(check-sat)` after a
-    command with the wrong number of arguments."""
+    command with the wrong number of arguments, a command whose name is not
+    a symbol, or a declaration of a name that is not a symbol."""
     solver = Solver()
     out = []
     try:
@@ -494,15 +515,15 @@ def run(script: str) -> list[str]:
         if not isinstance(cmd, list) or not cmd:
             continue
         head = cmd[0]
-        if len(cmd) != _ARITY.get(head, len(cmd)):
+        if not isinstance(head, str) or len(cmd) != _ARITY.get(head, len(cmd)):
             malformed = True
-        elif head == "declare-const":
+        elif head == "declare-const" and isinstance(cmd[1], str):
             solver.declare_const(cmd[1], cmd[2] if isinstance(cmd[2], str) else "?")
-        elif head == "declare-datatypes":
-            # (declare-datatypes ((Name 0)) (((v1) (v2) ...)))
-            names = [d[0] for d in cmd[1]]
-            for name, ctors in zip(names, cmd[2]):
-                solver.declare_enum(name, [c[0] if isinstance(c, list) else c for c in ctors])
+        elif head == "declare-datatypes" and (sorts := _datatypes(cmd[1], cmd[2])) is not None:
+            for name, values in sorts:
+                solver.declare_enum(name, values)
+        elif head in ("declare-const", "declare-datatypes"):
+            malformed = True
         elif head == "assert":
             solver.assertions.append(cmd[1])
         elif head == "check-sat":

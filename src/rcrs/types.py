@@ -112,7 +112,8 @@ class Memo:
     on themselves: variables, terms and formulas their hash, terms and
     formulas their free references, terms their type, simplified formulas
     their fixed-point mark, an And its conjunct set and clash flag, component
-    terms their atomic form.  Each fact is computed at most once per value
+    terms their atomic form, deterministic atomic components their derived
+    output signature.  Each fact is computed at most once per value
     and stored in the instance dict under a name that starts with an
     underscore; it is not a field, so repr, ==, fields() and replace() do not
     see it.

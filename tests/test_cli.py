@@ -231,6 +231,19 @@ class TestChecks:
         assert rep["verdict"] == "Proven"
         assert rep["note"] == "stateless refinement (sound and complete) via solver"
 
+    def test_refine_with_a_real_constant_decided_by_solver(self, capsys, tmp_path, with_solver):
+        # the script writes 0.5 as (/ 1.0 2.0), which the solver reads as one constant
+        p = tmp_path / "half.rcrs"
+        p.write_text(
+            "component A = stateless((x:real), (y:real), y >= x)\n"
+            "component B = stateless((x:real), (y:real), y = x + 0.5)\n"
+        )
+        code, out, _ = run_cli(capsys, "check", "refine", str(p), "--abstract", "A", "--concrete", "B")
+        assert (code, report_dict(out)["verdict"]) == (0, "Proven")
+        assert report_dict(out)["note"] == "stateless refinement (sound and complete) via solver"
+        code, out, _ = run_cli(capsys, "check", "refine", str(p), "--abstract", "B", "--concrete", "A")
+        assert (code, report_dict(out)["verdict"]) == (1, "Refuted")
+
 
 class TestWitnessLines:
     """The report lines of a lasso witness and of a trace witness's outputs."""
@@ -443,6 +456,17 @@ class TestFileErrors:
             assert code == 3
             assert err.count("\n") == 1 and err.startswith("error: ")
             assert "component" not in out
+
+    def test_algebraic_loop_exit_3(self, capsys, tmp_path):
+        # one Gain wired to itself: a same-step cycle is a property of the input
+        p = tmp_path / "loop.json"
+        gain = {"id": "a", "kind": "Gain", "params": {"ty": "int", "k": 2}}
+        p.write_text(json.dumps({"blocks": [gain], "wires": [{"src": ["a", 0], "dst": ["a", 0]}],
+                                 "inputs": [], "outputs": [["a", 0]]}))
+        code, out, err = run_cli(capsys, "translate", str(p))
+        assert code == 3
+        assert err == "error: same-step dependency cycle among ['a']\n"
+        assert "component" not in out
 
     @pytest.mark.parametrize("text", ["domain int = {a, b}\n", "domain int = {1, 2\n"])
     def test_bad_domain_file_exit_3(self, capsys, refine_file, tmp_path, text):

@@ -223,6 +223,25 @@ class TestAtomicForm:
         assert not _facts(bad) and not _facts(bad.left)
 
 
+class TestDerivedOutputs:
+    def test_kept_outputs_are_invisible_and_a_fresh_derivation(self):
+        # the slot y0 is taken, so the derived outputs are y1 and y2
+        det = Det(sig(("y0", INT)), sig(("s", INT)), (intc(0),), TRUEC, (var("y0", INT),),
+                  (var("s", INT), Const(True, BOOL)))
+        for c in (det, StatelessDet(sig(("x", INT)), TRUEC, (var("x", INT),))):
+            before = repr(c)
+            twin = copy.deepcopy(c)
+            outputs = c.outputs
+            assert _facts(c) == {"_outputs"}
+            assert c.outputs is outputs  # kept
+            assert repr(c) == before and c == twin and twin == c and hash(c) == hash(twin)
+            assert not _facts(replace(c)) and replace(c) == c
+            for copied in (pickle.loads(pickle.dumps(c)), copy.copy(c), copy.deepcopy(c)):
+                assert copied == c and not _facts(copied)
+                assert copied.outputs == outputs  # derived again, equal
+        assert det.outputs.names() == ("y1", "y2") and det.outputs.types() == (INT, BOOL)
+
+
 def _run(code: str, hash_seed: int, stdin: bytes = b"") -> bytes:
     env = {**os.environ, "PYTHONHASHSEED": str(hash_seed)}
     env["PYTHONPATH"] = os.pathsep.join(p for p in (SRC, env.get("PYTHONPATH")) if p)

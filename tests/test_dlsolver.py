@@ -154,6 +154,50 @@ class TestFragmentBoundary:
         assert verdicts(s) == ["unknown"]
 
 
+class TestRationalConstants:
+    """`rcrs` writes a real without an integer value as a quotient of two
+    constants, `(/ 1.0 2.0)` for 1/2; the solver reads it as one constant."""
+
+    def test_quotient_of_constants(self):
+        s = """
+        (declare-const x Real)(declare-const y Real)
+        (assert (= y (+ x (/ 1.0 2.0))))
+        (assert (< y x))
+        (check-sat)
+        """
+        assert verdicts(s) == ["unsat"]
+        assert verdicts("(declare-const y Real)(assert (< (- (/ 1.0 3.0)) y))(assert (< y 0.0))(check-sat)") == [
+            "sat"
+        ]
+
+    @pytest.mark.parametrize("quotient", ["(/ 1.0 0.0)", "(/ x 2.0)", "(/ 2.0 x)", "(/ 1.0 2.0 3.0)"])
+    def test_zero_divisor_or_variable_reads_unknown(self, quotient):
+        s = f"(declare-const x Real)(declare-const y Real)(assert (= y {quotient}))(check-sat)"
+        assert verdicts(s) == ["unknown"]
+
+    def test_integer_bounds_round_inward(self):
+        # no integer lies in [1/2, 1/2] or strictly between 1/3 and 2/3
+        assert verdicts("(assert (exists ((x Int)) (= (to_real x) (/ 1.0 2.0))))(check-sat)") == ["unsat"]
+        s = "(assert (exists ((x Int)) (and (< (/ 1.0 3.0) (to_real x)) (< (to_real x) (/ 2.0 3.0)))))(check-sat)"
+        assert verdicts(s) == ["unsat"]
+        s = "(assert (exists ((x Int)) (and (< (/ 1.0 3.0) (to_real x)) (< (to_real x) (/ 5.0 3.0)))))(check-sat)"
+        assert verdicts(s) == ["sat"]
+        assert verdicts("(declare-const x Int)(assert (= (to_real x) 0.5))(check-sat)") == ["unsat"]
+
+    def test_integer_between_real_bounds_reads_unknown(self):
+        # for y = 0 no integer lies strictly between y and y + 1; the real
+        # shadow y < y + 1 would say one always does
+        s = """
+        (declare-const y Real)
+        (assert (= y 0.0))
+        (assert (not (exists ((x Int)) (and (< y (to_real x)) (< (to_real x) (+ y 1.0))))))
+        (check-sat)
+        """
+        assert verdicts(s) == ["unknown"]
+        # one-sided bounds still eliminate: an integer lies above any real
+        assert verdicts("(declare-const y Real)(assert (exists ((x Int)) (>= (to_real x) y)))(check-sat)") == ["sat"]
+
+
 class TestIte:
     def test_ite_in_term(self):
         s = """
@@ -311,6 +355,30 @@ class TestMalformedScripts:
         monkeypatch.setattr(sys, "stdin", io.TextIOWrapper(io.BytesIO(stream.encode())))
         assert dlsolver.main() == 0
         assert capsys.readouterr() == (want, "")
+
+    # a command name, a declared constant or a sort name that is a list
+    NAME_LISTS = [
+        "(declare-const (x) Int)(check-sat)",
+        "(declare-datatypes ((())) (()))(check-sat)",
+        "(declare-datatypes (()) (()))(check-sat)",
+        "(declare-datatypes ((E 0)) ((((a)))))(check-sat)",
+        "(declare-datatypes E ((a)))(check-sat)",
+        "((x))(check-sat)",
+        "(assert (forall (((x) Int)) true))(check-sat)",
+    ]
+
+    @pytest.mark.parametrize("script", NAME_LISTS)
+    def test_a_name_that_is_not_a_symbol_reads_unknown(self, script):
+        assert run(script) == ["unknown"]
+
+    @pytest.mark.parametrize("script", NAME_LISTS[:2])
+    def test_stream_with_a_name_that_is_not_a_symbol(self, monkeypatch, capsys, script):
+        import io
+
+        stream = script + "(reset)(assert true)(check-sat)"
+        monkeypatch.setattr(sys, "stdin", io.TextIOWrapper(io.BytesIO(stream.encode())))
+        assert dlsolver.main() == 0
+        assert capsys.readouterr() == ("unknown\nsat\n", "")
 
     def test_unbalanced_script_through_the_executable(self):
         proc = subprocess.run(
