@@ -35,7 +35,6 @@ from .components import (
     field_values,
     numbered,
     rename_slots,
-    wf,
 )
 from .compose import atomic
 from .errors import (
@@ -48,7 +47,6 @@ from .errors import (
     SolverFailure,
     SoundnessError,
     TemporalFragment,
-    WfError,
 )
 from .formulas import (
     And,
@@ -833,13 +831,9 @@ def _transition_validity(a: AtomicComponent, dom: Optional[FiniteDomain], horizo
 
 
 def check_compat(c1, c2, dom: FiniteDomain = None) -> CheckResult:
-    """Compatible when the serial composition is valid."""
-    c1, c2 = as_component(c1), as_component(c2)
-    composed = Serial(c1, c2)
-    res = wf(composed)
-    if not res:
-        raise WfError(res.reason)
-    return is_valid(composed, dom)
+    """Compatible when the serial composition is valid; an ill-formed one
+    raises WfError (see atomic)."""
+    return is_valid(Serial(as_component(c1), as_component(c2)), dom)
 
 
 def is_input_receptive(c, dom: FiniteDomain = None, expand: Expansion = Expansion()) -> CheckResult:
@@ -877,7 +871,7 @@ def _canonical_pair(a: AtomicComponent, b: AtomicComponent, k: Kind):
     return first, (first if b is a else canonical(b))
 
 
-def _step_legality(c: AtomicComponent, step: Formula, svars, ys, gen: NameGen = None) -> Formula:
+def _step_legality(c: AtomicComponent, step: Formula, svars, ys, gen: NameGen) -> Formula:
     """`exists s', y. step`: the legality of one step of a canonical side
     whose atomic form is c, with svars its states and ys its outputs.
 
@@ -915,14 +909,8 @@ def refine_vc(abstract, concrete) -> list[Vc]:
     if aa.outputs.types() != ac.outputs.types():
         raise SignatureMismatch("output signatures differ")
     k = join_kind(aa.kind(), ac.kind())
-    if k in (Kind.STATELESS_DET, Kind.STATELESS):
-        a, b = _canonical_pair(aa, ac, Kind.STATELESS)
-        ys = list(a.outputs.vars())
-        ex_a = _step_legality(aa, a.io, (), ys)
-        ex_b = _step_legality(ac, b.io, (), ys)
-        goal = simplify(And(Implies(ex_a, ex_b), Implies(And(ex_a, b.io), a.io)))
-        return [make_vc(goal, "stateless refinement (sound and complete)")]
-    if k in (Kind.DET, Kind.STS):
+    if k != Kind.QLTL:
+        # a stateless pair is a pair of transition systems without states
         a, b = _canonical_pair(aa, ac, Kind.STS)
         if a.states.types() == b.states.types():
             gen = NameGen([v.name for v in a.all_vars()] + [v.name for v in b.all_vars()])
@@ -933,6 +921,8 @@ def refine_vc(abstract, concrete) -> list[Vc]:
             goal = simplify(
                 conj([Implies(b.init, a.init), Implies(ex_a, ex_b), Implies(And(ex_a, b.trs), a.trs)])
             )
+            if k in (Kind.STATELESS_DET, Kind.STATELESS):
+                return [make_vc(goal, "stateless refinement (sound and complete)")]
             return [make_vc(goal, "transition-system refinement (sufficient only)", sufficient_only=True)]
     a, b = _canonical_pair(aa, ac, Kind.QLTL)
     ys = list(a.outputs.vars())

@@ -28,7 +28,7 @@ from .analysis import (
     legal_formula,
     refine_vc,
 )
-from .components import Atomic, Kind, Sts, as_component, field_values, sigma_in, sigma_out
+from .components import Atomic, Kind, Sts, as_component, check_wf, field_values, sigma_in, sigma_out
 from .compose import atomic, oi
 from .errors import (
     AlgebraicLoop,
@@ -353,6 +353,7 @@ def _dispatch(args, report: Report) -> int:
         bindings, order = _load(args.file)
         target, name = _pick(bindings, order, args.target)
         dom = _domains(args.domains)
+        check_wf(target)
         trace = _parse_traces(args.input, sigma_in(target))
         if args.horizon is not None:
             trace = trace[: args.horizon]

@@ -8,7 +8,7 @@ import itertools
 from dataclasses import dataclass, fields, replace
 from typing import ClassVar, Iterable, Iterator, Optional
 
-from .errors import EmptyFeedbackSignature, PrimedInTemporal, TypeMismatch
+from .errors import EmptyFeedbackSignature, PrimedInTemporal, TypeMismatch, WfError
 from .formulas import (
     Exists,
     Forall,
@@ -300,38 +300,81 @@ def subterms(c: Component, path=()) -> Iterable[tuple[tuple, Component]]:
         yield from subterms(c.child, path + ("child",))
 
 
-def sigma_in(c: Component) -> Signature:
-    """Input signature, computed per the structural recursion; composite
-    signatures carry generated slot names."""
-    return _sigma(c, "inputs")
-
-
-def sigma_out(c: Component) -> Signature:
-    return _sigma(c, "outputs")
-
-
-def _sigma(c: Component, side: str) -> Signature:
-    """The inputs or outputs signature; the two sides mirror each other, a
-    serial composition taking its inputs from the left and its outputs from
-    the right."""
+def shape(c) -> tuple:
+    """(inputs, outputs, failure) of a component term, derived children first
+    and kept on composite nodes.  A side is an atom's own signature where the
+    recursion passes one through, else the generated slot types, which
+    sigma_in and sigma_out name x0.. and y0..; or, for a feedback over a
+    child with no slot on that side, the message of EmptyFeedbackSignature.
+    The failure is the first reason, children first, why the term is not
+    well-formed (serial stages agree positionally on types, feedback loops a
+    slot of matching non-unit type), or None."""
     c = as_component(c)
     if isinstance(c, Atomic):
-        return getattr(c.atom, side)
-    if isinstance(c, Serial):
-        return _sigma(c.left if side == "inputs" else c.right, side)
-    prefix = "x" if side == "inputs" else "y"
-    if isinstance(c, Parallel):
-        return _generated(prefix, _sigma(c.left, side).types() + _sigma(c.right, side).types())
+        return c.atom.inputs, c.atom.outputs, None
+    kept = c.__dict__.get("_shape")
+    if kept is None:
+        kept = c.__dict__["_shape"] = _shape(c)
+    return kept
+
+
+def _shape(c: Component) -> tuple:
     if isinstance(c, Fdbk):
-        inner = _sigma(c.child, side)
-        if len(inner) == 0:
-            raise EmptyFeedbackSignature(f"feedback child has no {side[:-1]} slot")
-        return _generated(prefix, inner.types()[1:])
-    raise TypeError(f"not a component: {c!r}")
+        ins, outs, bad = shape(c.child)
+        if bad is None and not (ins and outs):
+            bad = "feedback child lacks an input or output slot"
+        elif bad is None:
+            a, b = _types(ins)[0], _types(outs)[0]
+            if a != b:
+                bad = f"feedback type mismatch: first input {a.short()} vs first output {b.short()}"
+            elif isinstance(a, UnitType):
+                bad = "feedback over a unit-typed slot is rejected"
+        return _generated(ins, looped="input"), _generated(outs, looped="output"), bad
+    (ins, mid, bad), (mid2, outs, bad2) = shape(c.left), shape(c.right)
+    bad = bad or bad2
+    if isinstance(c, Parallel):
+        return _generated(ins, mid2), _generated(mid, outs), bad
+    if bad is None and len(mid) != len(mid2):
+        bad = f"serial arity mismatch: {len(mid)} outputs vs {len(mid2)} inputs"
+    elif bad is None:
+        slots = enumerate(zip(_types(mid), _types(mid2)), start=1)
+        bad = next(
+            (f"serial type mismatch at slot {i}: {a.short()} vs {b.short()}" for i, (a, b) in slots if a != b), None
+        )
+    return ins, outs, bad
 
 
-def _generated(prefix: str, tys: tuple[SemType, ...]) -> Signature:
-    return Signature(tuple(Var(f"{prefix}{i}", t) for i, t in enumerate(tys)))
+def _types(side: Signature | tuple) -> tuple:
+    return side.types() if isinstance(side, Signature) else side
+
+
+def _generated(*sides, looped: str = "") -> tuple | str:
+    """The slot types of the sides, less the first when it is looped back;
+    or the first side that is a message, or one for a looped empty side."""
+    for side in sides:
+        if isinstance(side, str):
+            return side
+    tys = tuple(t for side in sides for t in _types(side))
+    if looped and not tys:
+        return f"feedback child has no {looped} slot"
+    return tys[1:] if looped else tys
+
+
+def _side(side: Signature | tuple | str, prefix: str) -> Signature:
+    if isinstance(side, str):
+        raise EmptyFeedbackSignature(side)
+    if isinstance(side, Signature):
+        return side
+    return Signature(tuple(Var(f"{prefix}{i}", t) for i, t in enumerate(side)))
+
+
+def sigma_in(c) -> Signature:
+    """Input signature, computed per the structural recursion (see shape)."""
+    return _side(shape(c)[0], "x")
+
+
+def sigma_out(c) -> Signature:
+    return _side(shape(c)[1], "y")
 
 
 @dataclass(frozen=True)
@@ -343,58 +386,16 @@ class WfResult:
         return self.ok
 
 
-def wf(c: Component) -> WfResult:
-    """Well-formedness: serial stages agree positionally on types, feedback
-    loops a slot of matching non-unit type."""
-    c = as_component(c)
-    if isinstance(c, Atomic):
-        return WfResult(True)
-    if isinstance(c, Serial):
-        for part in (c.left, c.right):
-            r = wf(part)
-            if not r:
-                return r
-        left_out = sigma_out(c.left).types()
-        right_in = sigma_in(c.right).types()
-        if len(left_out) != len(right_in):
-            return WfResult(
-                False,
-                f"serial arity mismatch: {len(left_out)} outputs vs {len(right_in)} inputs",
-            )
-        for i, (a, b) in enumerate(zip(left_out, right_in)):
-            if a != b:
-                return WfResult(
-                    False,
-                    f"serial type mismatch at slot {i + 1}: {a.short()} vs {b.short()}",
-                )
-        return WfResult(True)
-    if isinstance(c, Parallel):
-        for part in (c.left, c.right):
-            r = wf(part)
-            if not r:
-                return r
-        return WfResult(True)
-    if isinstance(c, Fdbk):
-        r = wf(c.child)
-        if not r:
-            return r
-        try:
-            ins = sigma_in(c.child)
-            outs = sigma_out(c.child)
-        except EmptyFeedbackSignature as e:
-            return WfResult(False, str(e))
-        if len(ins) == 0 or len(outs) == 0:
-            return WfResult(False, "feedback child lacks an input or output slot")
-        if ins.types()[0] != outs.types()[0]:
-            return WfResult(
-                False,
-                f"feedback type mismatch: first input {ins.types()[0].short()} "
-                f"vs first output {outs.types()[0].short()}",
-            )
-        if isinstance(ins.types()[0], UnitType):
-            return WfResult(False, "feedback over a unit-typed slot is rejected")
-        return WfResult(True)
-    raise TypeError(f"not a component: {c!r}")
+def wf(c) -> WfResult:
+    """Well-formedness (see shape)."""
+    reason = shape(c)[2]
+    return WfResult(reason is None, reason)
+
+
+def check_wf(c) -> None:
+    """Raise WfError with the reason why c is not well-formed, if it is not."""
+    if (reason := shape(c)[2]) is not None:
+        raise WfError(reason)
 
 
 # --- alpha normalization ----------------------------------------------------

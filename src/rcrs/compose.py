@@ -9,7 +9,6 @@ from .components import (
     SIGNATURE_FIELDS,
     Atomic,
     AtomicComponent,
-    Component,
     Det,
     Fdbk,
     Kind,
@@ -23,20 +22,18 @@ from .components import (
     Sts,
     as_component,
     binders,
+    check_wf,
     field_values,
     numbered,
     rename_slots,
-    sigma_in,
-    sigma_out,
-    subterms,
-    wf,
+    shape,
 )
 from .errors import (
+    EmptyFeedbackSignature,
     FeedbackOnNonDecomposable,
     KindError,
     NotDecomposable,
     NotDeterministic,
-    WfError,
 )
 from .formulas import (
     And,
@@ -71,9 +68,7 @@ def serial(l: AtomicComponent, r: AtomicComponent) -> AtomicComponent:
     first, then the same-kind formula applies.  Deterministic operands are
     composed by one substitution into r (see _serial_det); the other kinds
     rename both operands apart first."""
-    res = wf(Serial(Atomic(l), Atomic(r)))
-    if not res:
-        raise WfError(res.reason)
+    check_wf(Serial(Atomic(l), Atomic(r)))
     return _serial(l, r)
 
 
@@ -204,72 +199,75 @@ def feedback(c: AtomicComponent) -> AtomicComponent:
     return StatelessDet(ins, inpt, out)
 
 
+def _deps(c):
+    """(oi, loop_free) of a term whose atoms are all deterministic, derived
+    children first and kept on the node, or None; the message of the
+    EmptyFeedbackSignature that `oi` or `loop_free` raises stands in place of
+    its value.  Loop-freeness is decided by the first feedback in pre-order
+    that fails or closes a same-step dependency."""
+    c = as_component(c)
+    d = c.__dict__
+    if "_deps" in d:
+        return d["_deps"]
+    deps = None
+    if isinstance(c, Atomic):
+        if isinstance(c.atom, (Det, StatelessDet)):
+            xs = list(enumerate(c.atom.inputs, start=1))
+            refs = enumerate((free_refs(e)[0] for e in c.atom.out), start=1)
+            deps = frozenset((i, j) for i, plain in refs for j, x in xs if x in plain), True
+    elif isinstance(c, Fdbk) and (child := _deps(c.child)):
+        rel, free = child
+        ins, outs, _ = shape(c.child)
+        looped = _failed(rel, outs, ins) or frozenset(
+            (i, j)
+            for i in range(1, len(outs))
+            for j in range(1, len(ins))
+            if (i + 1, j + 1) in rel or ((i + 1, 1) in rel and (1, j + 1) in rel)
+        )
+        # this feedback answers loop-freeness before the ones inside it
+        if isinstance(rel, str):
+            free = rel
+        elif (1, 1) in rel:
+            free = False
+        deps = looped, free
+    elif isinstance(c, (Serial, Parallel)) and (left := _deps(c.left)) and (right := _deps(c.right)):
+        (rel, free), (rel2, free2) = left, right
+        if isinstance(c, Serial):
+            joined = _failed(rel, rel2) or frozenset((i, j) for (i, k) in rel2 for (k2, j) in rel if k == k2)
+        else:
+            ins, outs, _ = shape(c.left)
+            joined = _failed(rel, rel2, ins, outs) or rel | {(i + len(outs), j + len(ins)) for (i, j) in rel2}
+        deps = joined, free2 if free is True else free  # the left's feedback nodes come first
+    d["_deps"] = deps
+    return deps
+
+
+def _failed(*values):
+    return next((v for v in values if isinstance(v, str)), None)
+
+
 def determ(c) -> bool:
     """True when every atomic leaf is deterministic."""
-    return all(
-        isinstance(as_component(s).atom, (Det, StatelessDet))
-        for _, s in subterms(as_component(c))
-        if not isinstance(s, (Serial, Parallel, Fdbk))
-    )
+    return _deps(c) is not None
 
 
-OIRelation = frozenset
+def _dep(c, i: int, what: str):
+    deps = _deps(c)
+    if deps is None:
+        raise NotDeterministic(f"{what} is defined for deterministic components")
+    if isinstance(deps[i], str):
+        raise EmptyFeedbackSignature(deps[i])
+    return deps[i]
 
 
-def oi(c) -> OIRelation:
+def oi(c) -> frozenset:
     """Output-input dependency relation, 1-based positional indices."""
-    c = as_component(c)
-    if not determ(c):
-        raise NotDeterministic("the dependency relation is defined for deterministic components")
-    return _oi(c)
-
-
-def _oi(c) -> frozenset:
-    c = as_component(c)
-    if isinstance(c, Atomic):
-        a = c.atom
-        xs = a.inputs.vars()
-        pairs = set()
-        for i, e in enumerate(a.out, start=1):
-            plain, _, _ = free_refs(e)
-            for j, x in enumerate(xs, start=1):
-                if x in plain:
-                    pairs.add((i, j))
-        return frozenset(pairs)
-    if isinstance(c, Serial):
-        left, right = _oi(c.left), _oi(c.right)
-        return frozenset(
-            (i, j) for (i, k) in right for (k2, j) in left if k == k2
-        )
-    if isinstance(c, Parallel):
-        left, right = _oi(c.left), _oi(c.right)
-        n = len(sigma_in(c.left))
-        m = len(sigma_out(c.left))
-        return frozenset(left | {(i + m, j + n) for (i, j) in right})
-    if isinstance(c, Fdbk):
-        inner = _oi(c.child)
-        m = len(sigma_out(c.child)) - 1
-        n = len(sigma_in(c.child)) - 1
-        return frozenset(
-            (i, j)
-            for i in range(1, m + 1)
-            for j in range(1, n + 1)
-            if (i + 1, j + 1) in inner
-            or ((i + 1, 1) in inner and (1, j + 1) in inner)
-        )
-    raise TypeError(f"not a component: {c!r}")
+    return _dep(c, 0, "the dependency relation")
 
 
 def loop_free(c) -> bool:
     """True when no feedback loop closes a same-step dependency."""
-    c = as_component(c)
-    if not determ(c):
-        raise NotDeterministic("loop-freeness is defined for deterministic components")
-    return _loop_free(c)
-
-
-def _loop_free(c: Component) -> bool:
-    return all((1, 1) not in _oi(s.child) for _, s in subterms(c) if isinstance(s, Fdbk))
+    return _dep(c, 1, "loop-freeness")
 
 
 def atomic(c) -> AtomicComponent:
@@ -284,9 +282,7 @@ def atomic(c) -> AtomicComponent:
     d = c.__dict__
     a = d.get("_atomic")
     if a is None:
-        res = wf(c)
-        if not res:
-            raise WfError(res.reason)
+        check_wf(c)
         a = d["_atomic"] = _atomic(c, ())
     return a
 

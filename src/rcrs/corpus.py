@@ -21,8 +21,9 @@ from .components import (
     sigma_in,
     sigma_out,
     sig,
+    wf,
 )
-from .compose import determ, loop_free, wf
+from .compose import determ, loop_free
 from .errors import NotDeterministic
 from .formulas import And, FALSEC, Formula, Not, Or, TRUEC, atom, conj, disj, eq
 from .oracle import FiniteDomain

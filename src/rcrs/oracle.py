@@ -28,6 +28,7 @@ from .components import (
     StatelessDet,
     Sts,
     as_component,
+    check_wf,
     sigma_in,
     sigma_out,
 )
@@ -656,8 +657,9 @@ def explore(c, dom: FiniteDomain, horizon: int):
     input.  Each pair is stepped once, in `behavior`'s order and after the
     cap on the number of traces, so the first error is the one `behavior`
     would raise; a (configuration set, steps left) pair is walked once, as
-    below it nothing is new."""
+    below it nothing is new.  An ill-formed c raises WfError first."""
     c = as_component(c)
+    check_wf(c)
     node = _stepper(c, dom)
     in_sig = sigma_in(c)
     inputs = dom.tuples(in_sig)
@@ -798,9 +800,11 @@ class IllegalAt:
 def exec_det(c, input_trace: Trace, dom: FiniteDomain = None):
     """Run a deterministic loop-free composite on a finite input trace.
 
-    Returns the output trace (steps x slots) or IllegalAt(step).
+    Returns the output trace (steps x slots) or IllegalAt(step).  An
+    ill-formed c raises WfError first.
     """
     c = as_component(c)
+    check_wf(c)
     if not determ(c):
         raise NotDeterministic("execution needs deterministic atoms")
     if not loop_free(c):

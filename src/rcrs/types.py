@@ -111,12 +111,14 @@ class Memo:
     """Base of the immutable values that keep facts derived from their fields
     on themselves: variables, terms and formulas their hash, terms and
     formulas their free references, terms their type, simplified formulas
-    their fixed-point mark, an And its conjunct set and clash flag, component
-    terms their atomic form, deterministic atomic components their derived
-    output signature.  Each fact is computed at most once per value
-    and stored in the instance dict under a name that starts with an
-    underscore; it is not a field, so repr, ==, fields() and replace() do not
-    see it.
+    their fixed-point mark, an And its conjunct set and clash flag, composite
+    component terms their shape (signatures and well-formedness, see
+    components.shape), component terms their dependency facts (output-input
+    dependency and loop-freeness, see compose._deps) and their atomic form,
+    deterministic atomic components their derived output signature.  Each
+    fact is computed at most once per value and stored in the instance dict
+    under a name that starts with an underscore; it is not a field, so repr,
+    ==, fields() and replace() do not see it.
 
     Facts never leave the process.  A hash depends on the process's hash
     seed, so pickling and copying drop every fact."""

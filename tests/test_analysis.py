@@ -47,6 +47,7 @@ from rcrs.formulas import (
     atom,
     eq,
 )
+from rcrs.lattice import stateless_det2det
 from rcrs.oracle import (
     Expansion,
     FiniteDomain,
@@ -358,7 +359,14 @@ class TestRefineVc:
     def test_sufficient_only_field(self, unit_delay, add_block):
         (sts_vc,) = refine_vc(Atomic(unit_delay), Atomic(unit_delay))
         assert sts_vc.sufficient_only
-        assert not any(vc.sufficient_only for vc in refine_vc(Atomic(add_block), Atomic(add_block)))
+        (stateless_vc,) = refine_vc(Atomic(add_block), Atomic(add_block))
+        assert not stateless_vc.sufficient_only
+        assert stateless_vc.provenance == "stateless refinement (sound and complete)"
+        # a det without states is still judged as a transition system
+        zero = Atomic(stateless_det2det(add_block))
+        (zero_vc,) = refine_vc(zero, zero)
+        assert zero_vc.sufficient_only
+        assert zero_vc.provenance == "transition-system refinement (sufficient only)"
 
 
 class TestCheckRefines:

@@ -26,6 +26,12 @@ component Spec = stateless((x:int), (y:int), x >= 0 && y >= x)
 component Impl = stateless((x:int), (y:int), x <= y && y <= x + 10)
 """
 
+# B takes one input where A gives two outputs
+ILL_FORMED_RCRS = """
+component A = stateless_det((x:int), true, (x, x))
+component B = stateless_det((u:int), true, (u * 2))
+"""
+
 
 @pytest.fixture
 def sum_file(tmp_path):
@@ -151,6 +157,27 @@ class TestSimulate:
         )
         assert code == 3
         assert err.count("\n") == 1 and err.startswith("error: ") and "zz" in err
+
+    @pytest.mark.parametrize(
+        "argv", [("simulate", "{}", "--input", "x:1,2,3"), ("check", "valid", "{}"), ("simplify", "{}")]
+    )
+    @pytest.mark.parametrize(
+        "term, reason",
+        [
+            ("A ; B", "serial arity mismatch: 2 outputs vs 1 inputs"),
+            ("fdbk(stateless_det((), true, (1)))", "feedback child lacks an input or output slot"),
+            ("fdbk(A ; B)", "serial arity mismatch: 2 outputs vs 1 inputs"),
+        ],
+    )
+    def test_ill_formed_composite_exit_3(self, capsys, tmp_path, argv, term, reason):
+        # every command checks well-formedness first, simulate before it
+        # reads the traces or steps the term
+        p = tmp_path / "c.rcrs"
+        p.write_text(ILL_FORMED_RCRS + f"component C = {term}\n")
+        code, out, err = run_cli(capsys, *(a.format(p) for a in argv), "--target", "C")
+        assert code == 3
+        assert err == f"error: {reason}\n"
+        assert "y0" not in report_dict(out)
 
     def test_negative_horizon_exit_3(self, capsys, sum_file):
         code, _, _ = run_cli(

@@ -13,13 +13,16 @@
   binder.
 
 It was computed before a deterministic serial step became one substitution
-and identity renamings returned their component.  Regenerate it only for a
-deliberate change of composition, with
-`python tests/test_compose_golden.py --write`.
+and identity renamings returned their component.  `tests/data/legal_golden.json`
+pins `formula_text(legal_formula(a))` of each atomic form `a` pinned there;
+it was computed before the shape and dependency facts were kept on component
+terms.  Regenerate both only for a deliberate change of composition or of
+legal-input formulas, with `python tests/test_compose_golden.py --write`.
 """
 
 from __future__ import annotations
 
+import contextlib
 import json
 import random
 import sys
@@ -27,15 +30,17 @@ from pathlib import Path
 
 import pytest
 
+from rcrs.analysis import legal_formula
 from rcrs.components import Parallel, Serial, wf
 from rcrs.compose import atomic
 from rcrs.corpus import random_det_composite
 from rcrs.diagrams import load_diagram, translate
 from rcrs.errors import RcrsError
-from rcrs.syntax import parse_rcrs, print_component
+from rcrs.syntax import formula_text, parse_rcrs, print_component
 
 DATA = Path(__file__).parent / "data"
 GOLDEN = DATA / "compose_golden.json"
+LEGAL = DATA / "legal_golden.json"
 SEEDS = range(200)
 
 QUANTIFIED = """\
@@ -81,13 +86,24 @@ def _definitions():
     yield "diagrams", {p.name: translate(load_diagram(p.read_text())) for p in diagrams}
 
 
-def golden_entries():
-    entries = [
-        [f"random {s}", _atomic_text(random_det_composite(random.Random(s), 12, 2))] for s in SEEDS
-    ]
+def _cases():
+    for s in SEEDS:
+        yield f"random {s}", random_det_composite(random.Random(s), 12, 2)
     for source, defs in _definitions():
-        entries += [[f"{source} {name}", _atomic_text(c)] for name, c in defs.items()]
-        entries += [[f"{source} {label}", _atomic_text(c)] for label, c in _pairs(defs)]
+        yield from ((f"{source} {name}", c) for name, c in defs.items())
+        yield from ((f"{source} {label}", c) for label, c in _pairs(defs))
+
+
+def golden_entries():
+    return [[label, _atomic_text(c)] for label, c in _cases()]
+
+
+def legal_entries():
+    """The printed legal-input formula of each atomic form pinned."""
+    entries = []
+    for label, c in _cases():
+        with contextlib.suppress(RcrsError):
+            entries.append([label, formula_text(legal_formula(atomic(c)))])
     return entries
 
 
@@ -124,7 +140,19 @@ def test_pinned_set_reaches_each_path(pinned):
     assert any(t.startswith("error") for t in texts.values())
 
 
+def test_legal_formulas_are_pinned():
+    pinned = json.loads(LEGAL.read_text())
+    got = legal_entries()
+    assert [label for label, _ in got] == [label for label, _ in pinned]
+    for (label, text), (_, want) in zip(got, pinned):
+        assert text == want, label
+    texts = dict(pinned)
+    assert sum(label.startswith("random") for label in texts) == len(SEEDS)
+    assert any(t.startswith("forall") and "@" in t for t in texts.values())  # a det chain
+
+
 if __name__ == "__main__":
     if sys.argv[1:] != ["--write"]:
         raise SystemExit("usage: python tests/test_compose_golden.py --write")
     GOLDEN.write_text(dumps(golden_entries()))
+    LEGAL.write_text(dumps(legal_entries()))

@@ -1,7 +1,8 @@
 """Facts a node derives from its fields and keeps on itself: the hash of
 variables, terms and formulas, the free references of terms and formulas, the
-type of terms and the atomic form of composite components.  Keeping them must
-change nothing that can be observed, and they must never leave the process."""
+type of terms, and the shape, dependency facts and atomic form of composite
+components.  Keeping them must change nothing that can be observed, and they
+must never leave the process."""
 
 import copy
 import os
@@ -51,6 +52,11 @@ x, y, s = (Var(n, INT) for n in "xys")
 
 def _facts(node) -> set:
     return {k for k in vars(node) if k.startswith("_")}
+
+
+# what a component term keeps of its signatures, well-formedness and
+# dependency relation
+SHAPE_FACTS = {"_shape", "_deps"}
 
 
 def _one_of_each():
@@ -207,7 +213,10 @@ class TestAtomicForm:
         kept = atomic(inner)
         outer = Serial(inner, ident)
         assert atomic(outer) == atomic(copy.deepcopy(outer))
-        assert atomic(inner) is kept and _facts(outer) == {"_atomic"}
+        # besides the shape and dependency facts (see components.shape),
+        # outer keeps its atomic form, and its atomic child keeps no form
+        assert atomic(inner) is kept and _facts(outer) - SHAPE_FACTS == {"_atomic"}
+        assert not _facts(ident) - SHAPE_FACTS
 
     def test_failure_is_raised_again_with_its_path(self, add_block):
         ident = Atomic(StatelessDet(sig(("x", INT)), TRUEC, (var("x", INT),)))
@@ -220,7 +229,8 @@ class TestAtomicForm:
             errors.append(err.value)
         assert [e.path for e in errors] == [("left", "right"), ("left", "right")]
         assert str(errors[0]) == str(errors[1])
-        assert not _facts(bad) and not _facts(bad.left)
+        # no failure is kept: the shape only, which atomic reads first
+        assert not _facts(bad) - SHAPE_FACTS and not _facts(bad.left) - SHAPE_FACTS
 
 
 class TestDerivedOutputs:

@@ -20,6 +20,7 @@ from rcrs.errors import (
     NotDeterministic,
     NotLoopFree,
     SignatureMismatch,
+    WfError,
 )
 from rcrs.formulas import (
     And,
@@ -202,6 +203,54 @@ class TestExecDet:
         split = StatelessDet(sig(("v", INT)), TRUEC, (var("v", INT), var("v", INT)))
         outer = Fdbk(Serial(inner, Atomic(split)))
         assert exec_det(outer, ((),) * 2) == ((5,), (5,))
+
+
+class TestIllFormedTerms:
+    """Each bounded check raises the reason a term is not well-formed before
+    it steps the term."""
+
+    @staticmethod
+    def _serial(*stages):
+        from rcrs.components import StatelessDet
+
+        split = StatelessDet(sig(("x", INT)), TRUEC, (var("x", INT), var("x", INT)))
+        double = StatelessDet(sig(("u", INT)), TRUEC, (add(var("u", INT), var("u", INT)),))
+        flag = StatelessDet(sig(("b", BOOL)), TRUEC, (var("b", BOOL),))
+        atoms = {"split": split, "double": double, "flag": flag}
+        left, right = (Atomic(atoms[name]) for name in stages)
+        return Serial(left, right)
+
+    CHECKS = {
+        "exec_det": lambda c, dom: exec_det(c, ((True,),), dom),
+        "explore": lambda c, dom: oracle.explore(c, dom, 2),
+        "behavior": lambda c, dom: behavior(c, dom, 2),
+        "legal_lasso": lambda c, dom: legal_lasso(c, dom, 2),
+        "bounded_refute_refinement": lambda c, dom: bounded_refute_refinement(c, c, dom, 2),
+        "bounded_equiv": lambda c, dom: bounded_equiv(c, c, dom, 2),
+    }
+
+    @pytest.mark.parametrize("check", CHECKS)
+    def test_bool_output_into_int_input(self, check):
+        # the first stage's bool output feeds the second's int input
+        mistyped = self._serial("flag", "double")
+        with pytest.raises(WfError, match="^serial type mismatch at slot 1: bool vs int$"):
+            self.CHECKS[check](mistyped, FiniteDomain({"int": (0, 1)}))
+
+    def test_arity_mismatch(self):
+        c = self._serial("split", "double")
+        reason = "^serial arity mismatch: 2 outputs vs 1 inputs$"
+        with pytest.raises(WfError, match=reason):
+            exec_det(c, ((1,), (2,)))
+        with pytest.raises(WfError, match=reason):
+            exec_det(Fdbk(c), ((),))
+
+    def test_feedback_over_no_input_slot(self):
+        from rcrs.components import StatelessDet
+
+        c = Fdbk(Atomic(StatelessDet(sig(), TRUEC, (intc(1),))))
+        for check in (lambda: exec_det(c, ((),)), lambda: behavior(c, FiniteDomain(), 1)):
+            with pytest.raises(WfError, match="^feedback child lacks an input or output slot$"):
+                check()
 
 
 class TestBoundedEquiv:
