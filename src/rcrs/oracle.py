@@ -528,7 +528,7 @@ class _DetAtom(_Stepper):
     def __init__(self, a: AtomicComponent, dom: FiniteDomain = None):
         self.head, det = (_Step(dom),), isinstance(a, Det)
         slots = (a.states.vars() if det else ()) + a.inputs.vars()
-        self.init = [tuple(_compile(t, _Step)(self.head, 0) for t in a.init_vals)] if det else [()]
+        self.init = [tuple(_program(t, _Step, ())(self.head, 0) for t in a.init_vals)] if det else [()]
         self.next = [_program(t, _Step, slots) for t in a.next] if det else None
         self.inpt = _program(a.inpt, _Step, slots)
         self.out = [_program(t, _Step, slots) for t in a.out]
@@ -775,15 +775,15 @@ def legal_lasso(c, dom: FiniteDomain, horizon: int):
 
 
 def bounded_rel(c, dom: FiniteDomain, horizon: int):
-    """Exhaustive relation of a transition-system-family atomic component:
-    the full-run input/output pairs and the illegal input prefixes."""
-    if isinstance(c, Atomic):
-        c = c.atom
-    if isinstance(c, Qltl):
+    """Exhaustive relation of a component term whose atoms are of the
+    transition-system family: the full-run input/output pairs and the illegal
+    input prefixes."""
+    c = as_component(c)
+    if isinstance(c, Atomic) and isinstance(c.atom, Qltl):
         raise KindError("temporal components have no stepwise bounded relation")
     if horizon < 1:
         raise DomainNotFinite("horizon must be at least 1")
-    beh = behavior(Atomic(c), dom, horizon)
+    beh = behavior(c, dom, horizon)
     pairs = set()
     for trace in dom.traces(beh.in_sig, horizon):
         if beh.first_illegal(trace) is None:
@@ -932,8 +932,10 @@ def bounded_equiv(c1, c2, dom: FiniteDomain, horizon: int) -> EquivResult:
     counterexample is the first failing trace in the order of `dom.traces`.
     Each side's graph (see explore) is built whole, side 1 first, so a
     component that raises in `behavior` raises here, even when a difference
-    shows early."""
+    shows early.  An ill-formed side raises WfError first."""
     c1, c2 = as_component(c1), as_component(c2)
+    check_wf(c1)
+    check_wf(c2)
     in1, in2 = sigma_in(c1), sigma_in(c2)
     if in1.types() != in2.types() or sigma_out(c1).types() != sigma_out(c2).types():
         return EquivResult(False, None, "signature mismatch")
@@ -953,8 +955,11 @@ def bounded_refute_refinement(abstract, concrete, dom: FiniteDomain, horizon: in
     `refine_vc`).  The witness is the first failing trace in the order of
     `dom.traces`.  Each side's graph (see explore) is built whole, the
     abstract side first, even when a refutation shows early.  The bounded
-    method can only refute, never prove."""
+    method can only refute, never prove.  An ill-formed side raises WfError
+    first."""
     abstract, concrete = as_component(abstract), as_component(concrete)
+    check_wf(abstract)
+    check_wf(concrete)
     in_sig = sigma_in(abstract)
     if in_sig.types() != sigma_in(concrete).types():
         raise SignatureMismatch("input signatures differ")
@@ -984,8 +989,9 @@ def bounded_hoare(
 ) -> CheckResult:
     """Refute a Hoare triple on bounded traces: an input satisfying the
     precondition that is illegal or can produce an output violating the
-    postcondition."""
+    postcondition.  An ill-formed c raises WfError first."""
     c = as_component(c)
+    check_wf(c)
     in_sig = sigma_in(c)
     names = in_sig.names()
     beh = behavior(c, dom, horizon)

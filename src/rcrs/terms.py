@@ -8,7 +8,7 @@ from fractions import Fraction
 from typing import Union
 
 from .errors import TypeMismatch
-from .types import BOOL, INT, REAL, Memo, SemType, Var, base_type, is_numeric, keep_hash
+from .types import BOOL, INT, REAL, Memo, SemType, Var, base_type, intern, is_numeric, keep_hash
 
 Value = Union[bool, int, Fraction, float, str, tuple]
 
@@ -17,16 +17,30 @@ class Term(Memo):
     pass
 
 
-@dataclass(frozen=True)
+def _ref(cls, var: Var):
+    # one reference of each class per variable (see types.Var), so its kept
+    # facts are computed once per variable
+    return cls._table.get(var) or intern(cls, var, var=var)
+
+
+def _reduce_ref(ref):
+    return type(ref), (ref.var,)
+
+
+@dataclass(frozen=True, eq=False, init=False)
 class VarRef(Term):
     var: Var
+    _table = {}
+    __new__, __reduce__ = _ref, _reduce_ref
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False, init=False)
 class PrimedRef(Term):
     """Next-state occurrence of a state variable inside a transition formula."""
 
     var: Var
+    _table = {}
+    __new__, __reduce__ = _ref, _reduce_ref
 
 
 @dataclass(frozen=True)
@@ -48,7 +62,7 @@ class App(Term):
     args: tuple[Term, ...]
 
 
-keep_hash(*Term.__subclasses__())
+keep_hash(NextRef, Const, App)
 
 TRUE = Const(True, BOOL)
 FALSE = Const(False, BOOL)

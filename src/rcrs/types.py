@@ -109,19 +109,20 @@ def is_value(value, ty: SemType) -> bool:
 
 class Memo:
     """Base of the immutable values that keep facts derived from their fields
-    on themselves: variables, terms and formulas their hash, terms and
-    formulas their free references, terms their type, simplified formulas
-    their fixed-point mark, an And its conjunct set and clash flag, composite
-    component terms their shape (signatures and well-formedness, see
-    components.shape), component terms their dependency facts (output-input
-    dependency and loop-freeness, see compose._deps) and their atomic form,
-    deterministic atomic components their derived output signature.  Each
-    fact is computed at most once per value and stored in the instance dict
-    under a name that starts with an underscore; it is not a field, so repr,
-    ==, fields() and replace() do not see it.
+    on themselves: terms (but interned references, see Var) and formulas
+    their hash, terms and formulas their free references, terms their type,
+    simplified formulas their fixed-point mark, an And its conjunct set and
+    clash flag, composite component terms their shape (signatures and
+    well-formedness, see components.shape), component terms their dependency
+    facts (output-input dependency and loop-freeness, see compose._deps) and
+    their atomic form, deterministic atomic components their derived output
+    signature.  Each fact is computed at most once per value and stored in
+    the instance dict under a name that starts with an underscore; it is not
+    a field, so repr, ==, fields() and replace() do not see it.
 
     Facts never leave the process.  A hash depends on the process's hash
-    seed, so pickling and copying drop every fact."""
+    seed, so pickling and copying drop every fact, but for an interned
+    reference: a copy is the reference itself, facts and all."""
 
     def __getstate__(self):
         return {k: v for k, v in self.__dict__.items() if not k.startswith("_")}
@@ -151,19 +152,36 @@ def _kept_hash(names):
     return __hash__
 
 
-@dataclass(frozen=True)
-class Var(Memo):
-    """A named, typed variable.  Equality is (name, type) equality."""
+def intern(cls, key, **values):
+    """The object of cls kept under key in its `_table`, made of the field
+    values when there is none yet.  The insert is one `setdefault`, so two
+    threads that make one key at once get the same object."""
+    obj = object.__new__(cls)
+    for name, value in values.items():
+        object.__setattr__(obj, name, value)
+    return cls._table.setdefault(key, obj)
+
+
+@dataclass(frozen=True, eq=False, init=False)
+class Var:
+    """A named, typed variable, one object per (name, type): equal variables
+    are the same object, so == and hash are identity, at C speed.  Copies,
+    pickles and replace() give back that object."""
 
     name: str
     ty: SemType
+    _table = {}
 
-    def __post_init__(self):
-        if not self.name:
-            raise ValueError("variable names must be nonempty")
+    def __new__(cls, name: str, ty: SemType):
+        v = cls._table.get((name, ty))
+        if v is None:
+            if not name:
+                raise ValueError("variable names must be nonempty")
+            v = intern(cls, (name, ty), name=name, ty=ty)
+        return v
+
+    def __reduce__(self):
+        return Var, (self.name, self.ty)
 
     def __repr__(self):
         return f"{self.name}:{self.ty.short()}"
-
-
-keep_hash(Var)

@@ -1,8 +1,10 @@
 """Facts a node derives from its fields and keeps on itself: the hash of
-variables, terms and formulas, the free references of terms and formulas, the
-type of terms, and the shape, dependency facts and atomic form of composite
+terms and formulas, the free references of terms and formulas, the type of
+terms, and the shape, dependency facts and atomic form of composite
 components.  Keeping them must change nothing that can be observed, and they
-must never leave the process."""
+must never leave the process.  Variables and variable references are
+interned, one object per value, so their hash is identity and a copy is the
+object itself."""
 
 import copy
 import os
@@ -10,6 +12,7 @@ import pickle
 import random
 import subprocess
 import sys
+import threading
 from dataclasses import fields, replace
 from pathlib import Path
 
@@ -44,10 +47,11 @@ from rcrs.formulas import (
     substitute,
 )
 from rcrs.terms import App, Const, NextRef, PrimedRef, Term, VarRef, add, intc, type_of, var
-from rcrs.types import BOOL, INT, Var
+from rcrs.types import BOOL, INT, EnumType, IntRange, IntType, Var
 
 SRC = str(Path(rcrs.__file__).resolve().parent.parent)
 x, y, s = (Var(n, INT) for n in "xys")
+INTERNED = (Var, VarRef, PrimedRef)
 
 
 def _facts(node) -> set:
@@ -79,12 +83,17 @@ def _derive_all(node):
 
 class TestInvisible:
     def test_hash_is_the_field_hash(self):
+        # but for interned values, whose hash is their identity, kept nowhere
         samples = _one_of_each() + [x, Var("b", BOOL)]
         assert {type(n) for n in samples} >= {*Term.__subclasses__(), *Formula.__subclasses__()}
         for n in samples:
-            want = hash(tuple(getattr(n, f.name) for f in fields(n)))
+            if isinstance(n, INTERNED):
+                want = object.__hash__(n)
+            else:
+                want = hash(tuple(getattr(n, fld.name) for fld in fields(n)))
             assert hash(n) == want
             assert hash(n) == want  # kept, and the same
+            assert ("_hash" in vars(n)) != isinstance(n, INTERNED)
 
     def test_repr_eq_and_fields_do_not_see_facts(self):
         for n in _one_of_each():
@@ -94,7 +103,8 @@ class TestInvisible:
             assert _facts(n)
             assert (repr(n), [f.name for f in fields(n)]) == before
             assert n == twin and twin == n
-            assert not _facts(twin)
+            # a copy of an interned reference is the reference, facts and all
+            assert twin is n if isinstance(n, INTERNED) else not _facts(twin)
 
     def test_traversal_and_layout_tables_hold_fields_only(self):
         assert _CHILD_FIELDS[App] == (("args", True),)
@@ -279,12 +289,19 @@ class TestFactsStayInProcess:
         ident = Atomic(StatelessDet(sig(("x", INT)), TRUEC, (var("x", INT),)))
         c = Serial(ident, ident)
         _derive_all(f)
-        hash(x)
         atomic(c)
-        for n in (f, f.left, x, c):
+        for n in (f, f.left, c):
             assert _facts(n)
             for twin in (pickle.loads(pickle.dumps(n)), copy.copy(n), copy.deepcopy(n)):
                 assert twin == n and not _facts(twin)
+        # an interned value pickles as its fields alone, and every copy is
+        # the value itself
+        ref = f.left.args[0]
+        assert _facts(ref) and not _facts(x)
+        for n in (x, ref, PrimedRef(y)):
+            assert n.__reduce_ex__(4) == (type(n), tuple(getattr(n, fld.name) for fld in fields(n)))
+            for twin in (pickle.loads(pickle.dumps(n)), copy.copy(n), copy.deepcopy(n)):
+                assert twin is n
 
     def test_pickled_node_is_found_under_another_hash_seed(self):
         dump = _BUILD + """
@@ -308,6 +325,47 @@ print(
         data = _run(dump, 1)
         for seed in (2, 1):
             assert _run(load, seed, data).split() == [b"True"] * 4, seed
+
+
+class TestInterning:
+    def test_equal_constructions_are_one_object(self):
+        r = IntRange(0, 3)
+        assert Var("x", IntType()) is x and Var("r", r) is Var("r", IntRange(0, 3))
+        assert Var("x", BOOL) is not x and Var("x", r) is not x
+        assert VarRef(Var("x", INT)) is VarRef(x) is var("x", INT)
+        assert PrimedRef(Var("x", INT)) is PrimedRef(x) and PrimedRef(x) is not VarRef(x)
+        assert len({VarRef(x), VarRef(Var("x", INT)), PrimedRef(x)}) == 2
+        with pytest.raises(ValueError, match="nonempty"):
+            Var("", INT)
+
+    def test_copies_and_replace_give_the_interned_object(self):
+        mode = Var("mode", EnumType("mode", ("on", "off")))
+        for n in (x, mode, VarRef(x), PrimedRef(mode)):
+            for twin in (pickle.loads(pickle.dumps(n)), copy.copy(n), copy.deepcopy(n), replace(n)):
+                assert twin is n
+        assert replace(x, name="y") is y and replace(VarRef(x), var=y) is VarRef(y)
+
+    def test_threads_racing_on_a_fresh_name_get_one_object(self):
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for round_ in range(60):
+                name = f"race{round_}_{id(self)}"
+                barrier, made = threading.Barrier(8), []
+
+                def make():
+                    barrier.wait()
+                    made.append(VarRef(Var(name, INT)))
+
+                workers = [threading.Thread(target=make) for _ in range(8)]
+                for w in workers:
+                    w.start()
+                for w in workers:
+                    w.join(timeout=10)
+                assert not any(w.is_alive() for w in workers)
+                assert len(made) == 8 and all(r is made[0] for r in made), round_
+        finally:
+            sys.setswitchinterval(interval)
 
 
 _UNDECLARED = """

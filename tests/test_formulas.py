@@ -75,6 +75,8 @@ class TestTraversal:
         assert {type(n) for n in samples} == classes
         for n in samples:
             assert rebuild(n, children(n)) == n
+        # a reference is interned: rebuilding one gives back the object itself
+        assert rebuild(VarRef(x), ()) is VarRef(x) and rebuild(PrimedRef(s), ()) is PrimedRef(s)
         assert children(a) == a.args
         assert children(Forall(y, a)) == (a,)
         assert rebuild(And(a, b), (b, a)) == And(b, a)

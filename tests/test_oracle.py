@@ -135,6 +135,13 @@ class TestBoundedRel:
         assert pairs == set()
         assert illegal == {((0,),), ((1,),)}
 
+    @pytest.mark.parametrize("seed", (0, 3, 4, 7))
+    def test_composite_relation_is_its_atomic_form(self, seed):
+        c = random_det_composite(random.Random(seed), 6, 2)
+        assert not isinstance(c, Atomic)
+        dom = FiniteDomain({"int": (0, 1)})
+        assert bounded_rel(c, dom, 2) == bounded_rel(Atomic(atomic(c)), dom, 2)
+
 
 class TestExecDet:
     def test_sum_golden(self, sum_component):
@@ -227,6 +234,7 @@ class TestIllFormedTerms:
         "legal_lasso": lambda c, dom: legal_lasso(c, dom, 2),
         "bounded_refute_refinement": lambda c, dom: bounded_refute_refinement(c, c, dom, 2),
         "bounded_equiv": lambda c, dom: bounded_equiv(c, c, dom, 2),
+        "bounded_hoare": lambda c, dom: bounded_hoare(lambda t: True, c, lambda t: True, dom, 2),
     }
 
     @pytest.mark.parametrize("check", CHECKS)
@@ -251,6 +259,16 @@ class TestIllFormedTerms:
         for check in (lambda: exec_det(c, ((),)), lambda: behavior(c, FiniteDomain(), 1)):
             with pytest.raises(WfError, match="^feedback child lacks an input or output slot$"):
                 check()
+
+    @pytest.mark.parametrize("check", ["bounded_equiv", "bounded_refute_refinement", "bounded_hoare"])
+    def test_feedback_over_a_closed_loop(self, check):
+        # the inner feedback takes the only slot on each side, so reading
+        # the outer one's signature would raise EmptyFeedbackSignature
+        from rcrs.components import StatelessDet
+
+        c = Fdbk(Fdbk(Atomic(StatelessDet(sig(("x", INT)), TRUEC, (var("x", INT),)))))
+        with pytest.raises(WfError, match="^feedback child lacks an input or output slot$"):
+            self.CHECKS[check](c, FiniteDomain({"int": (0, 1)}))
 
 
 class TestBoundedEquiv:
