@@ -314,7 +314,18 @@ def shape(c) -> tuple:
         return c.atom.inputs, c.atom.outputs, None
     kept = c.__dict__.get("_shape")
     if kept is None:
-        kept = c.__dict__["_shape"] = _shape(c)
+        # the composite nodes without a shape, in pre-order on an explicit
+        # stack; shaped in reverse, each after its children
+        order, stack = [], [c]
+        while stack:
+            node = stack.pop()
+            order.append(node)
+            for k in (node.child,) if isinstance(node, Fdbk) else (node.left, node.right):
+                if isinstance(k, (Serial, Parallel, Fdbk)) and "_shape" not in k.__dict__:
+                    stack.append(k)
+        for node in reversed(order):
+            node.__dict__["_shape"] = _shape(node)
+        kept = c.__dict__["_shape"]
     return kept
 
 

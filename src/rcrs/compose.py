@@ -9,6 +9,7 @@ from .components import (
     SIGNATURE_FIELDS,
     Atomic,
     AtomicComponent,
+    Component,
     Det,
     Fdbk,
     Kind,
@@ -276,15 +277,116 @@ def atomic(c) -> AtomicComponent:
     Fails (FeedbackOnNonDecomposable) exactly when a feedback is applied over
     a component whose first output still depends on its first input.  The
     component keeps the atomic form once computed, and a composite containing
-    it reuses it; a failure raises again on every call.
+    it reuses it; a failure raises again on every call.  A term whose leaves
+    are deterministic and bind no variable collapses in one walk
+    (_collapse_det), any other one operand pair at a time (_atomic).
     """
     c = as_component(c)
     d = c.__dict__
     a = d.get("_atomic")
     if a is None:
         check_wf(c)
-        a = d["_atomic"] = _atomic(c, ())
+        a = d["_atomic"] = _collapse_det(c) or _atomic(c, ())
     return a
+
+
+def _leaf(c):
+    """The atom, or kept atomic form, of a term taken as a leaf, else None."""
+    if isinstance(c, AtomicComponent):
+        return c
+    return c.atom if isinstance(c, Atomic) else c.__dict__.get("_atomic")
+
+
+def _collapse_det(c: Component):
+    """_atomic's result for a term whose leaves are all deterministic and
+    bind no variable, in one left-to-right walk on explicit stacks; None for
+    any other term, for a leaf under feedbacks, and where a feedback is not
+    decomposable (_atomic then raises with the path).  Each leaf is renamed
+    once, straight to the names of _atomic's root step: under the root's
+    feedbacks, a serial root names its inputs x0.., its left subtree's states
+    u0.. and its right's v0..; a parallel root its inputs x0.. and states
+    s0...  Inputs that a step substitutes away are named #0, #1, ..., which
+    no parsed name can spell; the root's feedbacks consume x0, x1, ....  Each
+    node then does _atomic's step on plain fields, as simplification and
+    substitution commute with injective renaming where nothing is bound, and
+    the result is built, and checked, once."""
+    chain, top = [], c  # the root's feedbacks, stacked so that they come last
+    while isinstance(top, Fdbk) and _leaf(top) is None:
+        chain.append((top, "exit", None))
+        top = top.child
+    if _leaf(top) is not None:
+        return None
+    count, looped = dict.fromkeys("#xuvs", 0), 0
+
+    def fresh(prefix: str, v: Var) -> Var:
+        count[prefix] += 1
+        return Var(f"{prefix}{count[prefix] - 1}", v.ty)
+
+    # pass 1, pre-order: check and name the leaves; each feedback below the
+    # root's takes the next input met after it.  The plan lists the leaves
+    # and nodes in post-order
+    plan, sides = [], ("u", "v") if isinstance(top, Serial) else ("s", "s")
+    stack = chain + [(top, None, False)]
+    while stack:
+        node, prefix, substituted = stack.pop()
+        if prefix == "exit":
+            plan.append(node)
+        elif (atom := _leaf(node)) is not None:
+            if not isinstance(atom, (Det, StatelessDet)) or binders(atom):
+                return None
+            names = {}
+            for v in atom.inputs:
+                hidden = substituted or looped > 0
+                looped -= hidden and not substituted
+                names[v] = fresh("#" if hidden else "x", v)
+            for v in atom.states if isinstance(atom, Det) else ():
+                names[v] = fresh(prefix, v)
+            plan.append((atom, names))
+        elif isinstance(node, Fdbk):
+            looped += not substituted
+            stack += [(node, "exit", None), (node.child, prefix, substituted)]
+        else:
+            left, right = (prefix, prefix) if prefix else sides
+            stack += [
+                (node, "exit", None),
+                (node.right, right, substituted or isinstance(node, Serial)),
+                (node.left, left, substituted),
+            ]
+    # pass 2: (inputs, states, init_vals, inpt, next, out, det) of each
+    # subterm on a stack
+    vals = []
+    for step in plan:
+        if isinstance(step, tuple):
+            atom, names = step
+            apply = substitution({v: VarRef(w) for v, w in names.items()})
+            det = isinstance(atom, Det)
+            states, init, nxt = (atom.states, atom.init_vals, atom.next) if det else ((), (), ())
+            vals.append((
+                [names[v] for v in atom.inputs], [names[v] for v in states], list(init),
+                apply(atom.inpt), list(map(apply, nxt)), list(map(apply, atom.out)), det,
+            ))
+            continue
+        ins, states, init, inpt, nxt, out, det = vals.pop()
+        if isinstance(step, Fdbk):
+            if not ins or not out or ins[0] in free_refs(out[0])[0]:
+                return None  # not decomposable
+            apply = substitution({ins[0]: out[0]})
+            vals.append((ins[1:], states, init, simplify(apply(inpt)), list(map(apply, nxt)), list(map(apply, out[1:])), det))
+            continue
+        lins, lstates, linit, linpt, lnxt, lout, ldet = vals.pop()
+        lstates += states
+        linit += init
+        if isinstance(step, Serial):
+            apply = substitution(dict(zip(ins, lout)))
+            lnxt += map(apply, nxt)
+            vals.append((lins, lstates, linit, simplify(And(linpt, apply(inpt))), lnxt, list(map(apply, out)), ldet or det))
+        else:
+            lnxt += nxt
+            vals.append((lins + ins, lstates, linit, simplify(And(linpt, inpt)), lnxt, lout + out, ldet or det))
+    ins, states, init, inpt, nxt, out, det = vals.pop()
+    if det:
+        return Det(Signature(tuple(ins)), Signature(tuple(states)), tuple(init), inpt, tuple(nxt), tuple(out))
+    return StatelessDet(Signature(tuple(ins)), inpt, tuple(out))
 
 
 def _atomic(c, path: tuple) -> AtomicComponent:

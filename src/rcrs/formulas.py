@@ -237,24 +237,34 @@ def nodes(root):
                 stack.append((k, bound))
 
 
-def rewrite(root, fn: Callable[..., Optional[object]], bound: frozenset = frozenset()):
+def rewrite(root, fn: Callable[..., Optional[object]], bound: frozenset = frozenset(), memo: dict = None):
     """Rebuild a term or formula top-down: fn(node, bound) returns the
     replacement of the whole subtree at node, or None to keep node and
-    rewrite its children.  Unchanged subtrees are returned as they are."""
+    rewrite its children.  Unchanged subtrees are returned as they are.
+    With a memo (id -> (node, result)), a subtree rebuilt outside every
+    binder is rebuilt once, so what was shared stays shared."""
     new = fn(root, bound)
     if new is not None:
         return new
     kids = children(root)
     if not kids:
         return root
+    keep = memo is not None and not bound
+    if keep and (hit := memo.get(id(root))) is not None:
+        return hit[1]
     if isinstance(root, (Forall, Exists)):
         bound = bound | {root.var}
     new_kids, changed = [], False
     for k in kids:
-        new = rewrite(k, fn, bound)
+        new = rewrite(k, fn, bound, memo)
         changed = changed or new is not k
         new_kids.append(new)
-    return rebuild(root, new_kids) if changed else root
+    if not changed:
+        return root
+    new = rebuild(root, new_kids)
+    if keep:
+        memo[id(root)] = root, new
+    return new
 
 
 _TEMPORAL = (NextRef, Until, Leads, Globally, Finally)
@@ -448,7 +458,8 @@ def _substitution(sigma: Mapping, primed_sigma: Mapping, range_vars: Optional[se
                 return type(g)(v2, body)
         return None
 
-    return lambda f: rewrite(f, step)
+    memo = {}
+    return lambda f: rewrite(f, step, memo=memo)
 
 
 def _checked(replacement: Term, v: Var) -> Term:

@@ -19,6 +19,7 @@ from __future__ import annotations
 
 import re
 from fractions import Fraction
+from operator import itemgetter
 from typing import NamedTuple, Optional
 
 from .components import (
@@ -121,48 +122,46 @@ _KEYWORDS = {
     *(op.token for op in OPERATORS if op.token.isalpha()),
 }
 
-# one alternative per token class, the longest punctuation first
+# one lexeme: the gap of blanks and comments before a token, then the token
+# (the longest punctuation first; empty at the end of the text), or else one
+# unexpected character
 _LEXEME = re.compile(
-    r"(?P<skip>[ \t\r]+|#[^\n]*)|(?P<newline>\n)|(?P<real>\d+\.\d+)|(?P<int>\d+)"
-    r"|(?P<word>[^\W\d]\w*)|(?P<punct><->|->|&&|\|\||!=|<=|>=|\.\.|[][(){},:;=<>!+*/@'.-])"
-    r"|(?P<bad>.)"
+    r"((?:[ \t\r\n]+|#[^\n]*)*)"
+    r"(?:(\d+\.\d+|\d+|[^\W\d]\w*|<->|->|&&|\|\||!=|<=|>=|\.\.|[][(){},:;=<>!+*/@'.-]|\Z)|(.))"
 )
+_PUNCT_START = frozenset("<->&|!=.[](){},:;+*/@'")
 
 
-class Token(NamedTuple):
-    kind: str  # 'name', 'int', 'real', 'punct', 'kw', 'eof'
-    text: str
-    line: int
-    col: int
+def _lex(text: str) -> list[tuple[str, str, str]]:
+    """The (gap, token, unexpected character) lexemes of the text, from one
+    `findall`; the first lexeme whose token is empty is the end of input."""
+    lexemes = _LEXEME.findall(text)
+    if any(map(itemgetter(2), lexemes)):
+        i = next(i for i, lexeme in enumerate(lexemes) if lexeme[2])
+        raise ComponentSyntaxError(f"unexpected character {lexemes[i][2]!r}", *_position(lexemes, i))
+    return lexemes
 
 
-def _lex(text: str) -> list[Token]:
-    toks: list[Token] = []
-    line, line_start, m = 1, 0, None
-    for m in _LEXEME.finditer(text):
-        kind = m.lastgroup
-        if kind == "skip":
-            continue
-        if kind == "newline":
-            line += 1
-            line_start = m.end()
-            continue
-        word = m.group()
-        col = m.start() - line_start + 1
-        if kind == "word":
-            kind = "kw" if word in _KEYWORDS else "name"
-        elif kind == "bad":
-            raise ComponentSyntaxError(f"unexpected character {word!r}", line, col)
-        toks.append(Token(kind, word, line, col))
-    # the end of input is placed before a comment that ends the text
-    end = m.start() if m is not None and m.group().startswith("#") else len(text)
-    toks.append(Token("eof", "", line, end - line_start + 1))
-    return toks
+def _position(lexemes, i: int) -> tuple[int, int]:
+    """(line, column) of lexeme i's token, computed only for an error.  The
+    end of input is placed before a comment that ends the text."""
+    gap, token, _ = lexemes[i]
+    before = "".join(map("".join, lexemes[:i])) + gap
+    if not token and (at := gap.find("#", gap.rfind("\n") + 1)) >= 0:
+        before = before[: len(before) - len(gap) + at]
+    return before.count("\n") + 1, len(before) - before.rfind("\n")
+
+
+def _is_name(t: str) -> bool:
+    # a token's kind is told by its first character; names are the words
+    # that are no keyword
+    return t != "" and not t[0].isdecimal() and t[0] not in _PUNCT_START and t not in _KEYWORDS
 
 
 class _Parser:
     def __init__(self, text: str):
-        self.toks = _lex(text)
+        self.lexemes = _lex(text)
+        self.toks = list(map(itemgetter(1), self.lexemes))
         self.pos = 0
         self.tok = self.toks[0]
         self.bindings: dict[str, Component] = {}
@@ -170,35 +169,34 @@ class _Parser:
 
     # --- token utilities ---
     # a keyword or punctuation token is told by its text alone: no name or
-    # literal is spelled like one
+    # literal is spelled like one; the end of input is the empty token
 
-    def next(self) -> Token:
+    def next(self) -> str:
         t = self.tok
-        if t.kind != "eof":
+        if t:
             self.pos += 1
             self.tok = self.toks[self.pos]
         return t
 
     def accept(self, text: str) -> bool:
-        if self.tok.text == text:
+        if self.tok == text:
             self.next()
             return True
         return False
 
-    def expect(self, text: str) -> Token:
-        t = self.tok
-        if t.text != text:
-            raise ComponentSyntaxError(f"expected {text!r}, found {t.text!r}", t.line, t.col)
+    def expect(self, text: str) -> str:
+        if self.tok != text:
+            self.fail(f"expected {text!r}, found {self.tok!r}")
         return self.next()
 
-    def fail(self, msg: str):
-        t = self.tok
-        raise ComponentSyntaxError(msg, t.line, t.col)
+    def fail(self, msg: str, at: Optional[int] = None, error=ComponentSyntaxError):
+        """Raise `error` at token `at`, by default the current one."""
+        raise error(msg, *_position(self.lexemes, self.pos if at is None else at))
 
     # --- file level ---
 
     def parse_file(self):
-        while self.tok.kind != "eof":
+        while self.tok:
             self.expect("component")
             name = self._name("component name")
             self.expect("=")
@@ -209,10 +207,9 @@ class _Parser:
         return self.bindings, self.order
 
     def _name(self, what: str) -> str:
-        t = self.tok
-        if t.kind != "name":
-            self.fail(f"expected {what}, found {t.text!r}")
-        return self.next().text
+        if not _is_name(self.tok):
+            self.fail(f"expected {what}, found {self.tok!r}")
+        return self.next()
 
     # --- operators ---
 
@@ -224,19 +221,19 @@ class _Parser:
             left, infix = self.component_factor(), _COMPONENT_INFIX
         else:
             left, infix = self.prefix(env), _INFIX
-        while (op := infix.get(self.tok.text)) is not None and op.power >= power:
+        while (op := infix.get(self.tok)) is not None and op.power >= power:
             if op.power < _COMPARE:
                 left = self.as_formula(left)
             elif isinstance(left, Formula):
                 break  # comparisons do not chain, and a formula is no term
             self.next()
-            start = self.tok
+            start = self.pos
             right = self.climb(env, op.power + (op.assoc != "right"))
             left = _build(op, left, self.operand(op, right, start))
         return left
 
     def prefix(self, env: "_Scope"):
-        op = _PREFIX.get(self.tok.text)
+        op = _PREFIX.get(self.tok)
         if op is None:
             return self.primary(env)
         self.next()
@@ -244,18 +241,17 @@ class _Parser:
             v = self.decl()
             self.expect(".")
             return op.node(v, self.formula(env.extend(v)))
-        start = self.tok
+        start = self.pos
         return _build(op, self.operand(op, self.climb(env, op.power), start))
 
-    def operand(self, op: Op, value, start: Token):
-        """`value`, read from `start`, as an operand of `op`: a term from the
-        comparisons up, else a formula; a component stays as it is."""
+    def operand(self, op: Op, value, start: int):
+        """`value`, read from token `start` on, as an operand of `op`: a term
+        from the comparisons up, else a formula; a component stays as it is."""
         return self.as_term(value, start) if op.power >= _COMPARE else self.as_formula(value)
 
-    @staticmethod
-    def as_term(value, start: Token) -> Term:
+    def as_term(self, value, start: int) -> Term:
         if isinstance(value, Formula):
-            raise ComponentSyntaxError(f"expected a term, found {start.text!r}", start.line, start.col)
+            self.fail(f"expected a term, found {self.toks[start]!r}", start)
         return value
 
     def as_formula(self, value):
@@ -272,34 +268,33 @@ class _Parser:
         return Atom("=", (value, TRUE))
 
     def primary(self, env: "_Scope"):
+        at = self.pos
         t = self.next()
-        if t.kind == "int":
-            return Const(int(t.text), INT)
-        if t.kind == "real":
-            return Const(Fraction(t.text), REAL)
-        if t.text == "true":
+        if t[:1].isdecimal():
+            return Const(Fraction(t), REAL) if "." in t else Const(int(t), INT)
+        if t == "true":
             return TRUE
-        if t.text == "false":
+        if t == "false":
             return FALSE
-        if t.text == "(":
+        if t == "(":
             inner = self.climb(env)
             self.expect(")")
             return inner
-        if t.kind == "name":
-            v = env.lookup(t.text)
+        if _is_name(t):
+            v = env.lookup(t)
             if v is not None:
                 return PrimedRef(v) if self.accept("'") else VarRef(v)
-            ty = env.enum_of(t.text)
+            ty = env.enum_of(t)
             if ty is not None:
-                return Const(t.text, ty)
-            raise UnboundVariable(f"unknown variable {t.text!r}", t.line, t.col)
-        raise ComponentSyntaxError(f"expected a term, found {t.text!r}", t.line, t.col)
+                return Const(t, ty)
+            self.fail(f"unknown variable {t!r}", at, UnboundVariable)
+        self.fail(f"expected a term, found {t!r}", at)
 
     def formula(self, env: "_Scope") -> Formula:
         return self.as_formula(self.climb(env))
 
     def term(self, env: "_Scope") -> Term:
-        start = self.tok
+        start = self.pos
         return self.as_term(self.climb(env, _COMPARE + 1), start)
 
     # --- components ---
@@ -311,24 +306,23 @@ class _Parser:
             inner = self.climb(None)
             self.expect(")")
             return Fdbk(inner)
-        if t.text in _KIND_KEYWORDS:
+        if t in _KIND_KEYWORDS:
             return Atomic(self.atomic_def())
         if self.accept("("):
             inner = self.climb(None)
             self.expect(")")
             return inner
-        if t.kind == "name":
-            name = self.next().text
-            if name not in self.bindings:
-                raise UnboundVariable(f"unknown component {name!r}", t.line, t.col)
-            return self.bindings[name]
-        self.fail(f"expected a component, found {t.text!r}")
+        if _is_name(t):
+            if t not in self.bindings:
+                self.fail(f"unknown component {t!r}", error=UnboundVariable)
+            return self.bindings[self.next()]
+        self.fail(f"expected a component, found {t!r}")
 
     def atomic_def(self) -> AtomicComponent:
         """An atomic component: the kind's keyword, then its fields in order,
         each formula and term tuple scoped over the signatures before it, or
         over those of them that the kind's SCOPES names."""
-        cls = KIND_CLASS[Kind(self.next().text)]
+        cls = KIND_CLASS[Kind(self.next())]
         self.expect("(")
         values, sigs = [], {}
         for i, (name, role) in enumerate(LAYOUT[cls]):
@@ -355,7 +349,7 @@ class _Parser:
     def signature(self) -> Signature:
         self.expect("(")
         slots = []
-        if self.tok.text != ")":
+        if self.tok != ")":
             slots.append(self.decl())
             while self.accept(","):
                 slots.append(self.decl())
@@ -383,21 +377,21 @@ class _Parser:
                 self.expect("]")
                 return IntRange(lo, hi)
             return INT
-        if t.kind == "name" and self.toks[self.pos + 1].text == "{":
-            name = self.next().text
+        if _is_name(t) and self.toks[self.pos + 1] == "{":
+            name = self.next()
             self.expect("{")
             values = [self._name("enum value")]
             while self.accept(","):
                 values.append(self._name("enum value"))
             self.expect("}")
             return EnumType(name, tuple(values))
-        raise UnknownType(f"expected a type, found {t.text!r}", t.line, t.col)
+        self.fail(f"expected a type, found {t!r}", error=UnknownType)
 
     def _int_literal(self) -> int:
         neg = self.accept("-")
-        if self.tok.kind != "int":
+        if not self.tok[:1].isdecimal() or "." in self.tok:
             self.fail("expected an integer literal")
-        v = int(self.next().text)
+        v = int(self.next())
         return -v if neg else v
 
     def literal_tuple(self, states: Signature) -> tuple[Const, ...]:
@@ -406,7 +400,7 @@ class _Parser:
 
         if self.accept("("):
             vals = []
-            if self.tok.text != ")":
+            if self.tok != ")":
                 vals.append(self.literal(ty_at(0)))
                 while self.accept(","):
                     vals.append(self.literal(ty_at(len(vals))))
@@ -421,26 +415,26 @@ class _Parser:
             return TRUE
         if self.accept("false"):
             return FALSE
-        start = self.tok
-        if isinstance(ty, RealType) and start.text == "(":
+        start = self.pos
+        if isinstance(ty, RealType) and self.tok == "(":
             # a real with no decimal form prints as a bracketed quotient
             c = self.term(_Scope())
             if isinstance(c, Const) and c.ty == REAL:
                 return c
-            raise ComponentSyntaxError(f"expected a literal of type {ty.short()}", start.line, start.col)
+            self.fail(f"expected a literal of type {ty.short()}", start)
         neg = self.accept("-")
         t = self.tok
-        if t.kind == "int":
-            v = int(self.next().text)
+        if t[:1].isdecimal() and "." not in t:
+            v = int(self.next())
             v = -v if neg else v
             if isinstance(ty, RealType):
                 return Const(Fraction(v), REAL)
             return Const(v, ty if isinstance(ty, (IntType, IntRange)) else INT)
-        if t.kind == "real":
-            v = Fraction(self.next().text)
+        if t[:1].isdecimal():
+            v = Fraction(self.next())
             return Const(-v if neg else v, REAL)
-        if t.kind == "name" and isinstance(ty, EnumType) and t.text in ty.values:
-            return Const(self.next().text, ty)
+        if _is_name(t) and isinstance(ty, EnumType) and t in ty.values:
+            return Const(self.next(), ty)
         self.fail(f"expected a literal of type {ty.short()}")
 
     def term_tuple(self, env, expected: Optional[int]) -> tuple[Term, ...]:
@@ -507,9 +501,8 @@ class _Scope:
 def _parse(text: str, read):
     p = _Parser(text)
     result = read(p)
-    t = p.tok
-    if t.kind != "eof":
-        raise ComponentSyntaxError(f"trailing input {t.text!r}", t.line, t.col)
+    if p.tok:
+        p.fail(f"trailing input {p.tok!r}")
     return result
 
 

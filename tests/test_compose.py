@@ -1,11 +1,13 @@
 """The symbolic composition engine: per-kind serial/parallel/feedback, the
 dependency analyses, the closure table, and the simplification algorithm."""
 
+import json
 import random
 
 import pytest
 
 from rcrs.components import (
+    LAYOUT,
     Atomic,
     Det,
     Fdbk,
@@ -19,6 +21,7 @@ from rcrs.components import (
     Sts,
     alpha_equivalent,
     sig,
+    wf,
 )
 from rcrs.compose import (
     atomic,
@@ -31,14 +34,16 @@ from rcrs.compose import (
     serial,
 )
 from rcrs.corpus import random_det_composite, random_stateless_table
+from rcrs.diagrams import load_diagram, translate
 from rcrs.errors import (
+    AlgebraicLoop,
     FeedbackOnNonDecomposable,
     KindError,
     NotDecomposable,
     NotDeterministic,
     WfError,
 )
-from rcrs.formulas import And, Globally, TRUEC, atom, eq
+from rcrs.formulas import And, Globally, TRUEC, atom, children, eq
 from rcrs.oracle import FiniteDomain, bounded_equiv, behavior
 from rcrs.terms import App, VarRef, add, intc, var
 from rcrs.types import BOOL, INT, IntRange, Var
@@ -315,6 +320,133 @@ class TestAtomic:
         assert feedback(d).kind() == Kind.DET
         swap = StatelessDet(sig(("x", INT), ("y", INT)), TRUEC, (var("y", INT), var("x", INT)))
         assert feedback(swap).kind() == Kind.STATELESS_DET
+
+
+class TestCollapse:
+    """`atomic` collapses a term whose leaves are deterministic and bind no
+    variable in one walk; its result equals a bottom-up fold of the public
+    serial, parallel and feedback, which rename their operands apart at
+    every level."""
+
+    @staticmethod
+    def fold(c, path=()):
+        if isinstance(c, Atomic):
+            return c.atom
+        if isinstance(c, Fdbk):
+            inner = TestCollapse.fold(c.child, path + ("child",))
+            if not decomposable(inner):
+                where = "/".join(path) or "root"
+                raise FeedbackOnNonDecomposable(
+                    f"feedback over a non-decomposable {inner.kind().value} component at {where}", path=path
+                )
+            return feedback(inner)
+        step = serial if isinstance(c, Serial) else parallel
+        return step(TestCollapse.fold(c.left, path + ("left",)), TestCollapse.fold(c.right, path + ("right",)))
+
+    @staticmethod
+    def outcome(f, c):
+        try:
+            return f(c)
+        except FeedbackOnNonDecomposable as e:
+            return type(e), str(e), e.path
+
+    @staticmethod
+    def distinct_nodes(a):
+        roots = [v for name, role in LAYOUT[type(a)] if role in ("formula", "terms", "values")
+                 for v in ((getattr(a, name),) if role == "formula" else getattr(a, name))]
+        seen, stack = set(), roots
+        while stack:
+            node = stack.pop()
+            if id(node) not in seen:
+                seen.add(id(node))
+                stack.extend(children(node))
+        return len(seen)
+
+    def test_random_composites_equal_the_fold(self):
+        failures = 0
+        for seed in range(200):
+            c = random_det_composite(random.Random(seed), 12, 2)
+            want = self.fold(c)
+            got = atomic(c)
+            assert got == want, seed
+            assert self.distinct_nodes(got) <= self.distinct_nodes(want), seed
+            # a feedback around it raises where the fold raises, or agrees
+            looped = Fdbk(Parallel(c, c))
+            for term in (looped, Parallel(c, looped)) if wf(looped) else ():
+                want = self.outcome(self.fold, term)
+                assert self.outcome(atomic, term) == want, seed
+                failures += isinstance(want, tuple)
+        assert failures > 50
+
+    def test_diagrams_equal_the_fold(self):
+        from test_diagrams import flat_spec
+
+        translated = 0
+        for seed in range(200):
+            rng = random.Random(seed)
+            try:
+                c = translate(load_diagram(json.dumps(flat_spec(rng, rng.randint(1, 8)))))
+            except AlgebraicLoop:
+                continue
+            assert self.outcome(atomic, c) == self.outcome(self.fold, c), seed
+            translated += 1
+        assert translated > 150
+
+    def test_root_names(self):
+        inc = StatelessDet(sig(("a", INT)), TRUEC, (add(var("a", INT), intc(1)),))
+        delay = Det(sig(("b", INT)), sig(("t", INT)), (intc(0),), TRUEC, (var("b", INT),), (var("t", INT),))
+        pair = Det(sig(("p", INT), ("q", INT)), sig(("r", INT)), (intc(0),), TRUEC, (var("q", INT),),
+                   (var("r", INT), var("p", INT)))
+        terms = [
+            Serial(Parallel(Atomic(delay), Atomic(inc)), Parallel(Atomic(delay), Atomic(delay))),
+            Parallel(Serial(Atomic(inc), Atomic(delay)), Fdbk(Atomic(pair))),
+            Fdbk(Serial(Parallel(Atomic(inc), Atomic(delay)), Atomic(pair))),
+            Fdbk(Fdbk(Parallel(Atomic(pair), Atomic(delay)))),
+            Serial(Fdbk(Parallel(Atomic(pair), Atomic(inc))), Fdbk(Parallel(Atomic(pair), Atomic(inc)))),
+        ]
+        names = [
+            (("x0", "x1"), ("u0", "v0", "v1")),
+            (("x0", "x1"), ("s0", "s1")),
+            (("x1",), ("u0", "v0")),
+            (("x2",), ("s0", "s1")),
+            (("x0", "x1"), ("u0", "v0")),
+        ]
+        for c, want in zip(terms, names):
+            a = atomic(c)
+            assert (a.inputs.names(), a.states.names()) == want
+            assert a == self.fold(c)
+
+    def test_det_chain_builds_one_component(self, monkeypatch):
+        from rcrs import components, compose
+
+        delay = Det(sig(("b", INT)), sig(("t", INT)), (intc(0),), TRUEC, (var("b", INT),), (var("t", INT),))
+        c = Atomic(delay)
+        for _ in range(199):
+            c = Serial(c, Atomic(delay))
+        calls = {"build": 0, "rename": 0}
+
+        def counting(key, f):
+            def wrapper(*args, **kwargs):
+                calls[key] += 1
+                return f(*args, **kwargs)
+            return wrapper
+
+        for cls in (Det, StatelessDet, Stateless, Sts, Qltl):
+            monkeypatch.setattr(cls, "__post_init__", counting("build", cls.__post_init__))
+        monkeypatch.setattr(compose, "rename_slots", counting("rename", compose.rename_slots))
+        monkeypatch.setattr(components, "rename_atomic", counting("rename", components.rename_atomic))
+        a = atomic(c)
+        assert calls == {"build": 1, "rename": 0}
+        assert a.states.names() == (*(f"u{i}" for i in range(199)), "v0")
+
+    @pytest.mark.parametrize("n", [1500, 5000])
+    def test_chains_deeper_than_the_recursion_limit(self, n):
+        ident = Atomic(StatelessDet(sig(("x", INT)), TRUEC, (var("x", INT),)))
+        c = ident
+        for _ in range(n - 1):
+            c = Serial(c, ident)
+        assert wf(c)
+        assert atomic(c) == StatelessDet(sig(("x0", INT)), TRUEC, (var("x0", INT),))
 
 
 class TestOracleAgreement:

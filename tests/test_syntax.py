@@ -130,6 +130,37 @@ def test_unknown_component_reference():
         parse_rcrs("component A = Nope ; Nope")
 
 
+@pytest.mark.parametrize(
+    "text, cls, where, message",
+    [
+        # the first of several unexpected characters in text order, before
+        # any parse error
+        ("x $ y ? z", ComponentSyntaxError, (1, 3), "unexpected character '$'"),
+        ("component A = Nope\n  $ ?", ComponentSyntaxError, (2, 3), "unexpected character '$'"),
+        ("# a comment may hold $ and ?\ncomponent A = stateless((x:int), (y:int), y = x) ?",
+         ComponentSyntaxError, (2, 50), "unexpected character '?'"),
+        # the end of input is placed before a comment that ends the text
+        ("component A = # nothing follows", ComponentSyntaxError, (1, 15), "expected a component, found ''"),
+        ("component A = stateless((x:int), (y:int),\n  y = x  # the bracket stays open",
+         ComponentSyntaxError, (2, 10), "expected ')', found ''"),
+        ("component A = stateless_det((x:int), true, (x))\ncomponent B = A ;\n    C",
+         UnboundVariable, (3, 5), "unknown component 'C'"),
+        ("component A = stateless_det(\n  (x:float),\n  true, (x))", UnknownType, (2, 6),
+         "expected a type, found 'float'"),
+        ("component A = stateless_det((x:int), true, (x))\n\ncomponent B = stateless_det((u:int),\n  u > 0, (z))",
+         UnboundVariable, (4, 11), "unknown variable 'z'"),
+        ("component A = stateless_det((x:int), true, (x)) A", ComponentSyntaxError, (1, 49),
+         "expected 'component', found 'A'"),
+    ],
+)
+def test_error_positions(text, cls, where, message):
+    with pytest.raises(cls) as err:
+        parse_rcrs(text)
+    assert type(err.value) is cls
+    assert (err.value.line, err.value.column) == where
+    assert str(err.value) == f"{where[0]}:{where[1]}: {message}"
+
+
 def test_temporal_operator_precedence():
     f = parse_formula("G x -> F y", [parse_component("qltl((x:bool), (y:bool), true)").atom.inputs,
                                      parse_component("qltl((x:bool), (y:bool), true)").atom.outputs])
@@ -300,8 +331,12 @@ def test_round_trip_coverage():
 
 
 def _token_ends(text):
-    line_starts = [0] + [i + 1 for i, ch in enumerate(text) if ch == "\n"]
-    return [line_starts[t.line - 1] + t.col - 1 + len(t.text) for t in _lex(text)[:-1]]
+    ends, end = [], 0
+    for gap, token, _ in _lex(text):
+        end += len(gap) + len(token)
+        if token:
+            ends.append(end)
+    return ends
 
 
 @pytest.mark.parametrize("path", DATA_FILES, ids=lambda p: f"{p.parent.parent.name}/{p.name}")
