@@ -8,6 +8,7 @@ The public names load on first use (PEP 562), so a process that runs only a
 submodule, such as the bundled solver `python -m rcrs.dlsolver`, imports
 nothing else of the package."""
 
+import sys
 from importlib import import_module
 
 __version__ = "0.1.0"
@@ -93,9 +94,11 @@ __all__ = sorted(_EXPORTS)
 
 def __getattr__(name):
     # not cached here: a name rebound in its module is seen at the next lookup
-    if name in _EXPORTS:
-        return getattr(import_module(f".{_EXPORTS[name]}", __name__), name)
-    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    module = _EXPORTS.get(name)
+    if module is None:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    module = f"{__name__}.{module}"
+    return getattr(sys.modules.get(module) or import_module(module), name)
 
 
 def __dir__():

@@ -259,13 +259,25 @@ def flatten(d: BlockDiagram) -> BlockDiagram:
     )
 
 
+# one router per bus types and route: the first _ROUTERS_KEPT made are kept
+# and shared, and none is evicted
+_ROUTERS_KEPT = 128
+_routers: dict[tuple, Atomic] = {}
+
+
 def _router(bus: list, route: list, types: dict) -> Atomic:
     """The routing component from the signals on `bus` to those of `route`:
     output j carries the bus signal route[j].  Routing a bus to itself gives
     the identity layer."""
-    vs = {s: Var(f"v{i}", types[s]) for i, s in enumerate(bus)}
-    out = tuple(VarRef(vs[s]) for s in route)
-    return Atomic(StatelessDet(Signature(tuple(vs.values())), TRUEC, out))
+    index = {s: i for i, s in enumerate(bus)}
+    key = (tuple(types[s] for s in bus), tuple(index[s] for s in route))
+    node = _routers.get(key)
+    if node is None:
+        vs = [Var(f"v{i}", ty) for i, ty in enumerate(key[0])]
+        node = Atomic(StatelessDet(Signature(tuple(vs)), TRUEC, tuple(VarRef(vs[i]) for i in key[1])))
+        if len(_routers) < _ROUTERS_KEPT:
+            _routers.setdefault(key, node)
+    return node
 
 
 def translate(d: BlockDiagram) -> Component:

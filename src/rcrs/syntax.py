@@ -40,6 +40,7 @@ from .formulas import (
     And,
     Atom,
     Exists,
+    FALSEC,
     FalseC,
     Finally,
     Forall,
@@ -50,6 +51,7 @@ from .formulas import (
     Leads,
     Not,
     Or,
+    TRUEC,
     TrueC,
     Until,
     atom as mk_atom,
@@ -158,6 +160,16 @@ def _is_name(t: str) -> bool:
     return t != "" and not t[0].isdecimal() and t[0] not in _PUNCT_START and t not in _KEYWORDS
 
 
+# An atom's meaning rests on its own tokens alone: its scope is its own
+# signatures and its enums are declared inline.  So the parser keeps the node
+# of each successfully parsed token sequence, keyed by the tokens joined with
+# blanks (no token holds one), and shares it; the first
+# _ATOMS_KEPT distinct ones are kept and none is evicted, since churn would
+# scatter the kept nodes across the allocator's arenas.
+_ATOMS_KEPT = 128
+_atoms: dict[str, Atomic] = {}
+
+
 class _Parser:
     def __init__(self, text: str):
         self.lexemes = _lex(text)
@@ -260,9 +272,9 @@ class _Parser:
         if not isinstance(value, Term):
             return value
         if value == TRUE:
-            return TrueC()
+            return TRUEC
         if value == FALSE:
-            return FalseC()
+            return FALSEC
         if type_of(value) != BOOL:
             self.fail("expected a comparison or a boolean term")
         return Atom("=", (value, TRUE))
@@ -307,7 +319,7 @@ class _Parser:
             self.expect(")")
             return Fdbk(inner)
         if t in _KIND_KEYWORDS:
-            return Atomic(self.atomic_def())
+            return self.atom()
         if self.accept("("):
             inner = self.climb(None)
             self.expect(")")
@@ -317,6 +329,36 @@ class _Parser:
                 self.fail(f"unknown component {t!r}", error=UnboundVariable)
             return self.bindings[self.next()]
         self.fail(f"expected a component, found {t!r}")
+
+    def atom(self) -> Atomic:
+        """The atomic component node here, parsed once per distinct token
+        sequence from the kind keyword to the matching ')' (see _atoms)."""
+        start, end = self.pos, self._closing(self.pos + 1)
+        key = " ".join(self.toks[start : end + 1]) if end else None
+        node = _atoms.get(key)
+        if node is not None:
+            self.pos = end + 1
+            self.tok = self.toks[self.pos]
+            return node
+        node = Atomic(self.atomic_def())
+        if end and self.pos == end + 1 and len(_atoms) < _ATOMS_KEPT:
+            _atoms.setdefault(key, node)
+        return node
+
+    def _closing(self, i: int) -> int:
+        """The index of the ')' that closes a '(' at token i, else 0."""
+        if self.toks[i] != "(":
+            return 0
+        depth = 0
+        for j in range(i, len(self.toks)):
+            t = self.toks[j]
+            if t == "(":
+                depth += 1
+            elif t == ")":
+                depth -= 1
+                if not depth:
+                    return j
+        return 0
 
     def atomic_def(self) -> AtomicComponent:
         """An atomic component: the kind's keyword, then its fields in order,
@@ -371,10 +413,13 @@ class _Parser:
             return UNIT
         if self.accept("int"):
             if self.accept("["):
+                at = self.pos
                 lo = self._int_literal()
                 self.expect("..")
                 hi = self._int_literal()
                 self.expect("]")
+                if lo > hi:
+                    self.fail(f"empty integer range [{lo}, {hi}]", at)
                 return IntRange(lo, hi)
             return INT
         if _is_name(t) and self.toks[self.pos + 1] == "{":
@@ -618,8 +663,11 @@ def _field_text(value, role: str) -> str:
 def atomic_text(a: AtomicComponent) -> str:
     if type(a) not in LAYOUT:
         raise UnknownType(f"unprintable atomic component {a!r}")
-    fields = ", ".join(_field_text(getattr(a, name), role) for name, role in LAYOUT[type(a)])
-    return f"{a.kind().value}({fields})"
+    text = a.__dict__.get("_text")
+    if text is None:
+        fields = ", ".join(_field_text(getattr(a, name), role) for name, role in LAYOUT[type(a)])
+        text = a.__dict__["_text"] = f"{a.kind().value}({fields})"
+    return text
 
 
 def print_component(c) -> str:

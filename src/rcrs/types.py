@@ -116,7 +116,7 @@ class Memo:
     well-formedness, see components.shape), component terms their dependency
     facts (output-input dependency and loop-freeness, see compose._deps) and
     their atomic form, deterministic atomic components their derived output
-    signature.  Each fact is computed at most once per value and stored in
+    signature, atomic components their printed text.  Each fact is computed at most once per value and stored in
     the instance dict under a name that starts with an underscore; it is not
     a field, so repr, ==, fields() and replace() do not see it.
 

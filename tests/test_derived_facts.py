@@ -262,6 +262,20 @@ class TestDerivedOutputs:
         assert det.outputs.names() == ("y1", "y2") and det.outputs.types() == (INT, BOOL)
 
 
+class TestPrintedText:
+    def test_an_atom_keeps_its_printed_text(self):
+        from rcrs.syntax import print_component
+
+        blk = StatelessDet(sig(("x", INT)), TRUEC, (var("x", INT),))
+        before = repr(blk)
+        text = print_component(Serial(Atomic(blk), Atomic(blk)))
+        assert _facts(blk) == {"_text"} and repr(blk) == before
+        assert print_component(blk) is blk._text and text == f"{blk._text} ; {blk._text}"
+        for copied in (pickle.loads(pickle.dumps(blk)), copy.copy(blk), copy.deepcopy(blk)):
+            assert copied == blk and not _facts(copied)
+            assert print_component(copied) == blk._text
+
+
 def _run(code: str, hash_seed: int, stdin: bytes = b"") -> bytes:
     env = {**os.environ, "PYTHONHASHSEED": str(hash_seed)}
     env["PYTHONPATH"] = os.pathsep.join(p for p in (SRC, env.get("PYTHONPATH")) if p)

@@ -8,6 +8,7 @@ from pathlib import Path
 
 import pytest
 
+from rcrs import diagrams
 from rcrs.components import Atomic, Fdbk, Parallel, Serial, alpha_equivalent
 from rcrs.compose import atomic, determ, loop_free
 from rcrs.diagrams import (
@@ -21,6 +22,7 @@ from rcrs.diagrams import (
 from rcrs.errors import AlgebraicLoop, BadParams, PortMismatch, RcrsError, UnknownBlock
 from rcrs.oracle import FiniteDomain, exec_det
 from rcrs.syntax import parse_component, print_component
+from rcrs.types import BOOL, INT
 
 
 SUM_JSON = json.dumps(
@@ -546,6 +548,62 @@ def golden_entries():
 
 def dumps(entries) -> str:
     return "[\n" + ",\n".join(json.dumps(e) for e in entries) + "\n]\n"
+
+
+def _leaves(c) -> list:
+    """The atomic leaves of a term, left to right."""
+    if isinstance(c, Atomic):
+        return [c]
+    if isinstance(c, Fdbk):
+        return _leaves(c.child)
+    return _leaves(c.left) + _leaves(c.right)
+
+
+class TestRouterSharing:
+    @pytest.fixture
+    def routers(self, monkeypatch):
+        """An empty router table for the test; the process's own is put back
+        after."""
+        table = {}
+        monkeypatch.setattr(diagrams, "_routers", table)
+        return table
+
+    def test_a_second_translation_shares_every_router(self, routers):
+        """One diagram translated twice gives equal terms; each router of the
+        second is the first's, each block a node of its own."""
+        shared = 0
+        for seed in range(40):
+            rng = random.Random(seed)
+            text = json.dumps(flat_spec(rng, rng.randint(2, 8)))
+            try:
+                first = translate(load_diagram(text))
+            except AlgebraicLoop:
+                continue
+            second = translate(load_diagram(text))
+            assert second == first
+            kept = {id(r) for r in routers.values()}
+            for a, b in zip(_leaves(first), _leaves(second)):
+                assert (a is b) == (id(a) in kept)
+                shared += a is b
+        assert shared > 40 and len(routers) < diagrams._ROUTERS_KEPT
+
+    def test_one_router_per_bus_types_and_route(self, routers):
+        ints = {s: INT for s in "abc"}
+        swap = diagrams._router(["a", "b"], ["b", "a"], ints)
+        assert diagrams._router(["c", "a"], ["a", "c"], ints) is swap
+        assert diagrams._router(["a", "b"], ["a", "b"], ints) != swap
+        assert diagrams._router(["a", "b"], ["b", "a"], {"a": INT, "b": BOOL}) != swap
+        assert print_component(swap) == "stateless_det((v0:int, v1:int), true, (v1, v0))"
+        assert len(routers) == 3
+
+    def test_the_table_keeps_its_first_routers_up_to_its_bound(self, routers):
+        kept = diagrams._ROUTERS_KEPT
+        routes = [["a"] * n for n in range(kept + 10)]
+        first = [diagrams._router(["a"], route, {"a": INT}) for route in routes]
+        again = [diagrams._router(["a"], route, {"a": INT}) for route in routes]
+        assert len(routers) == kept
+        assert all(a is b for a, b in zip(first[:kept], again[:kept]))
+        assert all(a is not b and a == b for a, b in zip(first[kept:], again[kept:]))
 
 
 class TestTranslationGolden:

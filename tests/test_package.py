@@ -21,3 +21,17 @@ def test_star_import_binds_every_public_name():
 def test_unknown_name_raises_attribute_error():
     with pytest.raises(AttributeError, match="no_such_name"):
         rcrs.no_such_name
+
+
+def test_a_rebound_name_is_seen_at_the_next_lookup(monkeypatch):
+    import rcrs.oracle
+
+    original = rcrs.exec_det
+
+    def replacement(*args, **kwargs):
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(rcrs.oracle, "exec_det", replacement)
+    assert rcrs.exec_det is replacement
+    monkeypatch.undo()
+    assert rcrs.exec_det is original

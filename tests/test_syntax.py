@@ -1,15 +1,18 @@
 """Concrete syntax round trips and error reporting."""
 
+import importlib.util
 import random
 from fractions import Fraction
 from pathlib import Path
 
 import pytest
 
+from rcrs import syntax
 from rcrs.components import Atomic, Det, Fdbk, Qltl, Serial, Signature, alpha_equivalent, as_component
 from rcrs.compose import atomic
 from rcrs.corpus import random_det_composite, random_sts_atom
-from rcrs.errors import ComponentSyntaxError, TypeMismatch, UnboundVariable, UnknownType
+from rcrs.diagrams import load_diagram, translate
+from rcrs.errors import ComponentSyntaxError, RcrsError, TypeMismatch, UnboundVariable, UnknownType
 from rcrs.formulas import (
     And,
     Exists,
@@ -151,6 +154,11 @@ def test_unknown_component_reference():
          UnboundVariable, (4, 11), "unknown variable 'z'"),
         ("component A = stateless_det((x:int), true, (x)) A", ComponentSyntaxError, (1, 49),
          "expected 'component', found 'A'"),
+        # an empty integer range is reported at its lower bound
+        ("component A = stateless_det((x:int[10..1]), true, (x))", ComponentSyntaxError, (1, 36),
+         "empty integer range [10, 1]"),
+        ("component A = stateless_det((x:int[0..0], y:int[\n  -2..-3]), true, (x))", ComponentSyntaxError,
+         (2, 3), "empty integer range [-2, -3]"),
     ],
 )
 def test_error_positions(text, cls, where, message):
@@ -354,3 +362,152 @@ def test_truncated_files_fail_at_their_end(path):
             if not str(e).endswith("expected a type, found 'Sw'"):
                 lines = cut.split("\n")
                 assert (e.line, e.column) == (len(lines), len(lines[-1]) + 1), (end, str(e))
+
+
+# --- the atom table ------------------------------------------------------------
+
+
+@pytest.fixture
+def atoms(monkeypatch):
+    """An empty atom table for the test; the process's own is put back after."""
+    table = {}
+    monkeypatch.setattr(syntax, "_atoms", table)
+    return table
+
+
+def _cold(monkeypatch, read, texts):
+    """read(text) of each text with no atom kept: every atom is parsed from
+    its tokens."""
+    with monkeypatch.context() as m:
+        m.setattr(syntax, "_ATOMS_KEPT", 0)
+        return [read(text) for text in texts]
+
+
+def _symbolic_texts(seed: int, count: int = 500) -> list[str]:
+    """The printed terms of the first `count` queries of the `symbolic`
+    benchmark workload at `seed`: per batch a random composite, then a
+    translated random diagram (see `perfbench/workloads.py`)."""
+    spec = importlib.util.spec_from_file_location("generators", ROOT / "perfbench" / "generators.py")
+    gen = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(gen)
+    texts = []
+    for k in range(count // 2):
+        rng = random.Random(f"symbolic:{seed}:{k}")
+        c = random_det_composite(rng, 12, 2)
+        diagram = load_diagram(gen.diagram_json(gen.random_diagram(rng, rng.randint(8, 14))))
+        texts += [print_component(c), print_component(translate(diagram))]
+    return texts
+
+
+def test_kept_atoms_change_no_parse(atoms, monkeypatch):
+    """Parsed with no atom kept, and then with the table filling up as they
+    are read, the printed terms of the first 500 `symbolic` queries at seeds
+    0 and 1 and every data file give equal terms that print the same."""
+    texts = _symbolic_texts(0) + _symbolic_texts(1)
+    files = [path.read_text() for path in DATA_FILES]
+    cold = _cold(monkeypatch, parse_component, texts), _cold(monkeypatch, parse_rcrs, files)
+    assert not atoms
+    warm = [parse_component(text) for text in texts], [parse_rcrs(text) for text in files]
+    assert len(atoms) == syntax._ATOMS_KEPT
+    for text, a, b in zip(texts, cold[0], warm[0]):
+        assert a == b
+        assert print_component(a) == print_component(b) == text
+    for (a, order), (b, order_b) in zip(cold[1], warm[1]):
+        assert order == order_b and a == b
+        assert [print_component(a[name]) for name in order] == [print_component(b[name]) for name in order]
+
+
+def test_a_repeated_atom_is_one_node(atoms):
+    text = "stateless_det((x:int), x > 0, (x + 1))"
+    first = parse_component(text)
+    assert parse_component(text) is first
+    both = parse_component(f"{text} ; ({text} || {text})")
+    assert both.left is both.right.left is both.right.right is first
+    assert parse_rcrs(f"component A = {text}\ncomponent B = fdbk({text})")[0]["B"].child is first
+
+
+def test_spellings_that_differ_in_blanks_and_comments_share_one_atom(atoms):
+    a = parse_component("stateless((u:Mode{idle,busy}), (v:Mode{idle,busy}), u = idle -> v = busy)")
+    b = parse_component(
+        "stateless ( (u : Mode { idle , busy }) , # the outputs\n(v:Mode{idle,busy}),\n\tu=idle->v=busy )"
+    )
+    assert b is a
+    # an enum of another name is another type
+    c = parse_component("stateless((u:Gear{idle,busy}), (v:Gear{idle,busy}), u = idle -> v = busy)")
+    assert c != a and len(atoms) == 2
+
+
+@pytest.mark.parametrize(
+    "text, cls, kept",
+    [
+        ("stateless_det((x:int), true, (z))", UnboundVariable, 0),
+        ("det((x:int), (s:int), (0, 1), true, (x), (s))", TypeMismatch, 0),
+        ("stateless_det((x:int[10..1]), true, (x))", ComponentSyntaxError, 0),
+        ("stateless((x:int), (y:int), y = x ; stateless_det((x:int), true, (x)))", ComponentSyntaxError, 0),
+        ("stateless_det((x:int), true, (x)", ComponentSyntaxError, 0),
+        # the atom is complete and kept; the stray ')' after it fails
+        ("stateless_det((x:int), true, (x)))", ComponentSyntaxError, 1),
+    ],
+)
+def test_a_failing_atom_is_never_kept(atoms, text, cls, kept):
+    for _ in range(2):
+        with pytest.raises(cls):
+            parse_component(text)
+    assert len(atoms) == kept
+
+
+def test_the_table_keeps_its_first_atoms_up_to_its_bound(atoms):
+    kept = syntax._ATOMS_KEPT
+    texts = [f"stateless_det((x:int), true, (x + {i}))" for i in range(kept + 20)]
+    first = [parse_component(text) for text in texts]
+    again = [parse_component(text) for text in texts]
+    assert len(atoms) == kept
+    assert all(a is b for a, b in zip(first[:kept], again[:kept]))
+    assert all(a is not b and a == b for a, b in zip(first[kept:], again[kept:]))
+
+
+@pytest.mark.parametrize(
+    "text",
+    [
+        "stateless((u:Mode{idle,busy}), (v:Mode{idle,busy}), u = idle -> v = busy)",
+        "det((m:Mode{idle,busy}), (s:Mode{idle,busy}), (busy), m = idle, (m), (s))",
+        "det((x:real), (s1:real, s2:real), (0.0, 0.5), true, (s1 + x * 0.1, s2), (s1))",
+        "det((x:real), (s:real), (0.25), true, (s * (2.0/3.0) - x), (s - (-0.5)))",
+        "det((), (s:real), ((-2.0/7.0)), true, (s), (s))",
+        "stateless((r:real), (y:real), y = r * (1.0/3.0) && y > (-1.0/3.0))",
+    ],
+)
+def test_kept_atoms_with_enums_and_reals_round_trip(atoms, monkeypatch, text):
+    (cold,) = _cold(monkeypatch, parse_component, [text])
+    first = parse_component(text)
+    assert parse_component(text) is first and first == cold
+    assert print_component(first) == print_component(cold) == text
+
+
+def _cut_outcomes(texts) -> list:
+    """For each cut of each text at a token end: the bindings and order
+    `parse_rcrs` reads, or its error's class, line, column and text."""
+    outcomes = []
+    for text in texts:
+        for end in _token_ends(text):
+            try:
+                outcomes.append(parse_rcrs(text[:end]))
+            except RcrsError as e:
+                outcomes.append((type(e), getattr(e, "line", None), getattr(e, "column", None), str(e)))
+    return outcomes
+
+
+def test_truncations_read_the_same_with_a_warm_table(atoms, monkeypatch):
+    """Every cut at a token end of the data files and of 40 printed
+    `random_sts_atom` bindings: the same bindings or the same error with no
+    atom kept and with the complete atoms kept."""
+    rng = random.Random(0)
+    sts = "".join(f"component S{i} = {print_component(random_sts_atom(rng))}\n" for i in range(40))
+    texts = [path.read_text() for path in DATA_FILES] + [sts]
+    (cold,) = _cold(monkeypatch, _cut_outcomes, [texts])
+    for text in texts:
+        parse_rcrs(text)
+    warm = _cut_outcomes(texts)
+    assert len(cold) == 2666
+    assert sum(isinstance(o, tuple) and len(o) == 4 for o in cold) > 1000
+    assert warm == cold
