@@ -28,7 +28,7 @@ from .analysis import (
     legal_formula,
     refine_vc,
 )
-from .components import Atomic, Kind, Sts, as_component, check_wf, field_values, sigma_in, sigma_out
+from .components import Atomic, Kind, as_component, check_wf, field_values, sigma_in, sigma_out
 from .compose import atomic, oi
 from .errors import (
     AlgebraicLoop,
@@ -75,6 +75,8 @@ _USAGE_ERRORS = (
     UnknownBlock,
     TemporalFragment,
     AlgebraicLoop,
+    OSError,
+    json.JSONDecodeError,
 )
 _INTERNAL_ERRORS = (
     FeedbackOnNonDecomposable,
@@ -140,7 +142,7 @@ def _load(path: str):
         return parse_rcrs(f.read())
 
 
-def _pick(bindings, order, name, what="target"):
+def _pick(bindings, order, name):
     if name is None:
         return bindings[order[-1]], order[-1]
     if name not in bindings:
@@ -275,6 +277,16 @@ def _parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
+    """Run the command in argv.  The process entry (no argv) runs it on a
+    deep stack, and a call that passes argv in place."""
+    if argv is not None:
+        return _main(argv)
+    from .dlsolver import on_deep_stack
+
+    return on_deep_stack(_main, None)
+
+
+def _main(argv) -> int:
     try:
         args = _parser().parse_args(argv)
     except SystemExit as e:
@@ -288,17 +300,14 @@ def main(argv=None) -> int:
     except _USAGE_ERRORS as e:
         print(f"error: {e}", file=sys.stderr)
         return 3
-    except OSError as e:
-        print(f"error: {e}", file=sys.stderr)
-        return 3
     except _INTERNAL_ERRORS as e:
         print(f"analysis failure: {e}", file=sys.stderr)
         return 4
     except RcrsError as e:
         print(f"error: {e}", file=sys.stderr)
         return 4
-    except json.JSONDecodeError as e:
-        print(f"error: {e}", file=sys.stderr)
+    except RecursionError as e:
+        print(f"error: input nested too deeply for the recursion limit {sys.getrecursionlimit()}: {e}", file=sys.stderr)
         return 3
     except Exception as e:
         # exit 1 reads as Refuted: a crash must not pass for a verdict
@@ -391,14 +400,10 @@ def _dispatch(args, report: Report) -> int:
 def _dispatch_check(args, report: Report) -> int:
     bindings, order = _load(args.file)
     dom = _domains(getattr(args, "domains", None))
-    if args.query == "valid":
+    if args.query in ("valid", "receptive"):
         target, name = _pick(bindings, order, args.target)
-        report.emit("command", f"check valid {name}")
-        return report.verdict(is_valid(target, dom))
-    if args.query == "receptive":
-        target, name = _pick(bindings, order, args.target)
-        report.emit("command", f"check receptive {name}")
-        return report.verdict(is_input_receptive(target, dom))
+        report.emit("command", f"check {args.query} {name}")
+        return report.verdict((is_valid if args.query == "valid" else is_input_receptive)(target, dom))
     if args.query == "compat":
         left, lname = _pick(bindings, order, args.left)
         right, rname = _pick(bindings, order, args.right)
@@ -415,10 +420,8 @@ def _dispatch_check(args, report: Report) -> int:
 
 
 def _check_data_refine(left, right, relation_text: str, dom, report: Report) -> int:
-    a1 = atomic(as_component(left))
-    a2 = atomic(as_component(right))
-    a1 = lift_to(a1, Kind.STS) if not isinstance(a1, Sts) else a1
-    a2 = lift_to(a2, Kind.STS) if not isinstance(a2, Sts) else a2
+    a1 = lift_to(atomic(as_component(left)), Kind.STS)
+    a2 = lift_to(atomic(as_component(right)), Kind.STS)
     relation = parse_formula(relation_text, [a1.states, a2.states])
     vcs = data_refine_vc(a1, a2, relation)
     notes = []

@@ -62,9 +62,6 @@ def sig(*pairs) -> Signature:
     return Signature(tuple(Var(n, t) for n, t in pairs))
 
 
-EMPTY_SIG = Signature(())
-
-
 class Kind(enum.Enum):
     STATELESS_DET = "stateless_det"
     DET = "det"
@@ -430,10 +427,7 @@ class NameGen:
 
 def rename_atomic(c: AtomicComponent, mapping: dict[Var, Var]) -> AtomicComponent:
     """Rename slots and free plain and primed occurrences per the variable
-    mapping.  A mapping of identities returns c itself, unless a binder of c
-    is among its targets: substitution renames such a binder apart."""
-    if all(v == w for v, w in mapping.items()) and binders(c).isdisjoint(mapping.values()):
-        return c
+    mapping."""
     apply = substitution(
         {v: VarRef(w) for v, w in mapping.items()}, {v: PrimedRef(w) for v, w in mapping.items()}
     )

@@ -51,47 +51,34 @@ from .terms import VarRef
 from .types import Var
 
 
-def _names_of(c: AtomicComponent) -> set[str]:
-    return {v.name for v in c.all_vars()}
-
-
-def _prepare_serial(l: AtomicComponent, r: AtomicComponent):
-    """Rename the two operands apart, unifying l's outputs with r's inputs
-    under shared mid names."""
-    l2 = rename_slots(l, numbered("x"), numbered("m"), numbered("u"))
-    r2 = rename_slots(r, numbered("m"), numbered("z"), numbered("v"))
-    mids = r2.inputs.vars()
-    return l2, r2, mids
-
-
 def serial(l: AtomicComponent, r: AtomicComponent) -> AtomicComponent:
     """Symbolic serial composition; mixed kinds are lifted to the join kind
-    first, then the same-kind formula applies.  Deterministic operands are
-    composed by one substitution into r (see _serial_det); the other kinds
-    rename both operands apart first."""
+    first, the two operands are renamed apart, then the same-kind formula
+    applies."""
     check_wf(Serial(Atomic(l), Atomic(r)))
     return _serial(l, r)
 
 
 def _serial(l: AtomicComponent, r: AtomicComponent) -> AtomicComponent:
-    # `serial` on operands known to fit together
+    # `serial` on operands known to fit together, renamed apart with l's
+    # outputs and r's inputs unified under the mid names m0, m1, ...
     k = join_kind(l.kind(), r.kind())
-    return _SERIAL[k](lift_to(l, k), lift_to(r, k))
+    l = rename_slots(lift_to(l, k), numbered("x"), numbered("m"), numbered("u"))
+    r = rename_slots(lift_to(r, k), numbered("m"), numbered("z"), numbered("v"))
+    return _SERIAL[k](l, r, r.inputs.vars())
 
 
-def _serial_contract(l: Stateless | Qltl, r: Stateless | Qltl) -> Stateless | Qltl:
+def _serial_contract(l: Stateless | Qltl, r: Stateless | Qltl, mids) -> Stateless | Qltl:
     """Serial composition of two stateless or two temporal contracts, whose
     layout is (inputs, outputs, contract)."""
-    l, r, mids = _prepare_serial(l, r)
     (lf,), (rf,) = field_values(l, "formula"), field_values(r, "formula")
     receptive = forall_many(mids, Implies(lf, exists_many(r.outputs.vars(), rf)))
     chained = exists_many(mids, And(lf, rf))
     return type(l)(l.inputs, r.outputs, simplify(And(receptive, chained)))
 
 
-def _serial_sts(l: Sts, r: Sts) -> Sts:
-    l, r, mids = _prepare_serial(l, r)
-    gen = NameGen(_names_of(l) | _names_of(r))
+def _serial_sts(l: Sts, r: Sts, mids) -> Sts:
+    gen = NameGen(v.name for c in (l, r) for v in c.all_vars())
     some_step = quantify_primed(l.states.vars(), l.trs, gen, extra=mids, exists=True)
     step_feeds = forall_many(
         list(mids),
@@ -108,27 +95,16 @@ def _serial_sts(l: Sts, r: Sts) -> Sts:
     return Sts(l.inputs, r.outputs, states, init, trs)
 
 
-def _serial_det(l: Det | StatelessDet, r: Det | StatelessDet) -> Det | StatelessDet:
-    """Serial composition of two deterministic components of one kind: one
-    substitution into r replaces its inputs by l's output terms and its
-    states by their composite names v0, v1, ....  An r that binds a variable
-    is renamed to mid names first, so its bound variables are renamed apart
-    exactly as the two steps would."""
-    if binders(r):
-        l, r, _ = _prepare_serial(l, r)
-    else:
-        l = rename_slots(l, numbered("x"), (), numbered("u"))
-    r_states = r.states.vars() if isinstance(r, Det) else ()
-    states = tuple(Var(n, v.ty) for v, n in zip(r_states, numbered("v")))
-    sub = dict(zip(r.inputs.vars(), l.out))
-    sub.update((v, VarRef(w)) for v, w in zip(r_states, states) if v != w)
-    apply = substitution(sub)
+def _serial_det(l: Det | StatelessDet, r: Det | StatelessDet, mids) -> Det | StatelessDet:
+    """Serial composition of two deterministic components of one kind: r's
+    inputs are replaced by l's output terms."""
+    apply = substitution(dict(zip(mids, l.out)))
     inpt = simplify(And(l.inpt, apply(r.inpt)))
     out = tuple(map(apply, r.out))
     if isinstance(l, StatelessDet):
         return StatelessDet(l.inputs, inpt, out)
     nxt = l.next + tuple(map(apply, r.next))
-    return Det(l.inputs, Signature(l.states.vars() + states), l.init_vals + r.init_vals, inpt, nxt, out)
+    return Det(l.inputs, Signature(l.states.vars() + r.states.vars()), l.init_vals + r.init_vals, inpt, nxt, out)
 
 
 _SERIAL = {

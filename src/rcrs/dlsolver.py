@@ -27,6 +27,7 @@ from __future__ import annotations
 import codecs
 import re
 import sys
+import threading
 from fractions import Fraction
 from math import ceil, floor
 
@@ -572,7 +573,41 @@ def _text_chunks(stream):
     yield decoder.decode(b"", final=True)
 
 
+def on_deep_stack(fn, *args):
+    """fn(*args) on a thread with a 512 MiB stack and a recursion limit of
+    200,000, both restored afterwards, since every walk over terms, formulas
+    and component trees recurses; in place if the thread cannot start.  It
+    is here because a solver process imports no other module of rcrs."""
+    size, limit, done = threading.stack_size(), sys.getrecursionlimit(), []
+
+    def body():
+        try:
+            done.append((fn(*args), None))
+        except BaseException as e:
+            done.append((None, e))
+
+    try:
+        threading.stack_size(512 * 2**20)
+        sys.setrecursionlimit(200_000)
+        thread = threading.Thread(target=body, daemon=True)
+        thread.start()
+        thread.join()
+    except (RuntimeError, ValueError):  # no thread of that stack size
+        pass
+    finally:
+        threading.stack_size(size)
+        sys.setrecursionlimit(limit)
+    value, error = done[0] if done else (fn(*args), None)
+    if error is not None:
+        raise error
+    return value
+
+
 def main() -> int:
+    return on_deep_stack(_main)
+
+
+def _main() -> int:
     """Answer each `(check-sat)` as soon as it is read, on its own flushed
     line, as `run` answers it on the commands before it; `(reset)` starts a
     fresh context.  A script without `(reset)` gets the answers of `run` on

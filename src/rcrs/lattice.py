@@ -71,8 +71,8 @@ def stateless_det2det(c: StatelessDet) -> Det:
     return Det(c.inputs, Signature(()), (), c.inpt, (), c.out)
 
 
-def stateless_det2stateless(c: StatelessDet, gen: NameGen = None) -> Stateless:
-    gen = gen or NameGen(v.name for v in c.all_vars())
+def stateless_det2stateless(c: StatelessDet) -> Stateless:
+    gen = NameGen(v.name for v in c.all_vars())
     ys = [gen.fresh("y", t) for t in (c.outputs.types())]
     io = conj([c.inpt] + [eq(VarRef(v), t) for v, t in zip(ys, c.out)])
     return Stateless(c.inputs, Signature(tuple(ys)), io)
@@ -82,8 +82,8 @@ def stateless2sts(c: Stateless) -> Sts:
     return Sts(c.inputs, c.outputs, Signature(()), TRUEC, c.io)
 
 
-def det2sts(c: Det, gen: NameGen = None) -> Sts:
-    gen = gen or NameGen(v.name for v in c.all_vars())
+def det2sts(c: Det) -> Sts:
+    gen = NameGen(v.name for v in c.all_vars())
     ys = [gen.fresh("y", t) for t in c.outputs.types()]
     init = conj([eq(VarRef(v), a) for v, a in zip(c.states.vars(), c.init_vals)])
     trs = conj(
@@ -109,10 +109,10 @@ def sts_legality(c: Sts, gen: NameGen) -> tuple[Formula, Formula]:
     return step, forall_many(svars + yvars, Implies(c.init, Leads(step, live)))
 
 
-def sts2qltl(c: Sts, gen: NameGen = None) -> Qltl:
+def sts2qltl(c: Sts) -> Qltl:
     """Temporal contract equivalent to the transition system: the legality
     chain and an existentially chosen run."""
-    step, legality = sts_legality(c, gen or NameGen(v.name for v in c.all_vars()))
+    step, legality = sts_legality(c, NameGen(v.name for v in c.all_vars()))
     run = exists_many(list(c.states.vars()), And(c.init, Globally(step)))
     return Qltl(c.inputs, c.outputs, simplify(And(legality, run)))
 

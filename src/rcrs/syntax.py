@@ -174,6 +174,14 @@ class _Parser:
     def __init__(self, text: str):
         self.lexemes = _lex(text)
         self.toks = list(map(itemgetter(1), self.lexemes))
+        # the index of each '(' to that of the ')' that closes it
+        self.closing: dict[int, int] = {}
+        opened = []
+        for i, t in enumerate(self.toks):
+            if t == "(":
+                opened.append(i)
+            elif t == ")" and opened:
+                self.closing[opened.pop()] = i
         self.pos = 0
         self.tok = self.toks[0]
         self.bindings: dict[str, Component] = {}
@@ -225,7 +233,7 @@ class _Parser:
 
     # --- operators ---
 
-    def climb(self, env: Optional["_Scope"], power: int = 0):
+    def climb(self, env: Optional[dict], power: int = 0):
         """The longest expression here whose infix operators bind at least
         `power`: a component when `env` is None, else a formula or a term
         over `env`."""
@@ -244,7 +252,7 @@ class _Parser:
             left = _build(op, left, self.operand(op, right, start))
         return left
 
-    def prefix(self, env: "_Scope"):
+    def prefix(self, env: dict):
         op = _PREFIX.get(self.tok)
         if op is None:
             return self.primary(env)
@@ -252,7 +260,7 @@ class _Parser:
         if op.node in (Forall, Exists):
             v = self.decl()
             self.expect(".")
-            return op.node(v, self.formula(env.extend(v)))
+            return op.node(v, self.formula(_scope((v,), env)))
         start = self.pos
         return _build(op, self.operand(op, self.climb(env, op.power), start))
 
@@ -279,7 +287,7 @@ class _Parser:
             self.fail("expected a comparison or a boolean term")
         return Atom("=", (value, TRUE))
 
-    def primary(self, env: "_Scope"):
+    def primary(self, env: dict):
         at = self.pos
         t = self.next()
         if t[:1].isdecimal():
@@ -293,19 +301,18 @@ class _Parser:
             self.expect(")")
             return inner
         if _is_name(t):
-            v = env.lookup(t)
-            if v is not None:
+            v = env.get(t)
+            if isinstance(v, Var):
                 return PrimedRef(v) if self.accept("'") else VarRef(v)
-            ty = env.enum_of(t)
-            if ty is not None:
-                return Const(t, ty)
+            if v is not None:
+                return v
             self.fail(f"unknown variable {t!r}", at, UnboundVariable)
         self.fail(f"expected a term, found {t!r}", at)
 
-    def formula(self, env: "_Scope") -> Formula:
+    def formula(self, env: dict) -> Formula:
         return self.as_formula(self.climb(env))
 
-    def term(self, env: "_Scope") -> Term:
+    def term(self, env: dict) -> Term:
         start = self.pos
         return self.as_term(self.climb(env, _COMPARE + 1), start)
 
@@ -333,7 +340,7 @@ class _Parser:
     def atom(self) -> Atomic:
         """The atomic component node here, parsed once per distinct token
         sequence from the kind keyword to the matching ')' (see _atoms)."""
-        start, end = self.pos, self._closing(self.pos + 1)
+        start, end = self.pos, self.closing.get(self.pos + 1)
         key = " ".join(self.toks[start : end + 1]) if end else None
         node = _atoms.get(key)
         if node is not None:
@@ -344,21 +351,6 @@ class _Parser:
         if end and self.pos == end + 1 and len(_atoms) < _ATOMS_KEPT:
             _atoms.setdefault(key, node)
         return node
-
-    def _closing(self, i: int) -> int:
-        """The index of the ')' that closes a '(' at token i, else 0."""
-        if self.toks[i] != "(":
-            return 0
-        depth = 0
-        for j in range(i, len(self.toks)):
-            t = self.toks[j]
-            if t == "(":
-                depth += 1
-            elif t == ")":
-                depth -= 1
-                if not depth:
-                    return j
-        return 0
 
     def atomic_def(self) -> AtomicComponent:
         """An atomic component: the kind's keyword, then its fields in order,
@@ -377,7 +369,7 @@ class _Parser:
             if role == "values":
                 values.append(self.literal_tuple(sigs["states"]))
                 continue
-            scope = _Scope(*(sigs[n] for n in cls.SCOPES.get(name, sigs)))
+            scope = _scope([v for n in cls.SCOPES.get(name, sigs) for v in sigs[n]])
             if role == "formula":
                 values.append(self.formula(scope))
             else:  # a next-state tuple has one term per state
@@ -463,7 +455,7 @@ class _Parser:
         start = self.pos
         if isinstance(ty, RealType) and self.tok == "(":
             # a real with no decimal form prints as a bracketed quotient
-            c = self.term(_Scope())
+            c = self.term({})
             if isinstance(c, Const) and c.ty == REAL:
                 return c
             self.fail(f"expected a literal of type {ty.short()}", start)
@@ -513,34 +505,18 @@ def _build(op: Op, *args):
     return App(node, args)
 
 
-class _Scope:
-    def __init__(self, *sigs: Signature, parent: "_Scope" = None, extra: Var = None):
-        self.vars: dict[str, Var] = {}
-        self.enums: dict[str, EnumType] = {}
-        if parent is not None:
-            self.vars.update(parent.vars)
-            self.enums.update(parent.enums)
-        for s in sigs:
-            for v in s:
-                self.vars[v.name] = v
-                self._note_enum(v.ty)
-        if extra is not None:
-            self.vars[extra.name] = extra
-            self._note_enum(extra.ty)
-
-    def _note_enum(self, ty: SemType):
-        if isinstance(ty, EnumType):
-            for val in ty.values:
-                self.enums[val] = ty
-
-    def extend(self, v: Var) -> "_Scope":
-        return _Scope(parent=self, extra=v)
-
-    def lookup(self, name: str) -> Optional[Var]:
-        return self.vars.get(name)
-
-    def enum_of(self, value: str) -> Optional[EnumType]:
-        return self.enums.get(value)
+def _scope(vs, outer: Optional[dict] = None) -> dict:
+    """The names in scope, each mapped to its Var or to the Const of an enum
+    value: outer's, then those of the variables vs and of their enum values.
+    An enum value never shadows a variable."""
+    env = dict(outer or ())
+    for v in vs:
+        if isinstance(v.ty, EnumType):
+            for val in v.ty.values:
+                if not isinstance(env.get(val), Var):
+                    env[val] = Const(val, v.ty)
+    env.update((v.name, v) for v in vs)
+    return env
 
 
 def _parse(text: str, read):
@@ -563,7 +539,7 @@ def parse_rcrs(text: str):
 
 
 def parse_formula(text: str, scope_sigs: list[Signature]) -> Formula:
-    return _parse(text, lambda p: p.formula(_Scope(*scope_sigs)))
+    return _parse(text, lambda p: p.formula(_scope([v for s in scope_sigs for v in s])))
 
 
 # --- printing ----------------------------------------------------------------

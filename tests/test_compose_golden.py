@@ -12,8 +12,9 @@
   substituted, and a renaming of slots to themselves still renames the
   binder.
 
-It was computed before a deterministic serial step became one substitution
-and identity renamings returned their component.  `tests/data/legal_golden.json`
+A serial step renames both operands apart for every kind, and a
+deterministic one then substitutes the left operand's output terms into the
+right operand, as when it was computed.  `tests/data/legal_golden.json`
 pins `formula_text(legal_formula(a))` of each atomic form `a` pinned there;
 it was computed before the shape and dependency facts were kept on component
 terms.  Regenerate both only for a deliberate change of composition or of
