@@ -38,11 +38,9 @@ from .components import (
 )
 from .compose import atomic
 from .errors import (
+    AnalysisFailure,
     DomainNotFinite,
     ExplosionGuard,
-    KindError,
-    NotDeterministic,
-    NotLoopFree,
     SignatureMismatch,
     SolverFailure,
     SoundnessError,
@@ -809,7 +807,7 @@ def _transition_validity(a: AtomicComponent, dom: Optional[FiniteDomain], horizo
         return Refuted(note="no input is legal")
     try:
         lasso = legal_lasso(Atomic(a), dom or FiniteDomain(), horizon)
-    except (DomainNotFinite, ExplosionGuard) as e:
+    except AnalysisFailure as e:
         return Unknown(f"bounded behavior unavailable: {e}")
     if lasso is None:
         return Unknown(f"no legal input lasso within horizon {horizon}; validity undecided")
@@ -980,7 +978,7 @@ def check_refines(
         oracle_result = bounded_refute_refinement(
             as_component(abstract), as_component(concrete), dom or FiniteDomain(), horizon
         )
-    except (DomainNotFinite, ExplosionGuard, KindError, NotDeterministic, NotLoopFree):
+    except AnalysisFailure:
         oracle_result = None
     refuted = oracle_result if isinstance(oracle_result, Refuted) else refuted
     proven = not unknown_reasons and len(proven_notes) == len(vcs)

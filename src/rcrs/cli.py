@@ -1,8 +1,10 @@
 """Command-line front end: parse definition files, simplify composites,
 run the checks, emit solver scripts, simulate, and translate diagrams.
 
-Exit codes: 0 proven/success, 1 refuted, 2 unknown, 3 usage or parse error,
-4 internal analysis failure.
+Exit codes: 0 proven/success, 1 refuted, 2 unknown; 3 with `error:` on a
+`UsageError` (the input is at fault; `PrimedInTemporal` is one), an unreadable
+file or bad JSON; 4 with `analysis failure:` on an `AnalysisFailure`, and 4
+with `error:` on any other error, a defect in the toolkit.
 """
 
 from __future__ import annotations
@@ -30,26 +32,7 @@ from .analysis import (
 )
 from .components import Atomic, Kind, as_component, check_wf, field_values, sigma_in, sigma_out
 from .compose import atomic, oi
-from .errors import (
-    AlgebraicLoop,
-    BadParams,
-    ComponentSyntaxError,
-    DomainNotFinite,
-    ExplosionGuard,
-    FeedbackOnNonDecomposable,
-    KindError,
-    NotDecomposable,
-    NotDeterministic,
-    NotLoopFree,
-    PortMismatch,
-    RcrsError,
-    SignatureMismatch,
-    SolverFailure,
-    TemporalFragment,
-    TypeMismatch,
-    UnknownBlock,
-    WfError,
-)
+from .errors import AnalysisFailure, ComponentSyntaxError, DomainNotFinite, RcrsError, TypeMismatch, UsageError
 from .lattice import lift_to
 from .oracle import (
     FiniteDomain,
@@ -64,30 +47,6 @@ from .oracle import (
 from .syntax import formula_text, parse_formula, parse_rcrs, print_component
 from .types import RealType, UnitType, Var, is_value
 from .verdicts import LassoWitness, Proven, Refuted, TraceWitness, Unknown
-
-_USAGE_ERRORS = (
-    ComponentSyntaxError,
-    TypeMismatch,
-    SignatureMismatch,
-    WfError,
-    BadParams,
-    PortMismatch,
-    UnknownBlock,
-    TemporalFragment,
-    AlgebraicLoop,
-    OSError,
-    json.JSONDecodeError,
-)
-_INTERNAL_ERRORS = (
-    FeedbackOnNonDecomposable,
-    NotDecomposable,
-    NotDeterministic,
-    NotLoopFree,
-    KindError,
-    DomainNotFinite,
-    ExplosionGuard,
-    SolverFailure,
-)
 
 
 class Report:
@@ -297,10 +256,10 @@ def _main(argv) -> int:
     started = time.monotonic()
     try:
         code = _dispatch(args, report)
-    except _USAGE_ERRORS as e:
+    except (UsageError, OSError, json.JSONDecodeError) as e:
         print(f"error: {e}", file=sys.stderr)
         return 3
-    except _INTERNAL_ERRORS as e:
+    except AnalysisFailure as e:
         print(f"analysis failure: {e}", file=sys.stderr)
         return 4
     except RcrsError as e:

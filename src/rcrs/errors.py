@@ -2,14 +2,25 @@
 
 
 class RcrsError(Exception):
-    """Base class for all toolkit errors."""
+    """Base class for all toolkit errors.  A direct subclass is a misuse of
+    the library or a defect in the toolkit: the CLI should never see one."""
 
 
-class TypeMismatch(RcrsError):
+class UsageError(RcrsError):
+    """The input is at fault: it does not parse, is ill-typed or ill-formed,
+    or falls outside the fragment a command accepts."""
+
+
+class AnalysisFailure(RcrsError):
+    """Neither the input nor the toolkit is at fault: the analysis cannot be
+    carried out on this input at these bounds, or an external solver failed."""
+
+
+class TypeMismatch(UsageError):
     pass
 
 
-class PrimedInTemporal(RcrsError):
+class PrimedInTemporal(UsageError):
     pass
 
 
@@ -21,7 +32,7 @@ class EmptyFeedbackSignature(RcrsError):
     pass
 
 
-class ComponentSyntaxError(RcrsError):
+class ComponentSyntaxError(UsageError):
     def __init__(self, message, line=None, column=None):
         if line is not None:
             message = f"{line}:{column}: {message}"
@@ -42,49 +53,49 @@ class NotAbove(RcrsError):
     pass
 
 
-class WfError(RcrsError):
+class WfError(UsageError):
     pass
 
 
-class KindError(RcrsError):
+class KindError(AnalysisFailure):
     pass
 
 
-class NotDecomposable(RcrsError):
+class NotDecomposable(AnalysisFailure):
     pass
 
 
-class NotDeterministic(RcrsError):
+class NotDeterministic(AnalysisFailure):
     pass
 
 
-class NotLoopFree(RcrsError):
+class NotLoopFree(AnalysisFailure):
     pass
 
 
-class FeedbackOnNonDecomposable(RcrsError):
+class FeedbackOnNonDecomposable(AnalysisFailure):
     def __init__(self, message, path=()):
         super().__init__(message)
         self.path = tuple(path)
 
 
-class SignatureMismatch(RcrsError):
+class SignatureMismatch(UsageError):
     pass
 
 
-class TemporalFragment(RcrsError):
+class TemporalFragment(UsageError):
     pass
 
 
-class DomainNotFinite(RcrsError):
+class DomainNotFinite(AnalysisFailure):
     pass
 
 
-class ExplosionGuard(RcrsError):
+class ExplosionGuard(AnalysisFailure):
     pass
 
 
-class SolverFailure(RcrsError):
+class SolverFailure(AnalysisFailure):
     """The configured solver exited non-zero without a verdict: a defect in
     the solver or its installation, not an undecided goal."""
 
@@ -94,19 +105,19 @@ class SoundnessError(RcrsError):
     input."""
 
 
-class UnknownBlock(RcrsError):
+class UnknownBlock(UsageError):
     pass
 
 
-class BadParams(RcrsError):
+class BadParams(UsageError):
     pass
 
 
-class AlgebraicLoop(RcrsError):
+class AlgebraicLoop(UsageError):
     def __init__(self, message, cycle=()):
         super().__init__(message)
         self.cycle = tuple(cycle)
 
 
-class PortMismatch(RcrsError):
+class PortMismatch(UsageError):
     pass

@@ -597,32 +597,40 @@ class _Parallel(_Stepper):
 
 
 class _FdbkEval(_Stepper):
-    """Two-pass evaluation: pass 1 computes the looped-back first output with
-    a poison placeholder on the first input (sound because the loop is
-    dependency-free), pass 2 re-evaluates with the actual value and is the
-    only pass that checks legality and advances state."""
+    """A chain of `loops` nested feedbacks: the child's first `loops` outputs
+    feed its first `loops` inputs.  Probe passes poison each looped input
+    still unknown and keep the looped outputs that come out definite (sound
+    as the loops are dependency-free), until none is unknown or, under an
+    unresolved outer loop, a pass settles nothing new.  One committing pass
+    follows, the only one that checks legality and advances state."""
 
-    def __init__(self, child):
-        self.child = child
+    def __init__(self, child, loops: int = 1):
+        self.child, self.loops = child, loops
 
     @property
     def init(self):
         return self.child.init
 
     def successors(self, config, x, commit: bool = True):
-        ((_, probe),) = self.child.successors(config, (POISON,) + x, False)
-        first = probe[0]
+        k = self.loops
+        looped = (POISON,) * k
+        while POISON in looped:
+            ((_, probe),) = self.child.successors(config, looped + x, False)
+            settled = tuple([p if v is POISON else v for v, p in zip(looped, probe)])
+            if settled == looped:
+                break
+            looped = settled
         # an unresolved outer loop may legitimately leave poison here during
         # a probe pass, but never on the committing pass
-        if commit and first is POISON:
-            raise SoundnessError("feedback loop produced a value-dependent first output")
-        succ = self.child.successors(config, (first,) + x, commit)
+        if commit and POISON in looped:
+            raise SoundnessError("feedback loop produced a value-dependent looped output")
+        succ = self.child.successors(config, looped + x, commit)
         if not succ:
             return []
         ((config2, outs),) = succ
-        if commit and outs[0] != first:
-            raise SoundnessError("feedback passes disagree on the first output")
-        return [(config2, outs[1:])]
+        if commit and outs[:k] != looped:
+            raise SoundnessError("feedback passes disagree on a looped output")
+        return [(config2, outs[k:])]
 
 
 def _stepper(c: Component, dom: FiniteDomain) -> _Stepper:
@@ -644,7 +652,11 @@ def _stepper(c: Component, dom: FiniteDomain) -> _Stepper:
             raise NotDeterministic("feedback behavior needs a deterministic subtree")
         if not loop_free(c):
             raise NotLoopFree("feedback behavior needs a loop-free subtree")
-        return _FdbkEval(_stepper(c.child, dom))
+        # the checks above cover the feedbacks nested directly inside
+        loops = 1
+        while isinstance(c.child, Fdbk):
+            c, loops = c.child, loops + 1
+        return _FdbkEval(_stepper(c.child, dom), loops)
     raise KindError(f"not a component: {c!r}")
 
 

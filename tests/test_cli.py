@@ -536,6 +536,66 @@ class TestUncaughtErrors:
         assert err == "error: internal failure: ZeroDivisionError: defect in simplify\n"
 
 
+def _error_classes(cls=None):
+    from rcrs.errors import RcrsError
+
+    for sub in (cls or RcrsError).__subclasses__():
+        yield sub
+        yield from _error_classes(sub)
+
+
+class TestErrorTaxonomy:
+    """Each error class is under one of two bases, which say who is at
+    fault: the input (`UsageError`) or the analysis at these bounds
+    (`AnalysisFailure`).  The defects below stay direct `RcrsError`s."""
+
+    DEFECTS = {"EmptyFeedbackSignature", "NonTemporalMisuse", "NotAbove", "SoundnessError"}
+
+    @pytest.mark.parametrize(
+        "text",
+        [
+            "component A = qltl((x:int), (y:int), G (y = x'))\n",
+            "component A = det((x:int), (s:int), (0), true, (@x), (s))\n",
+        ],
+    )
+    def test_primed_reference_in_input_exits_3(self, capsys, tmp_path, text):
+        p = tmp_path / "primed.rcrs"
+        p.write_text(text)
+        code, out, err = run_cli(capsys, "simplify", str(p))
+        assert code == 3
+        assert err.count("\n") == 1 and err.startswith("error: ")
+        assert "component" not in out
+
+    def test_each_class_has_one_base_or_is_a_defect(self):
+        from rcrs.errors import AnalysisFailure, UsageError
+
+        bases = (UsageError, AnalysisFailure)
+        unowned = set()
+        for cls in set(_error_classes()) - set(bases):
+            owners = [b for b in bases if issubclass(cls, b)]
+            assert len(owners) <= 1, cls
+            if not owners:
+                unowned.add(cls.__name__)
+        assert unowned == self.DEFECTS
+
+    @pytest.mark.parametrize("cls", sorted(_error_classes(), key=lambda c: c.__name__), ids=lambda c: c.__name__)
+    def test_exit_code_follows_the_base(self, capsys, monkeypatch, sum_file, cls):
+        import rcrs.cli as cli
+        from rcrs.errors import AnalysisFailure, UsageError
+
+        def fail(*args):
+            raise cls("raised in simplify")
+
+        monkeypatch.setattr(cli, "atomic", fail)
+        code, _, err = run_cli(capsys, "simplify", sum_file)
+        if issubclass(cls, UsageError):
+            assert (code, err) == (3, "error: raised in simplify\n")
+        elif issubclass(cls, AnalysisFailure):
+            assert (code, err) == (4, "analysis failure: raised in simplify\n")
+        else:
+            assert (code, err) == (4, "error: raised in simplify\n")
+
+
 class TestOneParserPerProcess:
     def test_interleaved_calls_answer_as_a_first_call(self, capsys, tmp_path):
         import rcrs.cli as cli

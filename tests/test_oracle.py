@@ -3,6 +3,7 @@ refinement refutation, temporal evaluation on lassos and prefixes."""
 
 import gc
 import itertools
+import json
 import random
 from collections import Counter
 from fractions import Fraction
@@ -646,6 +647,82 @@ class TestFeedbackSoundnessChecks:
         child = self._Child(POISON if f == "poison" else f for f in firsts)
         with pytest.raises(SoundnessError):
             _FdbkEval(child).successors(None, (), commit=True)
+
+    class _Chain:
+        """Stand-in child of a two-loop chain: scripted looped outputs per pass."""
+
+        def __init__(self, looped):
+            self.looped = list(looped)
+
+        def successors(self, config, x, commit):
+            return [(config, (*self.looped.pop(0), 0))]
+
+    @pytest.mark.parametrize(
+        "looped",
+        [
+            # the first probe settles one value, the second none: poison is left
+            (("poison", 1), ("poison", 1)),
+            # two probes settle both values, and the committing pass disagrees
+            (("poison", 2), (1, 2), (1, 3)),
+        ],
+    )
+    def test_two_loop_chain_checks_raise(self, looped):
+        from rcrs.errors import SoundnessError
+        from rcrs.oracle import POISON, _FdbkEval
+
+        child = self._Chain(tuple(POISON if v == "poison" else v for v in vs) for vs in looped)
+        with pytest.raises(SoundnessError):
+            _FdbkEval(child, loops=2).successors(None, (), commit=True)
+        assert not child.looped
+
+
+def _delay_ring(k: int) -> dict:
+    """k Add blocks, each fed back through its own UnitDelay and chained to
+    the next; the external input enters the first.  Its output at step t is
+    the binomial coefficient C(k + t, t)."""
+    blocks, wires = [], []
+    for i in range(k):
+        add, delay = f"a{i:03}", f"d{i:03}"
+        blocks += [{"id": add, "kind": "Add", "params": {"ty": "int"}},
+                   {"id": delay, "kind": "UnitDelay", "params": {"ty": "int", "init": 0}}]
+        wires += [{"src": [add, 0], "dst": [delay, 0]}, {"src": [delay, 0], "dst": [add, 0]}]
+        if i:
+            wires.append({"src": [f"a{i - 1:03}", 0], "dst": [add, 1]})
+    return {"blocks": blocks, "wires": wires, "inputs": [["a000", 1]], "outputs": [[f"a{k - 1:03}", 0]]}
+
+
+class TestFeedbackChain:
+    """A chain of k nested feedbacks steps its innermost term at most k + 1
+    times to probe and once to commit, not 2^k times."""
+
+    class _Counting:
+        def __init__(self, inner, limit):
+            self.inner, self.limit, self.passes = inner, limit, []
+
+        def successors(self, config, x, commit):
+            self.passes.append(commit)
+            if len(self.passes) > self.limit:
+                pytest.fail(f"{len(self.passes)} passes in one step")
+            return self.inner.successors(config, x, commit)
+
+    @pytest.mark.parametrize("k", [16, 64])
+    def test_ring_steps_each_loop_once(self, k):
+        from math import comb
+
+        from rcrs.diagrams import load_diagram, translate
+
+        term = translate(load_diagram(json.dumps(_delay_ring(k))))
+        node = chain = oracle._stepper(term, FiniteDomain())
+        while isinstance(chain.child, oracle._FdbkEval):
+            chain = chain.child
+        (config,) = node.init
+        chain.child = counting = self._Counting(chain.child, k + 2)
+        for t in range(4):
+            counting.passes = []
+            ((config, y),) = node.successors(config, (1,))
+            assert y == (comb(k + t, t),)
+            # each looped value is a delay's input, definite on the first probe
+            assert counting.passes == [False, True]
 
 
 STAGED_RCRS = """
